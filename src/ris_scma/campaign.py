@@ -94,6 +94,10 @@ class Campaign:
                 f"average_mode must be one of {AVERAGE_MODES}, got {self.average_mode!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if "no_ris" in self.algorithms and self.fading.direct_loss_scale == 0:
+            raise ValueError(
+                "no_ris needs a direct link: with fading.direct_loss_scale = 0 "
+                "its SNR is identically 0")
         for name, value in (("num_elements", self.num_elements),
                             ("phase_bits", self.phase_bits),
                             ("num_iterations", self.num_iterations)):
@@ -195,6 +199,7 @@ def _trial_block(campaign: Campaign, grid_index: int, trial_lo: int,
         ch = stack_realizations(chs)
         num = stop - start
         scale = fading.symbol_energy / fading.noise_variance
+        ascent_lin = None
         for alg in campaign.algorithms:
             if alg == "blind":
                 lin = received_snr(
@@ -203,14 +208,18 @@ def _trial_block(campaign: Campaign, grid_index: int, trial_lo: int,
             elif alg == "no_ris":
                 lin = no_ris_snr(ch, fading).per_ore_linear
             elif alg == "ao" or alg == "lc_ao":
-                optimize = ao_optimize if alg == "ao" else lc_ao_optimize
-                if trace_iters is not None:
-                    sweeps: list = []
-                    optimize(ch, alphabet, trace_iters, sweep_norms=sweeps)
-                    lin = scale * sweeps[t - 1]
-                else:
-                    phases = optimize(ch, alphabet, t)
-                    lin = received_snr(ch, phases, fading).per_ore_linear
+                # Both names run one vectorized kernel, so whichever comes
+                # first computes the selections for both rows.
+                if ascent_lin is None:
+                    optimize = ao_optimize if alg == "ao" else lc_ao_optimize
+                    if trace_iters is not None:
+                        sweeps: list = []
+                        optimize(ch, alphabet, trace_iters, sweep_norms=sweeps)
+                        ascent_lin = scale * sweeps[t - 1]
+                    else:
+                        phases = optimize(ch, alphabet, t)
+                        ascent_lin = received_snr(ch, phases, fading).per_ore_linear
+                lin = ascent_lin
             elif alg == "exhaustive":
                 phases = exhaustive_optimize(ch, alphabet, campaign.exhaustive_budget)
                 lin = received_snr(ch, phases, fading).per_ore_linear

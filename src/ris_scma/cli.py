@@ -24,7 +24,7 @@ import numpy as np
 from .campaign import run_campaign, trial_seed
 from .channel import FadingConfig, Geometry, draw_link_channels
 from .config import ConfigError, campaign_from_config, config_hash, parse_config
-from .opcount import measured_run, predicted_ao, predicted_lc_ao
+from .opcount import OpCount, measured_run, predicted_ao, predicted_lc_ao
 from .optimizer import (PhaseAlphabet, ao_optimize, blind_phases,
                         exhaustive_optimize, lc_ao_optimize, received_snr,
                         snr_decomposition)
@@ -203,10 +203,11 @@ def _cmd_selftest(args) -> int:
         ch = draw_link_channels(rng, r, df, geom, fading, n)
         alphabet = PhaseAlphabet.from_bits(b)
         if not np.array_equal(ao_optimize(ch, alphabet, t).indices,
-                              lc_ao_optimize(ch, alphabet, t).indices):
+                              lc_ao_optimize(ch, alphabet, t,
+                                             counter=OpCount()).indices):
             mismatch += 1
-    failures += _report("full-norm and cached selections identical (60 draws)",
-                        mismatch == 0)
+    failures += _report("vectorized and counted cached selections identical "
+                        "(60 draws)", mismatch == 0)
 
     bad = 0
     alphabet = PhaseAlphabet.from_bits(2)

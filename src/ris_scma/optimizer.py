@@ -8,7 +8,11 @@ arg-max ties go to the smallest candidate index.
 Each optimizer takes an optional ``counter`` (an :class:`~ris_scma.opcount.OpCount`
 sink).  When a counter is supplied the run goes through a scalar,
 operation-by-operation path that tallies real arithmetic under the documented
-cost model; without one, a vectorized path computes the identical selections.
+cost model; these counted paths are the reference the closed-form counts (and
+the tests) check against.  Without one, :func:`ao_optimize` and
+:func:`lc_ao_optimize` run one shared vectorized kernel that keeps each ORE's
+composite row up to date and scores every candidate from it, selecting the
+same phases as the counted paths.
 """
 
 from __future__ import annotations
@@ -158,7 +162,11 @@ def blind_phases(alphabet: PhaseAlphabet, num_ores: int,
 
 @dataclass(eq=False)
 class LcAoWorkspace:
-    """Per-ORE coefficients the cached optimizer scores candidates from.
+    """Per-ORE coupling coefficients of the objective decomposition.
+
+    The cached optimizer's score for element n is built from column n of these
+    (its counted path recomputes them as it goes); the vectorized kernel gets
+    the same sum from the composite row instead of storing them.
 
     ``element_coupling`` (R, N, N) is Hermitian with real nonnegative
     diagonal; entry (k, n) couples elements k and n through all d_f users.
@@ -221,7 +229,7 @@ def term_split(ch: ChannelRealization, phases: PhaseAssignment, element: int) ->
 
 
 # ---------------------------------------------------------------------------
-# Optimizers (vectorized paths)
+# Optimizers
 
 
 def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
@@ -230,36 +238,16 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
     """Cyclic coordinate ascent with a full norm evaluation per candidate.
 
     For each ORE: for t = 1..iterations, for each element, score all 2^b
-    candidate phases by the full composite-row norm (everything recomputed,
-    matching the closed-form operation counts), keep the first maximizer.
+    candidate phases by the composite-row norm and keep the first maximizer.
+    With a ``counter`` the scalar path recomputes every norm from scratch,
+    which is what the closed-form operation counts describe; without one the
+    shared incremental kernel (:func:`_ascent`) selects the same phases.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if counter is not None:
         return _ao_counted(ch, alphabet, iterations, counter, update_log)
-    num_ores, num_elem = ch.num_ores, ch.num_elements
-    rot = alphabet.rotations
-    size = alphabet.size
-    idx = np.full((num_ores, num_elem), alphabet.zero_index, dtype=np.int64)
-    v = np.full((num_ores, num_elem), rot[alphabet.zero_index], dtype=np.complex128)
-    gbar = ch.ris_to_bs
-    for t in range(iterations):
-        for n in range(num_elem):
-            cand_v = np.repeat(v[:, None, :], size, axis=1)
-            cand_v[:, :, n] = rot[None, :]
-            w = np.einsum("rln,rni->rli", cand_v * gbar[:, None, :], ch.user_to_ris) \
-                + ch.direct[:, None, :]
-            obj = (w.real**2 + w.imag**2).sum(axis=2)        # (R, 2^b)
-            sel = obj.argmax(axis=1)                          # first max wins
-            idx[:, n] = sel
-            v[:, n] = rot[sel]
-            if update_log is not None:
-                best = obj[np.arange(num_ores), sel]
-                update_log.extend(
-                    UpdateRecord(r, t, n, float(best[r])) for r in range(num_ores))
-        if sweep_norms is not None:
-            sweep_norms.append(_composite_norms(v, ch))
-    return PhaseAssignment(alphabet=alphabet, indices=idx)
+    return _ascent(ch, alphabet, iterations, update_log, sweep_norms)
 
 
 def lc_ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
@@ -267,29 +255,48 @@ def lc_ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: 
                    sweep_norms: Optional[list] = None) -> PhaseAssignment:
     """Same schedule and selections as :func:`ao_optimize`, but each candidate
     is scored by Re{e^{-j phi} * (direct coupling + rotated cross couplings)},
-    which drops every phi_n-independent addend of the objective."""
+    which drops every phi_n-independent addend of the objective.
+
+    With a ``counter`` the scalar path scores from the cached couplings and
+    tallies the cost model's operations; without one it runs the same
+    incremental kernel (:func:`_ascent`) as :func:`ao_optimize`.
+    """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if counter is not None:
         return _lc_ao_counted(ch, alphabet, iterations, counter, update_log)
+    return _ascent(ch, alphabet, iterations, update_log, sweep_norms)
+
+
+def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
+            update_log: Optional[list], sweep_norms: Optional[list]) -> PhaseAssignment:
+    """The vectorized coordinate ascent behind both optimizers.
+
+    Keeps the composite row w = h + sum_k v_k xi_k, with xi_k the cascaded
+    path of element k.  Updating element n, base = w - v_n xi_n is w without
+    that element, and ||base + e^{-j phi} xi_n||^2 differs across candidates
+    only in 2 Re{e^{-j phi} sum_i xi_{n,i} conj(base_i)}: the cached score,
+    at O(d_f) per element instead of O(N d_f).  w is recomputed at the start
+    of every sweep, so rounding drift never spans more than one sweep.
+    """
     num_ores, num_elem = ch.num_ores, ch.num_elements
     rot = alphabet.rotations
-    ws = build_lc_workspace(ch)
-    coupling = ws.element_coupling
-    direct_c = ws.direct_coupling
     idx = np.full((num_ores, num_elem), alphabet.zero_index, dtype=np.int64)
     v = np.full((num_ores, num_elem), rot[alphabet.zero_index], dtype=np.complex128)
+    xi = ch.ris_to_bs[:, :, None] * ch.user_to_ris            # (R, N, d_f)
     for t in range(iterations):
+        w = np.einsum("rn,rni->ri", v, xi) + ch.direct
         for n in range(num_elem):
-            contrib = np.conj(v) * np.conj(coupling[:, :, n])  # e^{j phi_k} d_{k,n}^*
-            contrib[:, n] = 0.0
-            term3 = direct_c[:, n] + contrib.sum(axis=1)
-            scores = (rot[None, :] * term3[:, None]).real      # (R, 2^b)
-            sel = scores.argmax(axis=1)
+            xi_n = xi[:, n, :]
+            base = w - v[:, n, None] * xi_n
+            term3 = (xi_n * np.conj(base)).sum(axis=1)
+            scores = (rot[None, :] * term3[:, None]).real       # (R, 2^b)
+            sel = scores.argmax(axis=1)                          # first max wins
             idx[:, n] = sel
             v[:, n] = rot[sel]
+            w = base + v[:, n, None] * xi_n
             if update_log is not None:
-                norms = _composite_norms(v, ch)
+                norms = (w.real**2 + w.imag**2).sum(axis=1)
                 update_log.extend(
                     UpdateRecord(r, t, n, float(norms[r])) for r in range(num_ores))
         if sweep_norms is not None:

@@ -62,7 +62,7 @@ def result_to_json_text(result: CampaignResult) -> str:
             for row in result.rows
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def result_from_json_text(text: str) -> CampaignResult:

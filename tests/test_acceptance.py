@@ -22,7 +22,8 @@ from ris_scma.campaign import (deploy_sweep_profile, run_campaign, trial_seed)
 from ris_scma.channel import (FadingConfig, Geometry, draw_link_channels,
                               stack_realizations)
 from ris_scma.config import campaign_from_config, config_hash, parse_config
-from ris_scma.opcount import measured_run, predicted_ao, predicted_lc_ao
+from ris_scma.opcount import (OpCount, measured_run, predicted_ao,
+                              predicted_lc_ao)
 from ris_scma.optimizer import (PhaseAlphabet, PhaseAssignment, ao_optimize,
                                 blind_phases, db_from_linear,
                                 exhaustive_optimize, lc_ao_optimize,
@@ -31,6 +32,7 @@ from ris_scma.optimizer import (PhaseAlphabet, PhaseAssignment, ao_optimize,
 GEOM = Geometry(40.0, 1.5, 2.0, 2.4e9)
 LIBRARY_FADING = FadingConfig()                       # random LoS, free-space direct
 CALIBRATED_FADING = FadingConfig(los_phase="common", direct_loss_scale=0.0025)
+COUNTED_MAX_ELEMENTS = 8      # criterion 1 also runs the scalar counted paths here
 
 
 def _line(num, ok, detail):
@@ -45,6 +47,7 @@ def _line(num, ok, detail):
 def equivalence_runs():
     combos = list(product((1, 2, 4, 8, 16), (1, 2, 3), (1, 3), (1, 4), (1, 3)))
     instances = 0
+    counted_combos = 0
     mismatched_combos = []
     sequences = []
     seed = 0
@@ -61,22 +64,32 @@ def equivalence_runs():
         log_ao, log_lc = [], []
         ao = ao_optimize(ch, alpha, t, update_log=log_ao)
         lc = lc_ao_optimize(ch, alpha, t, update_log=log_lc)
-        if not np.array_equal(ao.indices, lc.indices):
+        selections = [ao.indices, lc.indices]
+        if n <= COUNTED_MAX_ELEMENTS:
+            # Both vectorized solvers run one kernel; the scalar counted paths
+            # are the independent reference they must agree with.
+            counted_combos += 1
+            selections += [optimize(ch, alpha, t, counter=OpCount()).indices
+                           for optimize in (ao_optimize, lc_ao_optimize)]
+        if not all(np.array_equal(ao.indices, sel) for sel in selections[1:]):
             mismatched_combos.append((n, b, df, r, t))
         for log in (log_ao, log_lc):
             objs = np.array([rec.objective for rec in log])
             sequences.append(objs.reshape(t * n, ch.num_ores).T)
     return {"instances": instances, "mismatched": mismatched_combos,
-            "sequences": sequences}
+            "counted_combos": counted_combos, "sequences": sequences}
 
 
 def test_criterion_01_selection_equivalence(equivalence_runs):
-    """Full-norm and cached selections are element-wise identical."""
+    """Full-norm and cached selections are element-wise identical, and match
+    both counted scalar paths wherever N <= COUNTED_MAX_ELEMENTS."""
     ok = not equivalence_runs["mismatched"]
     _line(1, ok, f"{equivalence_runs['instances']} instances across the "
-                 f"N/b/d_f/R/T span; mismatching combos: "
+                 f"N/b/d_f/R/T span, {equivalence_runs['counted_combos']} combos "
+                 f"also against both counted paths; mismatching combos: "
                  f"{equivalence_runs['mismatched'] or 'none'}")
     assert equivalence_runs["instances"] >= 1000
+    assert equivalence_runs["counted_combos"] > 0
     assert ok
 
 

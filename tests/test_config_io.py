@@ -146,3 +146,15 @@ def test_complexity_grid_rows_have_empty_snr(tmp_path):
     line = csv_path.read_text().splitlines()[1]
     assert line.split(",")[2] == ""   # empty SNR cell
     assert result_from_json_text(json_path.read_text()) == result
+
+
+def test_non_finite_results_rejected(small_result):
+    # Without a direct link the no-RIS SNR is identically 0 (-inf dB).
+    with pytest.raises(ConfigError, match="no_ris"):
+        parse_config('{"algorithms": ["blind", "no_ris"], '
+                     '"fading": {"direct_loss_scale": 0}}')
+    parse_config('{"algorithms": ["blind", "ao"], "fading": {"direct_loss_scale": 0}}')
+    from dataclasses import replace
+    rows = (replace(small_result.rows[0], mean_snr_db=float("-inf")),)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        result_to_json_text(replace(small_result, rows=rows))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_channels
-from ris_scma.channel import draw_link_channels
+from ris_scma.channel import FadingConfig, draw_link_channels
 from ris_scma.opcount import OpCount
 from ris_scma.optimizer import (PhaseAlphabet, PhaseAssignment, SnrReport,
                                 ao_optimize, blind_phases, build_lc_workspace,
@@ -220,13 +220,24 @@ def test_blind_never_beats_ao(geom, fading):
 
 def test_ao_and_lc_ao_identical_selections(geom, fading):
     rng = np.random.default_rng(5)
+    draws = []
     for _ in range(40):
         n = int(rng.integers(1, 7))
         b = int(rng.integers(1, 4))
         df = int(rng.integers(1, 4))
-        ch = draw_link_channels(rng, 2, df, geom, fading, n)
+        draws.append((draw_link_channels(rng, 2, df, geom, fading, n), b,
+                       int(rng.integers(1, 4))))
+    # No direct link at small N: at N = 1 every candidate ties exactly (the
+    # objective ignores a global phase), so the tie rule itself is compared.
+    no_direct = FadingConfig(direct_loss_scale=0.0)
+    for _ in range(800):
+        n = int(rng.integers(1, 4))
+        b = int(rng.integers(1, 5))
+        df = int(rng.integers(1, 4))
+        draws.append((draw_link_channels(rng, 2, df, geom, no_direct, n), b,
+                       int(rng.integers(1, 4))))
+    for ch, b, t in draws:
         alpha = PhaseAlphabet.from_bits(b)
-        t = int(rng.integers(1, 4))
         assert np.array_equal(ao_optimize(ch, alpha, t).indices,
                               lc_ao_optimize(ch, alpha, t).indices)
 

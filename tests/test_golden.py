@@ -24,9 +24,8 @@ def test_golden_covers_every_scenario():
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_golden_outputs_reproduce_byte_for_byte(scenario, tmp_path, capsys):
+def test_golden_outputs_reproduce_byte_for_byte(scenario, tmp_path):
     case = GOLDEN / scenario
     assert main(["run", str(case / "config.json"), "--output-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
     for name in ("results.csv", "results.json"):
         assert (tmp_path / name).read_bytes() == (case / name).read_bytes(), name

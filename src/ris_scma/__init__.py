@@ -16,8 +16,9 @@ from .channel import (ChannelRealization, FadingConfig, Geometry,
                       cascaded_path_loss, direct_path_loss, draw_channels,
                       draw_link_channels, rician_small_scale,
                       stack_realizations)
-from .config import (ConfigError, RunConfig, campaign_from_config, config_hash,
-                     parse_config, serialize_config)
+from .config import (ConfigError, RunConfig, campaign_from_config,
+                     config_from_document, config_hash, parse_config,
+                     serialize_config)
 from .factor_graph import FactorGraph, ScmaConfig, build_factor_graph
 from .opcount import (OpCount, measured_run, norm_eval_cost, predicted_ao,
                       predicted_exhaustive, predicted_lc_ao)

@@ -72,11 +72,12 @@ class Campaign:
         if self.scenario == "complexity_grid":
             if self.sweep_axis not in COMPLEXITY_AXES:
                 raise ValueError(
-                    f"complexity_grid sweeps one of {COMPLEXITY_AXES}, got {self.sweep_axis!r}")
+                    f"complexity_grid sweeps one of {COMPLEXITY_AXES}, "
+                    f"got sweep_axis {self.sweep_axis!r}")
         elif self.sweep_axis != AXIS_BY_SCENARIO[self.scenario]:
             raise ValueError(
                 f"scenario {self.scenario!r} sweeps "
-                f"{AXIS_BY_SCENARIO[self.scenario]!r}, got {self.sweep_axis!r}")
+                f"{AXIS_BY_SCENARIO[self.scenario]!r}, got sweep_axis {self.sweep_axis!r}")
         if not self.algorithms:
             raise ValueError("algorithms must be non-empty")
         for alg in self.algorithms:

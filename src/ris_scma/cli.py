@@ -23,7 +23,7 @@ import numpy as np
 
 from .campaign import run_campaign, trial_seed
 from .channel import FadingConfig, Geometry, draw_link_channels
-from .config import ConfigError, campaign_from_config, config_hash, parse_config
+from .config import ConfigError, config_from_document, config_hash, parse_config
 from .opcount import OpCount, measured_run, predicted_ao, predicted_lc_ao
 from .optimizer import (PhaseAlphabet, ao_optimize, blind_phases,
                         exhaustive_optimize, lc_ao_optimize, received_snr,
@@ -117,18 +117,8 @@ def _resolve_output_dir(cfg_dir: str, args) -> str:
     return os.environ.get(OUTPUT_DIR_ENV, cfg_dir)
 
 
-def _apply_overrides(doc: dict, args) -> dict:
-    if args.seed is not None:
-        doc["master_seed"] = args.seed
-    if args.workers is not None:
-        doc["workers"] = args.workers
-    return doc
-
-
-def _run_config_doc(doc: dict, args, figure_id=None) -> int:
-    cfg = parse_config(json.dumps(_apply_overrides(doc, args)))
-    campaign = campaign_from_config(cfg)
-    result = run_campaign(campaign, config_hash=config_hash(cfg))
+def _run(cfg, args, figure_id=None) -> int:
+    result = run_campaign(cfg.campaign, config_hash=config_hash(cfg))
     out_dir = _resolve_output_dir(cfg.output_directory, args)
     paths = write_results(result, out_dir, cfg.output_formats)
     if figure_id is not None:
@@ -138,22 +128,24 @@ def _run_config_doc(doc: dict, args, figure_id=None) -> int:
     return 0
 
 
+def _overrides(args) -> dict:
+    flags = {"master_seed": args.seed, "workers": args.workers}
+    return {key: value for key, value in flags.items() if value is not None}
+
+
 def _cmd_run(args) -> int:
     path = Path(args.config)
     if not path.exists():
         raise OSError(f"config file not found: {path}")
-    text = path.read_text()
-    doc = {} if text.strip() == "" else json.loads(text)
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    return _run_config_doc(doc, args)
+    return _run(parse_config(path.read_text(), _overrides(args)), args)
 
 
 def _cmd_sweep(args) -> int:
-    doc = json.loads(json.dumps(FIGURE_PRESETS[args.figure_id]))
+    doc = FIGURE_PRESETS[args.figure_id]
     if args.trials is not None:
-        doc["num_trials"] = args.trials
-    return _run_config_doc(doc, args, figure_id=args.figure_id)
+        doc = {**doc, "num_trials": args.trials}
+    cfg = config_from_document(doc, _overrides(args))
+    return _run(cfg, args, figure_id=args.figure_id)
 
 
 def _cmd_verify(args) -> int:
@@ -161,9 +153,16 @@ def _cmd_verify(args) -> int:
         grid = DEFAULT_COMPLEXITY_GRID
     else:
         grid = json.loads(Path(args.grid).read_text())
+        if not isinstance(grid, dict):
+            raise ValueError(f"complexity grid must be a JSON object, got {grid!r}")
         unknown = set(grid) - set(DEFAULT_COMPLEXITY_GRID)
         if unknown:
             raise ValueError(f"unknown grid axes: {sorted(unknown)}")
+        for axis, values in grid.items():
+            if not (isinstance(values, list) and values and all(
+                    type(v) is int and v >= 1 for v in values)):
+                raise ValueError(f"grid axis {axis!r} must be a non-empty list "
+                                 f"of positive integers, got {values!r}")
         grid = {**DEFAULT_COMPLEXITY_GRID, **grid}
     geom = Geometry(40.0, 1.5, 2.0, 2.4e9)
     fading = FadingConfig()

@@ -1,5 +1,7 @@
 """Config documents: JSON in, validated RunConfig out, canonical JSON back.
 
+``DEFAULTS`` is the only description of the document: its keys are the only
+keys accepted, and the JSON type of each default is the type its key takes.
 An empty document means "all defaults".  The defaults reproduce the reference
 experiment setup: 6 users on 4 OREs (3 interferers each, codebook size 2),
 40 m cell with the panel 1.5 m off-axis and 2 m from the BS at 2.4 GHz,
@@ -11,13 +13,12 @@ see README for the sensitivity knobs.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
-from .campaign import (ALGORITHMS, AVERAGE_MODES, AXIS_BY_SCENARIO,
-                       COMPLEXITY_AXES, SCENARIOS, Campaign)
+from .campaign import AXIS_BY_SCENARIO, SCENARIOS, Campaign
 from .channel import FadingConfig, Geometry
 from .factor_graph import ScmaConfig
 from .optimizer import DEFAULT_EXHAUSTIVE_BUDGET
@@ -79,165 +80,122 @@ DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, fully-defaulted campaign + output specification."""
+    """A validated campaign, where its results go, and the fully defaulted
+    ``document`` that :func:`config_hash` covers."""
 
-    scenario: str
-    sweep_axis: str
-    sweep_grid: tuple
-    algorithms: tuple
-    num_trials: int
-    master_seed: int
-    num_elements: int
-    phase_bits: int
-    num_iterations: int
-    average_mode: str
-    exhaustive_budget: int
-    workers: int
-    system: ScmaConfig
-    geometry: Geometry
-    fading: FadingConfig
+    campaign: Campaign
     output_directory: str
     output_formats: tuple
     verbosity: int
+    document: dict
 
 
-def _reject_unknown_keys(doc: dict, allowed: dict, path: str = "") -> None:
-    for key in doc:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key: {where!r}")
-        if isinstance(allowed[key], dict) and isinstance(doc[key], dict):
-            _reject_unknown_keys(doc[key], allowed[key], f"{path}.{key}" if path else key)
+def _fits(default, value) -> bool:
+    """Whether ``value`` has the JSON type of ``default`` (a bool is never a
+    number)."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
-def parse_config(text: str) -> RunConfig:
+_KINDS = {str: "a string", int: "an integer", float: "a finite number",
+          list: "a list of strings"}
+
+
+def _merge(default, value, path: str = ""):
+    """``value`` laid over ``default``: unknown keys and leaves of the wrong
+    JSON type are rejected by dotted path.  A None default takes anything;
+    the caller checks it once the scenario's defaults are known."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {path!r} must be a JSON object, got {value!r}")
+        for key in value:
+            if key not in default:
+                where = f"{path}.{key}" if path else key
+                raise ConfigError(f"unknown config key: {where!r}")
+        return {key: _merge(sub, value.get(key, sub), f"{path}.{key}" if path else key)
+                for key, sub in default.items()}
+    if default is not None and not _fits(default, value):
+        raise ConfigError(f"config key {path!r} must be "
+                          f"{_KINDS[type(default)]}, got {value!r}")
+    return list(value) if isinstance(value, list) else value
+
+
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse a JSON config document; empty input means all defaults."""
-    if text.strip() == "":
-        doc = {}
-    else:
+    doc = {}
+    if text.strip():
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"config parse error at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}") from None
+    return config_from_document(doc, overrides)
+
+
+def config_from_document(doc: dict, overrides: dict | None = None) -> RunConfig:
+    """Validate a decoded config document, with the top-level keys of
+    ``overrides`` replacing its own."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config document must be a JSON object, got {type(doc).__name__}")
-    _reject_unknown_keys(doc, DEFAULTS)
-    merged = copy.deepcopy(DEFAULTS)
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            merged[key].update(value)
-        else:
-            merged[key] = value
-
+    merged = _merge(DEFAULTS, {**doc, **(overrides or {})})
     scenario = merged["scenario"]
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    axis = merged["sweep"]["axis"]
-    if axis is None:
-        axis = ("num_elements" if scenario == "complexity_grid"
-                else AXIS_BY_SCENARIO[scenario])
-    grid = merged["sweep"]["grid"]
-    if grid is None:
+    sweep = merged["sweep"]
+    if sweep["axis"] is None:
+        sweep["axis"] = ("num_elements" if scenario == "complexity_grid"
+                         else AXIS_BY_SCENARIO[scenario])
+    axis = sweep["axis"]
+    if not isinstance(axis, str):
+        raise ConfigError(f"config key 'sweep.axis' must be a string, got {axis!r}")
+    if sweep["grid"] is None:
         grid = DEFAULT_SWEEP_GRIDS[scenario]
         if scenario == "complexity_grid" and axis == "phase_bits":
             grid = (1, 2, 3, 4, 5, 6)
-    if scenario == "complexity_grid":
-        if axis not in COMPLEXITY_AXES:
-            raise ConfigError(f"sweep.axis for complexity_grid must be one of "
-                              f"{COMPLEXITY_AXES}, got {axis!r}")
-    elif axis != AXIS_BY_SCENARIO[scenario]:
-        raise ConfigError(f"sweep.axis for {scenario} must be "
-                          f"{AXIS_BY_SCENARIO[scenario]!r}, got {axis!r}")
-    if axis == "ris_horizontal_offset":
-        grid = tuple(float(x) for x in grid)
-    else:
-        for x in grid:
-            if int(x) != x:
-                raise ConfigError(f"sweep.grid for axis {axis!r} must be integers, got {x}")
-        grid = tuple(int(x) for x in grid)
-
+        sweep["grid"] = list(grid)
+    real = axis == "ris_horizontal_offset"
+    if not (isinstance(sweep["grid"], list)
+            and all(_fits(0.0 if real else 0, x) for x in sweep["grid"])):
+        raise ConfigError(f"config key 'sweep.grid' must be a list of "
+                          f"{'numbers' if real else 'integers'} for axis "
+                          f"{axis!r}, got {sweep['grid']!r}")
+    if real:
+        sweep["grid"] = [float(x) for x in sweep["grid"]]
     if scenario == "complexity_grid" and "algorithms" not in doc:
         merged["algorithms"] = ["ao", "lc_ao"]
-    algorithms = tuple(merged["algorithms"])
-    for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise ConfigError(f"algorithms: unknown algorithm {alg!r}")
-    if merged["average_mode"] not in AVERAGE_MODES:
-        raise ConfigError(f"average_mode must be one of {AVERAGE_MODES}, "
-                          f"got {merged['average_mode']!r}")
-    formats = tuple(merged["output"]["formats"])
-    for fmt in formats:
+    output = merged["output"]
+    for fmt in output["formats"]:
         if fmt not in OUTPUT_FORMATS:
             raise ConfigError(f"output.formats: unknown format {fmt!r}")
-    if merged["phase_bits"] < 1:
-        raise ConfigError(f"phase_bits must be >= 1, got {merged['phase_bits']}")
 
+    # Every top-level scalar except verbosity is a Campaign field.
+    fields = {key: tuple(value) if isinstance(value, list) else value
+              for key, value in merged.items()
+              if not isinstance(value, dict) and key != "verbosity"}
     try:
-        system = ScmaConfig(**merged["system"])
-        geometry = Geometry(**merged["geometry"])
-        fading = FadingConfig(**merged["fading"])
-    except (TypeError, ValueError) as exc:
+        campaign = Campaign(
+            **fields, sweep_axis=axis, sweep_grid=tuple(sweep["grid"]),
+            scma=ScmaConfig(**merged["system"]),
+            geometry=Geometry(**merged["geometry"]),
+            fading=FadingConfig(**merged["fading"]))
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    cfg = RunConfig(
-        scenario=scenario, sweep_axis=axis, sweep_grid=grid,
-        algorithms=algorithms, num_trials=int(merged["num_trials"]),
-        master_seed=int(merged["master_seed"]),
-        num_elements=int(merged["num_elements"]),
-        phase_bits=int(merged["phase_bits"]),
-        num_iterations=int(merged["num_iterations"]),
-        average_mode=merged["average_mode"],
-        exhaustive_budget=int(merged["exhaustive_budget"]),
-        workers=int(merged["workers"]), system=system, geometry=geometry,
-        fading=fading, output_directory=merged["output"]["directory"],
-        output_formats=formats, verbosity=int(merged["verbosity"]))
-    campaign_from_config(cfg)   # surfaces cross-field domain violations now
-    return cfg
+    return RunConfig(campaign=campaign, output_directory=output["directory"],
+                     output_formats=tuple(output["formats"]),
+                     verbosity=merged["verbosity"], document=merged)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical JSON with every field explicit; parse(serialize(x)) == x."""
-    doc = {
-        "scenario": cfg.scenario,
-        "sweep": {"axis": cfg.sweep_axis, "grid": list(cfg.sweep_grid)},
-        "algorithms": list(cfg.algorithms),
-        "num_trials": cfg.num_trials,
-        "master_seed": cfg.master_seed,
-        "num_elements": cfg.num_elements,
-        "phase_bits": cfg.phase_bits,
-        "num_iterations": cfg.num_iterations,
-        "average_mode": cfg.average_mode,
-        "exhaustive_budget": cfg.exhaustive_budget,
-        "workers": cfg.workers,
-        "system": {
-            "num_users": cfg.system.num_users,
-            "num_ores": cfg.system.num_ores,
-            "codebook_size": cfg.system.codebook_size,
-            "nonzero_per_user": cfg.system.nonzero_per_user,
-            "nonzero_per_ore": cfg.system.nonzero_per_ore,
-        },
-        "geometry": {
-            "bs_user_distance": cfg.geometry.bs_user_distance,
-            "ris_perpendicular_offset": cfg.geometry.ris_perpendicular_offset,
-            "ris_horizontal_offset": cfg.geometry.ris_horizontal_offset,
-            "carrier_frequency": cfg.geometry.carrier_frequency,
-        },
-        "fading": {
-            "rician_factor": cfg.fading.rician_factor,
-            "noise_variance": cfg.fading.noise_variance,
-            "symbol_energy": cfg.fading.symbol_energy,
-            "los_phase": cfg.fading.los_phase,
-            "direct_loss_scale": cfg.fading.direct_loss_scale,
-        },
-        "output": {
-            "directory": cfg.output_directory,
-            "formats": list(cfg.output_formats),
-        },
-        "verbosity": cfg.verbosity,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(cfg.document, indent=2, sort_keys=True) + "\n"
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -245,14 +203,4 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def campaign_from_config(cfg: RunConfig) -> Campaign:
-    try:
-        return Campaign(
-            scenario=cfg.scenario, scma=cfg.system, geometry=cfg.geometry,
-            fading=cfg.fading, num_elements=cfg.num_elements,
-            phase_bits=cfg.phase_bits, num_iterations=cfg.num_iterations,
-            sweep_axis=cfg.sweep_axis, sweep_grid=cfg.sweep_grid,
-            num_trials=cfg.num_trials, master_seed=cfg.master_seed,
-            algorithms=cfg.algorithms, average_mode=cfg.average_mode,
-            exhaustive_budget=cfg.exhaustive_budget, workers=cfg.workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return cfg.campaign

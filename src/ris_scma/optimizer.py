@@ -368,11 +368,11 @@ class _ComplexOps:
 
 
 def _first_argmax(scores: list) -> int:
-    best, best_val = 0, scores[0]
-    for i in range(1, len(scores)):
-        if scores[i] > best_val:
-            best, best_val = i, scores[i]
-    return best
+    """Smallest index whose score is within a relative 1e-12 of the maximum,
+    so exact ties do not go to whichever candidate rounding favoured."""
+    top = max(scores)
+    floor = top - 1e-12 * abs(top)
+    return next(i for i, score in enumerate(scores) if score >= floor)
 
 
 def _ao_counted(ch, alphabet, iterations, counter, update_log):

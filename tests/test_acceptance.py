@@ -344,7 +344,9 @@ def test_criterion_09_convergence():
 
 def test_criterion_10_byte_determinism(tmp_path):
     """Identical seed and config give byte-identical outputs, for any
-    worker count."""
+    worker count, when the config hash is taken without ``workers`` (as
+    here).  Through the CLI ``workers`` is part of the hashed document, so
+    only ``results.csv`` is byte-identical across worker counts there."""
     from ris_scma.writers import write_results
     doc = {"scenario": "n_sweep", "sweep": {"grid": [4, 8]}, "num_trials": 90,
            "num_elements": 8, "algorithms": ["blind", "ao", "lc_ao"]}

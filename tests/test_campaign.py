@@ -6,7 +6,8 @@ import pytest
 
 from ris_scma.campaign import (Campaign, deploy_sweep_profile, run_campaign,
                                synthesize_received_signal, trial_seed)
-from ris_scma.channel import FadingConfig, Geometry, draw_link_channels
+from ris_scma.channel import (FadingConfig, Geometry, draw_link_channels,
+                              stack_realizations)
 from ris_scma.config import campaign_from_config, parse_config
 from ris_scma.factor_graph import ScmaConfig
 from ris_scma.optimizer import (PhaseAlphabet, ao_optimize, blind_phases,
@@ -153,14 +154,16 @@ def test_synthesize_noiseless_single_user_probe(geom):
 
 def test_synthesize_noise_moment(geom):
     fading = FadingConfig(noise_variance=2.5e-9)
-    ch = draw_link_channels(np.random.default_rng(4), 1, 3, geom, fading, 2)
-    phases = blind_phases(PhaseAlphabet.from_bits(2), 1, 2)
-    codewords = np.ones((1, 3), dtype=complex)
+    one = draw_link_channels(np.random.default_rng(4), 1, 3, geom, fading, 2)
+    # 200,000 noise samples on one realization, stacked along the ORE axis.
+    samples = 200_000
+    ch = stack_realizations([one] * samples)
+    phases = blind_phases(PhaseAlphabet.from_bits(2), samples, 2)
+    codewords = np.ones((samples, 3), dtype=complex)
     w = composite_channel(ch, phases)
     clean = (w * codewords).sum(axis=1)
     rng = np.random.default_rng(5)
-    residuals = [synthesize_received_signal(ch, phases, codewords, fading, rng)[0] - clean[0]
-                 for _ in range(200_000)]
+    residuals = synthesize_received_signal(ch, phases, codewords, fading, rng) - clean
     assert np.mean(np.abs(residuals) ** 2) == pytest.approx(2.5e-9, rel=0.02)
 
 

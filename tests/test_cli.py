@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ris_scma.cli import main
 
 TINY = {"scenario": "n_sweep", "sweep": {"grid": [2, 4]}, "num_trials": 25,
@@ -63,6 +65,17 @@ def test_bad_config_machine_readable_error(tmp_path, capsys):
     assert "no_such_key" in doc["error"]["message"]
 
 
+def test_malformed_config_reports_line_and_column(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{\n  "scenario": "n_sweep",\n  "num_trials" 5\n}')
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["error"]["type"] == "config"
+    assert "line 3, column 16" in doc["error"]["message"]
+
+
 def test_missing_config_file(capsys):
     rc = main(["run", "/nonexistent/cfg.json"])
     assert rc == 1
@@ -85,3 +98,15 @@ def test_verify_complexity_rejects_unknown_axis(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"num_towers": [1]}))
     assert main(["verify-complexity", str(grid)]) == 1
+
+
+@pytest.mark.parametrize("axes", [{"num_ores": 1}, {"phase_bits": []},
+                                  {"iterations": [1, 0]}, {"num_elements": [True]},
+                                  ["num_ores"]])
+def test_verify_complexity_rejects_malformed_axis(axes, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(axes))
+    assert main(["verify-complexity", str(grid)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "ValueError"

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ris_scma.campaign import run_campaign
+from ris_scma.cli import main
 from ris_scma.config import (ConfigError, campaign_from_config, config_hash,
                              parse_config, serialize_config)
 from ris_scma.writers import (emit_plot_data, result_from_json_text,
@@ -11,19 +12,19 @@ from ris_scma.writers import (emit_plot_data, result_from_json_text,
 
 def test_empty_document_gives_reference_defaults():
     cfg = parse_config("")
-    assert cfg.system.num_users == 6
-    assert cfg.system.num_ores == 4
-    assert cfg.system.nonzero_per_ore == 3
-    assert cfg.system.nonzero_per_user == 2
-    assert cfg.system.codebook_size == 2
-    assert cfg.phase_bits == 3
-    assert cfg.num_iterations == 3
-    assert cfg.geometry.bs_user_distance == 40.0
-    assert cfg.geometry.ris_perpendicular_offset == 1.5
-    assert cfg.geometry.ris_horizontal_offset == 2.0
-    assert cfg.geometry.carrier_frequency == 2.4e9
-    assert cfg.fading.rician_factor == 1.0
-    assert cfg.num_trials == 10_000
+    assert cfg.campaign.scma.num_users == 6
+    assert cfg.campaign.scma.num_ores == 4
+    assert cfg.campaign.scma.nonzero_per_ore == 3
+    assert cfg.campaign.scma.nonzero_per_user == 2
+    assert cfg.campaign.scma.codebook_size == 2
+    assert cfg.campaign.phase_bits == 3
+    assert cfg.campaign.num_iterations == 3
+    assert cfg.campaign.geometry.bs_user_distance == 40.0
+    assert cfg.campaign.geometry.ris_perpendicular_offset == 1.5
+    assert cfg.campaign.geometry.ris_horizontal_offset == 2.0
+    assert cfg.campaign.geometry.carrier_frequency == 2.4e9
+    assert cfg.campaign.fading.rician_factor == 1.0
+    assert cfg.campaign.num_trials == 10_000
 
 
 def test_whitespace_document_equals_empty():
@@ -70,7 +71,39 @@ def test_axis_grid_validation():
         parse_config('{"scenario": "n_sweep", "sweep": {"grid": [4.5, 8]}}')
     cfg = parse_config('{"scenario": "complexity_grid", '
                        '"sweep": {"axis": "phase_bits", "grid": [1, 2, 3]}}')
-    assert cfg.algorithms == ("ao", "lc_ao")
+    assert cfg.campaign.algorithms == ("ao", "lc_ao")
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"phase_bits": "3"}', "'phase_bits'"),
+    ('{"sweep": {"grid": 16}}', "'sweep.grid'"),
+    ('{"num_trials": 2.5}', "'num_trials'"),
+    ('{"num_elements": true}', "'num_elements'"),
+    ('{"algorithms": "ao"}', "'algorithms'"),
+    ('{"sweep": {"axis": 3}}', "'sweep.axis'"),
+    ('{"sweep": {"grid": [true, 2]}}', "'sweep.grid'"),
+    ('{"fading": {"rician_factor": "1"}}', "'fading.rician_factor'"),
+    ('{"fading": {"noise_variance": NaN}}', "'fading.noise_variance'"),
+    ('{"output": {"formats": "csv"}}', "'output.formats'"),
+    ('{"geometry": 40}', "'geometry'"),
+])
+def test_wrongly_typed_values_rejected_by_key(text, key, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "config"
+    assert key in json.loads(err[0])["error"]["message"]
+
+
+def test_number_keys_take_integers():
+    cfg = parse_config('{"fading": {"rician_factor": 2}, '
+                       '"scenario": "deploy_sweep", "sweep": {"grid": [2, 5]}}')
+    assert cfg.campaign.fading.rician_factor == 2
+    assert cfg.campaign.sweep_grid == (2.0, 5.0)
 
 
 @pytest.fixture(scope="module")

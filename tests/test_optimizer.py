@@ -236,10 +236,16 @@ def test_ao_and_lc_ao_identical_selections(geom, fading):
         df = int(rng.integers(1, 4))
         draws.append((draw_link_channels(rng, 2, df, geom, no_direct, n), b,
                        int(rng.integers(1, 4))))
+    # Without a counter both names run one kernel, so it is checked against
+    # the two counted scalar paths, which score candidates independently.
+    mismatches = 0
     for ch, b, t in draws:
         alpha = PhaseAlphabet.from_bits(b)
-        assert np.array_equal(ao_optimize(ch, alpha, t).indices,
-                              lc_ao_optimize(ch, alpha, t).indices)
+        kernel = ao_optimize(ch, alpha, t).indices
+        for optimize in (ao_optimize, lc_ao_optimize):
+            counted = optimize(ch, alpha, t, counter=OpCount()).indices
+            mismatches += not np.array_equal(kernel, counted)
+    assert mismatches == 0, f"{mismatches} of {2 * len(draws)} counted runs differ"
 
 
 def test_all_zero_channels_select_first_candidate():

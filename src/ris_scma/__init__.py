@@ -14,8 +14,8 @@ from .campaign import (Campaign, CampaignResult, DeploymentProfile, ResultRow,
                        synthesize_received_signal, trial_seed)
 from .channel import (ChannelRealization, FadingConfig, Geometry,
                       cascaded_path_loss, direct_path_loss, draw_channels,
-                      draw_link_channels, rician_small_scale,
-                      stack_realizations)
+                      draw_link_channels, draw_trial_block,
+                      rician_small_scale, stack_realizations)
 from .config import (ConfigError, RunConfig, campaign_from_config,
                      config_from_document, config_hash, parse_config,
                      serialize_config)

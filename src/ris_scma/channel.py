@@ -147,44 +147,128 @@ class ChannelRealization:
         return self.ris_to_bs.shape[1]
 
 
+# Complex division by sqrt(2) multiplies each part by this rounded reciprocal;
+# the transform multiplies by it directly so the bytes match that division.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _raw_width(los_phase: str) -> int:
+    """Raw stream values per coefficient: LoS phase (random mode only), then
+    the real and imaginary diffuse parts."""
+    if los_phase not in LOS_PHASE_MODES:
+        raise ValueError(f"los_phase must be one of {LOS_PHASE_MODES}, got {los_phase!r}")
+    return 3 if los_phase == "random" else 2
+
+
+def _fill_raw(rng: np.random.Generator, row: np.ndarray, sizes: tuple,
+              los_phase: str) -> None:
+    """Consume one generator's stream into ``row`` for coefficient groups of
+    ``sizes``, group by group: LoS phases uniform on [-pi, pi) (random mode
+    only), then the real parts, then the imaginary parts of the diffuse term."""
+    if los_phase == "common":
+        rng.standard_normal(out=row)
+        return
+    pos = 0
+    for m in sizes:
+        row[pos:pos + m] = rng.uniform(-math.pi, math.pi, m)
+        rng.standard_normal(out=row[pos + m:pos + 3 * m])
+        pos += 3 * m
+
+
+def _rician_transform(raw: np.ndarray, out: np.ndarray, k_factor: float,
+                      los_phase: str) -> None:
+    """Write unit-power Rician coefficients into complex ``out`` (T, m) from
+    one group's raw values ``raw`` (T, width * m), in place.
+
+    Per coefficient this is lw * e^{j theta} + dw * (x + j y) / sqrt(2), with
+    every rounding step of that complex expression kept: the LoS term is
+    ``exp`` of the complex phase, the diffuse parts are scaled by the rounded
+    reciprocal of sqrt(2) and then by dw, and both parts add the LoS part
+    (so K = inf gives +0, not -0, imaginary parts under common LoS).  ``raw``
+    is overwritten.
+    """
+    if math.isinf(k_factor):
+        lw, dw = 1.0, 0.0
+    else:
+        lw, dw = math.sqrt(k_factor / (k_factor + 1.0)), math.sqrt(1.0 / (k_factor + 1.0))
+    m = out.shape[1]
+    parts = out.view(np.float64).reshape(out.shape + (2,))
+    if los_phase == "random":
+        out.real = 0.0
+        out.imag = raw[:, :m]
+        np.exp(out, out=out)
+        parts *= lw
+        los_re, los_im = parts[..., 0], parts[..., 1]
+        diffuse = raw[:, m:]
+    else:
+        los_re, los_im = lw, 0.0
+        diffuse = raw
+    diffuse *= _INV_SQRT2
+    diffuse *= dw
+    np.add(los_re, diffuse[:, :m], out=parts[..., 0])
+    np.add(los_im, diffuse[:, m:], out=parts[..., 1])
+
+
 def rician_small_scale(rng: np.random.Generator, shape: tuple,
                        k_factor: float, los_phase: str = "random") -> np.ndarray:
     """Unit-power Rician coefficients; K=0 is Rayleigh, K=inf pure LoS."""
-    if math.isinf(k_factor):
-        los_weight, diffuse_weight = 1.0, 0.0
-    else:
-        los_weight = math.sqrt(k_factor / (k_factor + 1.0))
-        diffuse_weight = math.sqrt(1.0 / (k_factor + 1.0))
-    if los_phase == "random":
-        theta = rng.uniform(-math.pi, math.pi, size=shape)
-        los = np.exp(1j * theta)
-    elif los_phase == "common":
-        los = np.ones(shape, dtype=np.complex128)
-    else:
-        raise ValueError(f"los_phase must be one of {LOS_PHASE_MODES}, got {los_phase!r}")
-    diffuse = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    return los_weight * los + diffuse_weight * diffuse
+    m = int(np.prod(shape))
+    raw = np.empty((1, _raw_width(los_phase) * m))
+    _fill_raw(rng, raw[0], (m,), los_phase)
+    out = np.empty((1, m), dtype=np.complex128)
+    _rician_transform(raw, out, k_factor, los_phase)
+    return out.reshape(shape)
+
+
+def draw_trial_block(rngs, num_ores: int, num_interferers: int, geom: Geometry,
+                     fading: FadingConfig, num_elements: int) -> ChannelRealization:
+    """Draw one realization per generator, stacked along the ORE axis.
+
+    Byte-identical to ``stack_realizations([draw_link_channels(g, ...) for g
+    in rngs])``.  Each generator is consumed in a fixed order (direct, then
+    element->BS, then user->element; within each: LoS phases in random mode,
+    then real and imaginary diffuse parts) into its own row of one raw
+    buffer; the Rician transform and path-loss scaling then run once over the
+    whole block, in place in the complex outputs.
+    """
+    if len(rngs) == 0:
+        raise ValueError("draw_trial_block needs at least one generator")
+    if num_elements < 1:
+        raise ValueError(f"num_elements must be >= 1, got {num_elements}")
+    mode = fading.los_phase
+    width = _raw_width(mode)
+    shapes = ((num_ores, num_interferers), (num_ores, num_elements),
+              (num_ores, num_elements, num_interferers))
+    sizes = tuple(math.prod(s) for s in shapes)
+    trials = len(rngs)
+    raw = np.empty((trials, width * sum(sizes)))
+    for row, rng in zip(raw, rngs):
+        _fill_raw(rng, row, sizes, mode)
+    outs = []
+    pos = 0
+    for shape, m in zip(shapes, sizes):
+        out = np.empty((trials * shape[0],) + shape[1:], dtype=np.complex128)
+        _rician_transform(raw[:, pos:pos + width * m], out.reshape(trials, m),
+                          fading.rician_factor, mode)
+        outs.append(out)
+        pos += width * m
+    direct, ris_to_bs, user_to_ris = outs
+    # Complex products, as the per-trial scaling was: with direct_loss_scale
+    # = 0 the signs of the zeros depend on both parts.
+    np.multiply(direct, math.sqrt(direct_path_loss(geom) * fading.direct_loss_scale),
+                out=direct)
+    np.multiply(ris_to_bs, math.sqrt(cascaded_path_loss(geom)), out=ris_to_bs)
+    return ChannelRealization(direct=direct, ris_to_bs=ris_to_bs, user_to_ris=user_to_ris)
 
 
 def draw_link_channels(rng: np.random.Generator, num_ores: int, num_interferers: int,
                        geom: Geometry, fading: FadingConfig,
                        num_elements: int) -> ChannelRealization:
-    """Draw coefficients for explicit (R, d_f, N) dimensions.
-
-    Consumes the stream in a fixed order (direct, then element->BS, then
-    user->element; within each: LoS phases, then real and imaginary diffuse
-    parts), so a given seed pins the realization bit for bit.
-    """
-    if num_elements < 1:
-        raise ValueError(f"num_elements must be >= 1, got {num_elements}")
-    k = fading.rician_factor
-    mode = fading.los_phase
-    direct = rician_small_scale(rng, (num_ores, num_interferers), k, mode)
-    ris_to_bs = rician_small_scale(rng, (num_ores, num_elements), k, mode)
-    user_to_ris = rician_small_scale(rng, (num_ores, num_elements, num_interferers), k, mode)
-    direct = direct * math.sqrt(direct_path_loss(geom) * fading.direct_loss_scale)
-    ris_to_bs = ris_to_bs * math.sqrt(cascaded_path_loss(geom))
-    return ChannelRealization(direct=direct, ris_to_bs=ris_to_bs, user_to_ris=user_to_ris)
+    """Draw coefficients for explicit (R, d_f, N) dimensions: the one-generator
+    case of :func:`draw_trial_block`, so a given seed pins the realization bit
+    for bit."""
+    return draw_trial_block((rng,), num_ores, num_interferers, geom, fading,
+                            num_elements)
 
 
 def draw_channels(rng: np.random.Generator, graph: FactorGraph, geom: Geometry,

@@ -20,7 +20,7 @@ import pytest
 
 from ris_scma.campaign import (deploy_sweep_profile, run_campaign, trial_seed)
 from ris_scma.channel import (FadingConfig, Geometry, draw_link_channels,
-                              stack_realizations)
+                              draw_trial_block, stack_realizations)
 from ris_scma.config import campaign_from_config, config_hash, parse_config
 from ris_scma.opcount import (OpCount, measured_run, predicted_ao,
                               predicted_lc_ao)
@@ -50,15 +50,13 @@ def equivalence_runs():
     counted_combos = 0
     mismatched_combos = []
     sequences = []
-    seed = 0
-    for n, b, df, r, t in combos:
-        chs = []
-        for j in range(9):
-            seed += 1
-            fad = LIBRARY_FADING if j < 5 else CALIBRATED_FADING
-            rng = np.random.default_rng(trial_seed(20240811, 0, seed))
-            chs.append(draw_link_channels(rng, r, df, GEOM, fad, n))
-        ch = stack_realizations(chs)
+    for index, (n, b, df, r, t) in enumerate(combos):
+        # Nine draws: five under library fading, then four calibrated.
+        rngs = [np.random.default_rng(trial_seed(20240811, 0, 9 * index + j))
+                for j in range(1, 10)]
+        ch = stack_realizations([
+            draw_trial_block(rngs[:5], r, df, GEOM, LIBRARY_FADING, n),
+            draw_trial_block(rngs[5:], r, df, GEOM, CALIBRATED_FADING, n)])
         instances += 9
         alpha = PhaseAlphabet.from_bits(b)
         log_ao, log_lc = [], []
@@ -233,14 +231,14 @@ def bits_sweep_paired():
     acc = {b: [] for b in alphas}
     acc["blind"] = []
     batch = 256
+
+    def draw(lo, hi):
+        return draw_trial_block([np.random.default_rng(trial_seed(7_000, 0, i))
+                                 for i in range(lo, hi)], 4, 3, GEOM, fad, n)
+
     for start in range(0, trials, batch):
         stop = min(start + batch, trials)
-        chs = [draw_link_channels(
-                   np.random.default_rng(trial_seed(7_000, 0, i)), 4, 3, GEOM, fad, n)
-               for i in range(start, stop)]
-        if start == 0:
-            head = stack_realizations(chs[:ORACLE_TRIALS])
-        ch = stack_realizations(chs)
+        ch = draw(start, stop)
         num = stop - start
         for b, alpha in alphas.items():
             lin = received_snr(ch, ao_optimize(ch, alpha, t), fad).per_ore_linear
@@ -249,7 +247,7 @@ def bits_sweep_paired():
         lin = received_snr(ch, blind, fad).per_ore_linear
         acc["blind"].append(lin.reshape(num, 4))
     out = {k: np.concatenate(v) for k, v in acc.items()}
-    out["head"] = head
+    out["head"] = draw(0, ORACLE_TRIALS)
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from ris_scma.channel import (SPEED_OF_LIGHT, FadingConfig, Geometry,
                               cascaded_path_loss, direct_path_loss,
                               draw_channels, draw_link_channels,
-                              rician_small_scale)
+                              draw_trial_block, rician_small_scale)
 from ris_scma.factor_graph import ScmaConfig, build_factor_graph
 
 # Frequency chosen so the wavelength is exactly 0.125 m.
@@ -142,3 +142,59 @@ def test_draw_channels_uses_graph_dims(geom, fading):
     assert ch.num_ores == 4
     assert ch.num_interferers == 3
     assert ch.num_elements == 7
+
+
+def _reference_small_scale(rng, shape, k, los_phase):
+    """The per-trial complex expressions the block transform must reproduce."""
+    if math.isinf(k):
+        lw, dw = 1.0, 0.0
+    else:
+        lw, dw = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0))
+    if los_phase == "random":
+        los = np.exp(1j * rng.uniform(-math.pi, math.pi, size=shape))
+    else:
+        los = np.ones(shape, dtype=np.complex128)
+    diffuse = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    return lw * los + dw * diffuse
+
+
+def _reference_block(seeds, r, df, geom, fading, n):
+    parts = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        k, mode = fading.rician_factor, fading.los_phase
+        direct = _reference_small_scale(rng, (r, df), k, mode)
+        ris_to_bs = _reference_small_scale(rng, (r, n), k, mode)
+        user_to_ris = _reference_small_scale(rng, (r, n, df), k, mode)
+        parts.append((direct * math.sqrt(direct_path_loss(geom) * fading.direct_loss_scale),
+                      ris_to_bs * math.sqrt(cascaded_path_loss(geom)), user_to_ris))
+    return [np.concatenate(arrays, axis=0) for arrays in zip(*parts)]
+
+
+def _block_bytes(ch):
+    return [a.tobytes() for a in (ch.direct, ch.ris_to_bs, ch.user_to_ris)]
+
+
+def test_trial_block_matches_reference_formula(geom):
+    seeds = range(100, 105)
+    for mode in ("random", "common"):
+        for k in (0.0, 1.0, 3.7, math.inf):
+            for n in (1, 8):
+                for scale in (0.0, 0.0025):
+                    fading = FadingConfig(rician_factor=k, los_phase=mode,
+                                          direct_loss_scale=scale)
+                    ch = draw_trial_block([np.random.default_rng(s) for s in seeds],
+                                          4, 3, geom, fading, n)
+                    ref = _reference_block(seeds, 4, 3, geom, fading, n)
+                    assert ch.user_to_ris.shape == ref[2].shape
+                    assert _block_bytes(ch) == [a.tobytes() for a in ref], (mode, k, n, scale)
+    # Splitting a block leaves every byte where it was.
+    fading = FadingConfig(los_phase="common", direct_loss_scale=0.0025)
+    whole = draw_trial_block([np.random.default_rng(s) for s in range(256)],
+                             4, 3, geom, fading, 8)
+    pieces = [draw_trial_block([np.random.default_rng(s) for s in range(lo, hi)],
+                               4, 3, geom, fading, 8)
+              for lo, hi in ((0, 1), (1, 8), (8, 256))]
+    assert _block_bytes(whole) == [b"".join(p) for p in zip(*map(_block_bytes, pieces))]
+    with pytest.raises(ValueError, match="generator"):
+        draw_trial_block([], 4, 3, geom, fading, 8)

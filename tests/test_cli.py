@@ -76,6 +76,25 @@ def test_malformed_config_reports_line_and_column(tmp_path, capsys):
     assert "line 3, column 16" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("doc", [
+    {"scenario": "n_sweep", "sweep": {"grid": [0, 4]}},
+    {"scenario": "n_sweep", "sweep": {"grid": [-3]}},
+    {"scenario": "convergence", "sweep": {"grid": [0, 2]}},
+    {"scenario": "bits_sweep", "sweep": {"grid": [0, 2]}},
+    {"scenario": "deploy_sweep", "sweep": {"grid": [2.0, 50.0]}},
+])
+def test_invalid_grid_point_is_a_config_error(doc, tmp_path, capsys):
+    # Each grid value replaces a base parameter, so each is checked up front
+    # rather than failing mid-campaign.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "config"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(capsys):
     rc = main(["run", "/nonexistent/cfg.json"])
     assert rc == 1

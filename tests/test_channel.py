@@ -159,10 +159,10 @@ def _reference_small_scale(rng, shape, k, los_phase):
 
 
 def _reference_block(seeds, r, df, geom, fading, n):
+    k, mode = fading.rician_factor, fading.los_phase
     parts = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        k, mode = fading.rician_factor, fading.los_phase
         direct = _reference_small_scale(rng, (r, df), k, mode)
         ris_to_bs = _reference_small_scale(rng, (r, n), k, mode)
         user_to_ris = _reference_small_scale(rng, (r, n, df), k, mode)

@@ -3,9 +3,11 @@
 Every trial draws its own channel realization from a child seed derived as
 ``first 8 bytes (big endian) of SHA-256("{master_seed}:{grid_index}:{trial_index}")``,
 so results are bit-identical for any worker count and reproducible in any
-language.  All requested algorithms run on the same realization (paired
-comparison), and the reduction is ordered by (grid index, trial index),
-never by completion order.
+language.  Grid points that differ only in the sweep count T (the
+``convergence`` scenario) share the first such point's draws and one ascent
+trajectory, read after each point's T sweeps.  All requested algorithms run
+on the same realization (paired comparison), and the reduction is ordered by
+(grid index, trial index), never by completion order.
 """
 
 from __future__ import annotations
@@ -180,74 +182,75 @@ def _predicted_ops(algorithm: str, num_ores: int, n: int, b: int, df: int,
     return OpCount()
 
 
-def _trial_block(campaign: Campaign, grid_index: int, trial_lo: int,
+def _trial_block(campaign: Campaign, grid_indices: tuple, trial_lo: int,
                  trial_hi: int) -> dict:
-    """Per-trial ORE-mean linear SNRs for trials [trial_lo, trial_hi)."""
-    axis_value = campaign.sweep_grid[grid_index]
-    geom, n, b, t = campaign.point_params(axis_value)
+    """Per-trial ORE-mean linear SNRs, keyed by (grid index, algorithm), for
+    one batch [trial_lo, trial_hi) of a grid group from :func:`_plan_blocks`:
+    one draw, and one ascent to the group's largest T read at each point's T."""
+    geom, n, b, _ = campaign.point_params(campaign.sweep_grid[grid_indices[0]])
+    sweeps = {gi: campaign.point_params(campaign.sweep_grid[gi])[3]
+              for gi in grid_indices}
     alphabet = PhaseAlphabet.from_bits(b)
     graph = build_factor_graph(campaign.scma)
     fading = campaign.fading
-    out = {alg: [] for alg in campaign.algorithms}
-    trace_iters = None
-    if campaign.scenario == "convergence":
-        # One trajectory per trial covers every grid point; seeds use grid 0.
-        trace_iters = int(max(campaign.sweep_grid))
-    for start in range(trial_lo, trial_hi, _TRIAL_BATCH):
-        stop = min(start + _TRIAL_BATCH, trial_hi)
-        seed_grid = 0 if campaign.scenario == "convergence" else grid_index
-        ch = draw_trial_block(
-            [np.random.default_rng(trial_seed(campaign.master_seed, seed_grid, i))
-             for i in range(start, stop)],
-            graph.num_ores, graph.users_per_ore, geom, fading, n)
-        num = stop - start
-        scale = fading.symbol_energy / fading.noise_variance
-        ascent_lin = None
-        for alg in campaign.algorithms:
+    ch = draw_trial_block(
+        [np.random.default_rng(trial_seed(campaign.master_seed, grid_indices[0], i))
+         for i in range(trial_lo, trial_hi)],
+        graph.num_ores, graph.users_per_ore, geom, fading, n)
+
+    def trial_means(report):
+        return report.per_ore_linear.reshape(trial_hi - trial_lo, graph.num_ores).mean(axis=1)
+
+    out = {}
+    ascent = None
+    for alg in campaign.algorithms:
+        if alg == "ao" or alg == "lc_ao":
+            # Both names run one vectorized kernel, so whichever comes first
+            # computes the selections for both rows.
+            if ascent is None:
+                optimize = ao_optimize if alg == "ao" else lc_ao_optimize
+                snapshots = dict.fromkeys(sweeps.values())
+                optimize(ch, alphabet, max(snapshots), snapshots=snapshots)
+                ascent = {t: trial_means(received_snr(ch, p, fading))
+                          for t, p in snapshots.items()}
+            by_sweeps = ascent
+        else:
             if alg == "blind":
-                lin = received_snr(
-                    ch, blind_phases(alphabet, ch.num_ores, ch.num_elements),
-                    fading).per_ore_linear
+                report = received_snr(
+                    ch, blind_phases(alphabet, ch.num_ores, ch.num_elements), fading)
             elif alg == "no_ris":
-                lin = no_ris_snr(ch, fading).per_ore_linear
-            elif alg == "ao" or alg == "lc_ao":
-                # Both names run one vectorized kernel, so whichever comes
-                # first computes the selections for both rows.
-                if ascent_lin is None:
-                    optimize = ao_optimize if alg == "ao" else lc_ao_optimize
-                    if trace_iters is not None:
-                        sweeps: list = []
-                        optimize(ch, alphabet, trace_iters, sweep_norms=sweeps)
-                        ascent_lin = scale * sweeps[t - 1]
-                    else:
-                        phases = optimize(ch, alphabet, t)
-                        ascent_lin = received_snr(ch, phases, fading).per_ore_linear
-                lin = ascent_lin
-            elif alg == "exhaustive":
-                phases = exhaustive_optimize(ch, alphabet, campaign.exhaustive_budget)
-                lin = received_snr(ch, phases, fading).per_ore_linear
-            out[alg].append(lin.reshape(num, graph.num_ores).mean(axis=1))
-    return {alg: np.concatenate(vals) for alg, vals in out.items()}
+                report = no_ris_snr(ch, fading)
+            else:
+                report = received_snr(ch, exhaustive_optimize(
+                    ch, alphabet, campaign.exhaustive_budget), fading)
+            by_sweeps = dict.fromkeys(sweeps.values(), trial_means(report))
+        for gi, t in sweeps.items():
+            out[gi, alg] = by_sweeps[t]
+    return out
 
 
 def _aggregate(campaign: Campaign, axis_value, algorithm: str,
-               per_trial: np.ndarray, num_ores: int, n: int, b: int,
-               t: int, df: int) -> ResultRow:
-    ops = _predicted_ops(algorithm, num_ores, n, b, df, t)
-    trials = per_trial.size
-    mean_lin = float(per_trial.mean())
-    if campaign.average_mode == "db_of_mean":
-        mean_db = db_from_linear(mean_lin)
-        if trials > 1 and mean_lin > 0:
-            stderr = float(per_trial.std(ddof=1) / np.sqrt(trials))
-            stderr_db = float(10.0 / np.log(10.0) * stderr / mean_lin)
+               per_trial: Optional[np.ndarray]) -> ResultRow:
+    """One row; with no per-trial values (complexity_grid) only the counts."""
+    _, n, b, t = campaign.point_params(axis_value)
+    ops = _predicted_ops(algorithm, campaign.scma.num_ores, n, b,
+                         campaign.scma.nonzero_per_ore, t)
+    trials, mean_lin, mean_db, stderr_db = 0, None, None, None
+    if per_trial is not None:
+        trials = per_trial.size
+        mean_lin = float(per_trial.mean())
+        if campaign.average_mode == "db_of_mean":
+            mean_db = db_from_linear(mean_lin)
+            if trials > 1 and mean_lin > 0:
+                stderr = float(per_trial.std(ddof=1) / np.sqrt(trials))
+                stderr_db = float(10.0 / np.log(10.0) * stderr / mean_lin)
+            else:
+                stderr_db = 0.0
         else:
-            stderr_db = 0.0
-    else:
-        with np.errstate(divide="ignore"):
-            per_db = 10.0 * np.log10(per_trial)
-        mean_db = float(per_db.mean())
-        stderr_db = float(per_db.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+            with np.errstate(divide="ignore"):
+                per_db = 10.0 * np.log10(per_trial)
+            mean_db = float(per_db.mean())
+            stderr_db = float(per_db.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return ResultRow(axis_value=float(axis_value), algorithm=algorithm,
                      trials=trials, mean_linear=mean_lin, mean_snr_db=mean_db,
                      stderr_db=stderr_db, real_adds=ops.real_additions,
@@ -258,69 +261,47 @@ def run_campaign(campaign: Campaign, config_hash: str = "") -> CampaignResult:
     """Run every (grid point, trial, algorithm) cell and aggregate.
 
     Deterministic for a fixed master seed: trials are indexed, not streamed,
-    so the worker count never changes the numbers.
+    so the worker count never changes the numbers.  ``complexity_grid`` runs
+    no trials and reports only the operation counts.
     """
-    rows = []
-    if campaign.scenario == "complexity_grid":
-        df = campaign.scma.nonzero_per_ore
-        num_ores = campaign.scma.num_ores
-        for axis_value in campaign.sweep_grid:
-            _, n, b, t = campaign.point_params(axis_value)
-            for alg in campaign.algorithms:
-                ops = _predicted_ops(alg, num_ores, n, b, df, t)
-                rows.append(ResultRow(
-                    axis_value=float(axis_value), algorithm=alg, trials=0,
-                    mean_linear=None, mean_snr_db=None, stderr_db=None,
-                    real_adds=ops.real_additions,
-                    real_mults=ops.real_multiplications))
-        return CampaignResult(
-            scenario=campaign.scenario, sweep_axis=campaign.sweep_axis,
-            sweep_grid=campaign.sweep_grid, algorithms=campaign.algorithms,
-            num_trials=0, master_seed=campaign.master_seed,
-            average_mode=campaign.average_mode, config_hash=config_hash,
-            rows=tuple(rows))
-
-    df = campaign.scma.nonzero_per_ore
-    num_ores = campaign.scma.num_ores
-    blocks = _plan_blocks(campaign)
+    counts_only = campaign.scenario == "complexity_grid"
+    blocks = [] if counts_only else _plan_blocks(campaign)
+    args = ([campaign] * len(blocks), *zip(*blocks))
     if campaign.workers > 1:
         with ProcessPoolExecutor(max_workers=campaign.workers) as pool:
-            partials = list(pool.map(_block_entry,
-                                     [(campaign, gi, lo, hi) for gi, lo, hi in blocks]))
+            partials = list(pool.map(_trial_block, *args))
     else:
-        partials = [_trial_block(campaign, gi, lo, hi) for gi, lo, hi in blocks]
-
-    for gi, axis_value in enumerate(campaign.sweep_grid):
-        per_alg = {alg: [] for alg in campaign.algorithms}
-        for (bgi, lo, hi), part in zip(blocks, partials):
-            if bgi == gi:
-                for alg in campaign.algorithms:
-                    per_alg[alg].append(part[alg])
-        _, n, b, t = campaign.point_params(axis_value)
-        for alg in campaign.algorithms:
-            per_trial = np.concatenate(per_alg[alg])
-            rows.append(_aggregate(campaign, axis_value, alg, per_trial,
-                                   num_ores, n, b, t, df))
+        partials = list(map(_trial_block, *args))
+    per_cell = {}
+    for part in partials:               # a group's blocks come in trial order
+        for key, per_trial in part.items():
+            per_cell.setdefault(key, []).append(per_trial)
+    rows = tuple(
+        _aggregate(campaign, axis_value, alg,
+                   np.concatenate(per_cell[gi, alg]) if (gi, alg) in per_cell else None)
+        for gi, axis_value in enumerate(campaign.sweep_grid)
+        for alg in campaign.algorithms)
     return CampaignResult(
         scenario=campaign.scenario, sweep_axis=campaign.sweep_axis,
         sweep_grid=campaign.sweep_grid, algorithms=campaign.algorithms,
-        num_trials=campaign.num_trials, master_seed=campaign.master_seed,
-        average_mode=campaign.average_mode, config_hash=config_hash,
-        rows=tuple(rows))
+        num_trials=0 if counts_only else campaign.num_trials,
+        master_seed=campaign.master_seed, average_mode=campaign.average_mode,
+        config_hash=config_hash, rows=rows)
 
 
 def _plan_blocks(campaign: Campaign) -> list:
-    """(grid_index, lo, hi) work items aligned to the fixed batch size, so the
-    stacked groups (and thus every float) are identical for any worker count."""
-    blocks = []
-    for gi in range(len(campaign.sweep_grid)):
-        for lo in range(0, campaign.num_trials, _TRIAL_BATCH):
-            blocks.append((gi, lo, min(lo + _TRIAL_BATCH, campaign.num_trials)))
-    return blocks
-
-
-def _block_entry(args) -> dict:
-    return _trial_block(*args)
+    """(grid indices, lo, hi) work items, one per batch of trials.  Grid points
+    whose parameters agree on everything but T (geometry, N, b) form one group
+    that shares draws and ascents; ranges align to the fixed batch size, so
+    the stacked groups (and thus every float) are identical for any worker
+    count."""
+    groups = {}
+    for gi, axis_value in enumerate(campaign.sweep_grid):
+        geom, n, b, _ = campaign.point_params(axis_value)
+        groups.setdefault((geom, n, b), []).append(gi)
+    return [(tuple(group), lo, min(lo + _TRIAL_BATCH, campaign.num_trials))
+            for group in groups.values()
+            for lo in range(0, campaign.num_trials, _TRIAL_BATCH)]
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,7 @@ def term_split(ch: ChannelRealization, phases: PhaseAssignment, element: int) ->
 
 def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
                 counter: Optional[OpCount] = None, update_log: Optional[list] = None,
-                sweep_norms: Optional[list] = None) -> PhaseAssignment:
+                snapshots: Optional[dict] = None) -> PhaseAssignment:
     """Cyclic coordinate ascent with a full norm evaluation per candidate.
 
     For each ORE: for t = 1..iterations, for each element, score all 2^b
@@ -242,34 +242,47 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
     With a ``counter`` the scalar path recomputes every norm from scratch,
     which is what the closed-form operation counts describe; without one the
     shared incremental kernel (:func:`_ascent`) selects the same phases.
+
+    ``snapshots`` (kernel only) maps sweep counts in 0..iterations to the
+    :class:`PhaseAssignment` after that many sweeps, set in place; the key
+    ``iterations`` gets the returned object itself.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    _check_run(iterations, counter, snapshots)
     if counter is not None:
         return _ao_counted(ch, alphabet, iterations, counter, update_log)
-    return _ascent(ch, alphabet, iterations, update_log, sweep_norms)
+    return _ascent(ch, alphabet, iterations, update_log, snapshots)
 
 
 def lc_ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
                    counter: Optional[OpCount] = None, update_log: Optional[list] = None,
-                   sweep_norms: Optional[list] = None) -> PhaseAssignment:
+                   snapshots: Optional[dict] = None) -> PhaseAssignment:
     """Same schedule and selections as :func:`ao_optimize`, but each candidate
     is scored by Re{e^{-j phi} * (direct coupling + rotated cross couplings)},
     which drops every phi_n-independent addend of the objective.
 
     With a ``counter`` the scalar path scores from the cached couplings and
     tallies the cost model's operations; without one it runs the same
-    incremental kernel (:func:`_ascent`) as :func:`ao_optimize`.
+    incremental kernel (:func:`_ascent`) as :func:`ao_optimize`, and
+    ``snapshots`` works as there.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    _check_run(iterations, counter, snapshots)
     if counter is not None:
         return _lc_ao_counted(ch, alphabet, iterations, counter, update_log)
-    return _ascent(ch, alphabet, iterations, update_log, sweep_norms)
+    return _ascent(ch, alphabet, iterations, update_log, snapshots)
+
+
+def _check_run(iterations: int, counter: Optional[OpCount],
+               snapshots: Optional[dict]) -> None:
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if snapshots is not None and (counter is not None
+                                  or any(not 0 <= k <= iterations for k in snapshots)):
+        raise ValueError(f"snapshots need the kernel (no counter) and sweep counts "
+                         f"in 0..{iterations}, got {sorted(snapshots)}")
 
 
 def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
-            update_log: Optional[list], sweep_norms: Optional[list]) -> PhaseAssignment:
+            update_log: Optional[list], snapshots: Optional[dict]) -> PhaseAssignment:
     """The vectorized coordinate ascent behind both optimizers.
 
     Keeps the composite row w = h + sum_k v_k xi_k, with xi_k the cascaded
@@ -285,6 +298,10 @@ def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
     v = np.full((num_ores, num_elem), rot[alphabet.zero_index], dtype=np.complex128)
     xi = ch.ris_to_bs[:, :, None] * ch.user_to_ris            # (R, N, d_f)
     for t in range(iterations):
+        if snapshots is not None and t in snapshots:
+            # The smallest index dtype: R * N int64 copies would raise peak memory.
+            compact = idx.astype(np.min_scalar_type(alphabet.size - 1))
+            snapshots[t] = PhaseAssignment(alphabet=alphabet, indices=compact)
         w = np.einsum("rn,rni->ri", v, xi) + ch.direct
         for n in range(num_elem):
             xi_n = xi[:, n, :]
@@ -299,9 +316,10 @@ def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
                 norms = (w.real**2 + w.imag**2).sum(axis=1)
                 update_log.extend(
                     UpdateRecord(r, t, n, float(norms[r])) for r in range(num_ores))
-        if sweep_norms is not None:
-            sweep_norms.append(_composite_norms(v, ch))
-    return PhaseAssignment(alphabet=alphabet, indices=idx)
+    phases = PhaseAssignment(alphabet=alphabet, indices=idx)
+    if snapshots is not None and iterations in snapshots:
+        snapshots[iterations] = phases
+    return phases
 
 
 def exhaustive_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet,

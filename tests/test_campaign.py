@@ -1,9 +1,12 @@
 import hashlib
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ris_scma.campaign
 from ris_scma.campaign import (Campaign, deploy_sweep_profile, run_campaign,
                                synthesize_received_signal, trial_seed)
 from ris_scma.channel import (FadingConfig, Geometry, draw_link_channels,
@@ -83,6 +86,58 @@ def test_convergence_traces_are_paired_and_monotone():
         assert cur >= prev - 1e-12
     blind_curve = [r.mean_snr_db for r in result.rows if r.algorithm == "blind"]
     assert all(x == blind_curve[0] for x in blind_curve)  # same draws per point
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_convergence_points_equal_single_point_runs(workers):
+    # 300 trials are two batches; each T of one trajectory must give the row
+    # an ascent of exactly T sweeps gives on the same draws.
+    doc = dict(scenario="convergence", num_trials=300, num_elements=8,
+               algorithms=["blind", "ao", "lc_ao"], workers=workers)
+    together = run_campaign(small_campaign(**doc, sweep={"grid": [1, 3, 6]}))
+    for t in (1, 3, 6):
+        alone = run_campaign(small_campaign(**doc, sweep={"grid": [t]}))
+        assert [r for r in together.rows if r.axis_value == t] == list(alone.rows)
+
+
+def test_convergence_draws_and_climbs_once_per_batch(monkeypatch):
+    calls = {"draw": 0, "ascent": 0}
+
+    def counting(name, fn):
+        def shim(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return shim
+
+    monkeypatch.setattr(ris_scma.campaign, "draw_trial_block",
+                        counting("draw", ris_scma.campaign.draw_trial_block))
+    monkeypatch.setattr(ris_scma.campaign, "ao_optimize",
+                        counting("ascent", ris_scma.campaign.ao_optimize))
+    run_campaign(small_campaign(scenario="convergence", sweep={"grid": [1, 2, 3, 4]},
+                                num_trials=300, num_elements=4,
+                                algorithms=["blind", "ao", "lc_ao"]))
+    assert calls == {"draw": 2, "ascent": 2}
+
+
+def test_benchmark_tracer_names_resolve_and_observe(monkeypatch):
+    # The benchmark's tracer swaps these names on their modules and reads
+    # ao_optimize's iterations positionally; a campaign that stopped calling
+    # them so would read as 0 calls without any error.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for module_name, names in tracing.TRACED.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+    c = small_campaign(scenario="convergence", sweep={"grid": [1, 2, 5]},
+                       num_trials=10, num_elements=4, algorithms=["ao", "blind"])
+    tracer = tracing.Tracer("test")
+    with tracing.traced_library(tracer):
+        tracer.call("run_campaign", run_campaign, c)
+    metrics = tracer.layer_metrics()
+    assert metrics["optimizer.ao_calls"] == 1
+    assert metrics["optimizer.ao_candidate_evals"] == (
+        10 * c.scma.num_ores * 4 * 2**c.phase_bits * 5)
 
 
 def test_mean_of_db_mode_differs():

@@ -100,6 +100,7 @@ class Campaign:
                 f"average_mode must be one of {AVERAGE_MODES}, got {self.average_mode!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        build_factor_graph(self.scma)   # refuse a layout with no graph up front
         if "no_ris" in self.algorithms and self.fading.direct_loss_scale == 0:
             raise ValueError(
                 "no_ris needs a direct link: with fading.direct_loss_scale = 0 "
@@ -191,15 +192,14 @@ def _trial_block(campaign: Campaign, grid_indices: tuple, trial_lo: int,
     sweeps = {gi: campaign.point_params(campaign.sweep_grid[gi])[3]
               for gi in grid_indices}
     alphabet = PhaseAlphabet.from_bits(b)
-    graph = build_factor_graph(campaign.scma)
-    fading = campaign.fading
+    scma, fading = campaign.scma, campaign.fading
     ch = draw_trial_block(
         [np.random.default_rng(trial_seed(campaign.master_seed, grid_indices[0], i))
          for i in range(trial_lo, trial_hi)],
-        graph.num_ores, graph.users_per_ore, geom, fading, n)
+        scma.num_ores, scma.nonzero_per_ore, geom, fading, n)
 
     def trial_means(report):
-        return report.per_ore_linear.reshape(trial_hi - trial_lo, graph.num_ores).mean(axis=1)
+        return report.per_ore_linear.reshape(trial_hi - trial_lo, scma.num_ores).mean(axis=1)
 
     out = {}
     ascent = None

@@ -118,35 +118,47 @@ class UpdateRecord(NamedTuple):
 # Objective
 
 
-def composite_channel(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
-    """(R, d_f) composite rows: rotated cascaded paths plus the direct path."""
+def _rotations(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
+    """(R, N) rotations e^{-j phi} of ``phases``, checked against the channel."""
     if phases.indices.shape != (ch.num_ores, ch.num_elements):
         raise ValueError(
             f"phase indices shape {phases.indices.shape} does not match "
             f"channel dims (R={ch.num_ores}, N={ch.num_elements})")
-    u = phases.rotations() * ch.ris_to_bs                      # (R, N)
-    return np.einsum("rn,rni->ri", u, ch.user_to_ris) + ch.direct
+    return phases.rotations()
 
 
-def _composite_norms(v: np.ndarray, ch: ChannelRealization) -> np.ndarray:
-    """Squared composite-row norms for explicit per-element rotations v (R, N)."""
-    w = np.einsum("rn,rni->ri", v * ch.ris_to_bs, ch.user_to_ris) + ch.direct
+def _cascaded_paths(ch: ChannelRealization) -> np.ndarray:
+    """(R, N, d_f) cascaded path xi_n = ris_to_bs_n * user_to_ris_n of each element."""
+    return ch.ris_to_bs[:, :, None] * ch.user_to_ris
+
+
+def _sq_norms(w: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a complex (R, d) array."""
     return (w.real**2 + w.imag**2).sum(axis=1)
+
+
+def _re_inner2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2 Re<a, b> = 2 Re sum_i a_i conj(b_i), per row."""
+    return 2.0 * (a * np.conj(b)).sum(axis=1).real
+
+
+def composite_channel(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
+    """(R, d_f) composite rows: rotated cascaded paths plus the direct path."""
+    u = _rotations(ch, phases) * ch.ris_to_bs                  # (R, N)
+    return np.einsum("rn,rni->ri", u, ch.user_to_ris) + ch.direct
 
 
 def received_snr(ch: ChannelRealization, phases: PhaseAssignment,
                  fading: FadingConfig) -> SnrReport:
     """Per-ORE received SNR: (E / sigma^2) * ||composite row||^2."""
-    w = composite_channel(ch, phases)
     scale = fading.symbol_energy / fading.noise_variance
-    return SnrReport.from_linear(scale * (w.real**2 + w.imag**2).sum(axis=1))
+    return SnrReport.from_linear(scale * _sq_norms(composite_channel(ch, phases)))
 
 
 def no_ris_snr(ch: ChannelRealization, fading: FadingConfig) -> SnrReport:
     """Direct link only: the cascaded term removed entirely."""
     scale = fading.symbol_energy / fading.noise_variance
-    h = ch.direct
-    return SnrReport.from_linear(scale * (h.real**2 + h.imag**2).sum(axis=1))
+    return SnrReport.from_linear(scale * _sq_norms(ch.direct))
 
 
 def blind_phases(alphabet: PhaseAlphabet, num_ores: int,
@@ -162,11 +174,9 @@ def blind_phases(alphabet: PhaseAlphabet, num_ores: int,
 
 @dataclass(eq=False)
 class LcAoWorkspace:
-    """Per-ORE coupling coefficients of the objective decomposition.
-
-    The cached optimizer's score for element n is built from column n of these
-    (its counted path recomputes them as it goes); the vectorized kernel gets
-    the same sum from the composite row instead of storing them.
+    """Per-ORE coupling coefficients: the paper's cached-coefficient form of
+    the objective, kept as the tests' reference formula and as a name the
+    benchmark tracer hooks.  No library path builds it.
 
     ``element_coupling`` (R, N, N) is Hermitian with real nonnegative
     diagonal; entry (k, n) couples elements k and n through all d_f users.
@@ -178,7 +188,7 @@ class LcAoWorkspace:
 
 
 def build_lc_workspace(ch: ChannelRealization) -> LcAoWorkspace:
-    xi = ch.ris_to_bs[:, :, None] * ch.user_to_ris          # (R, N, d_f)
+    xi = _cascaded_paths(ch)                                  # (R, N, d_f)
     coupling = np.einsum("rki,rni->rkn", xi, np.conj(xi))   # xi @ xi^H
     direct = np.einsum("rki,ri->rk", xi, np.conj(ch.direct))
     return LcAoWorkspace(element_coupling=coupling, direct_coupling=direct)
@@ -186,14 +196,13 @@ def build_lc_workspace(ch: ChannelRealization) -> LcAoWorkspace:
 
 def snr_decomposition(ch: ChannelRealization, phases: PhaseAssignment) -> tuple:
     """Split the squared norm into quadratic, cross, and direct addends
-    (each (R,), no energy/noise scaling): v D v^H + 2 Re{v dbar} + ||h||^2."""
-    ws = build_lc_workspace(ch)
-    v = phases.rotations()
-    quad = np.einsum("rk,rkn,rn->r", v, ws.element_coupling, np.conj(v)).real
-    cross = 2.0 * np.einsum("rn,rn->r", v, ws.direct_coupling).real
-    h = ch.direct
-    direct = (h.real**2 + h.imag**2).sum(axis=1)
-    return quad, cross, direct
+    (each (R,), no energy/noise scaling): v D v^H + 2 Re{v dbar} + ||h||^2.
+
+    From the cascaded row u = sum_k v_k xi_k in O(N d_f) per ORE these are
+    ||u||^2, 2 Re<u, h> and ||h||^2 (D, dbar: the :class:`LcAoWorkspace` form).
+    """
+    u = np.einsum("rn,rni->ri", _rotations(ch, phases), _cascaded_paths(ch))
+    return _sq_norms(u), _re_inner2(u, ch.direct), _sq_norms(ch.direct)
 
 
 def term_split(ch: ChannelRealization, phases: PhaseAssignment, element: int) -> tuple:
@@ -202,30 +211,19 @@ def term_split(ch: ChannelRealization, phases: PhaseAssignment, element: int) ->
 
     Returns (a1_phi, a1_rest, a2_phi, a2_rest), each (R,); a1_phi + a1_rest
     reproduces the quadratic addend and a2_phi + a2_rest the cross addend.
+    With own = v_n xi_n and base = sum_{k != n} v_k xi_k (summed, not u - own,
+    so the rest parts are exactly phi_n-free) these are 2 Re<own, base>,
+    ||base||^2 + ||xi_n||^2, 2 Re<own, h> and 2 Re<base, h>, in O(N d_f).
     """
     n = element
     if not 0 <= n < ch.num_elements:
         raise ValueError(f"element must be in [0, {ch.num_elements}), got {n}")
-    ws = build_lc_workspace(ch)
-    d = ws.element_coupling
-    dbar = ws.direct_coupling
-    v = phases.rotations()                                   # e^{-j phi}
-    others = np.ones(ch.num_elements, dtype=bool)
-    others[n] = False
-
-    # 2 Re{ e^{-j phi_n} sum_{k != n} e^{j phi_k} conj(d_{k,n}) }
-    a1_phi = 2.0 * (v[:, n] * np.einsum(
-        "rk,rk->r", np.conj(v[:, others]), np.conj(d[:, others, n]))).real
-
-    diag = np.einsum("rkk->rk", d).real.sum(axis=1)
-    cross_terms = v[:, others, None] * d[:, others, :][:, :, others] \
-        * np.conj(v[:, None, others])
-    off_diag = ~np.eye(ch.num_elements - 1, dtype=bool)
-    a1_rest = diag + cross_terms[:, off_diag].sum(axis=1).real
-
-    a2_phi = 2.0 * (v[:, n] * dbar[:, n]).real
-    a2_rest = 2.0 * np.einsum("rk,rk->r", v[:, others], dbar[:, others]).real
-    return a1_phi, a1_rest, a2_phi, a2_rest
+    v = _rotations(ch, phases)                               # e^{-j phi}
+    xi = _cascaded_paths(ch)
+    base = np.einsum("rk,rki->ri", np.delete(v, n, axis=1), np.delete(xi, n, axis=1))
+    own = v[:, n, None] * xi[:, n]
+    return (_re_inner2(own, base), _sq_norms(base) + _sq_norms(xi[:, n]),
+            _re_inner2(own, ch.direct), _re_inner2(base, ch.direct))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +294,7 @@ def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
     rot = alphabet.rotations
     idx = np.full((num_ores, num_elem), alphabet.zero_index, dtype=np.int64)
     v = np.full((num_ores, num_elem), rot[alphabet.zero_index], dtype=np.complex128)
-    xi = ch.ris_to_bs[:, :, None] * ch.user_to_ris            # (R, N, d_f)
+    xi = _cascaded_paths(ch)                                  # (R, N, d_f)
     for t in range(iterations):
         if snapshots is not None and t in snapshots:
             # The smallest index dtype: R * N int64 copies would raise peak memory.
@@ -313,7 +311,7 @@ def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
             v[:, n] = rot[sel]
             w = base + v[:, n, None] * xi_n
             if update_log is not None:
-                norms = (w.real**2 + w.imag**2).sum(axis=1)
+                norms = _sq_norms(w)
                 update_log.extend(
                     UpdateRecord(r, t, n, float(norms[r])) for r in range(num_ores))
     phases = PhaseAssignment(alphabet=alphabet, indices=idx)
@@ -346,7 +344,7 @@ def exhaustive_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet,
             flat = np.arange(start, min(start + chunk, total))
             cand = np.stack(np.unravel_index(flat, shape), axis=1)   # lexicographic
             w = (rot[cand] * gbar) @ g + h
-            obj = (w.real**2 + w.imag**2).sum(axis=1)
+            obj = _sq_norms(w)
             k = int(obj.argmax())
             if obj[k] > best_val:                                    # strict: keeps first
                 best_val = float(obj[k])
@@ -465,10 +463,9 @@ def _lc_ao_counted(ch, alphabet, iterations, counter, update_log):
                 idx[r, n] = sel
                 v[n] = rot[sel]
                 if update_log is not None:
-                    vv = np.array(v)[None, :]
                     sub = ChannelRealization(direct=ch.direct[r:r + 1],
                                              ris_to_bs=ch.ris_to_bs[r:r + 1],
                                              user_to_ris=ch.user_to_ris[r:r + 1])
-                    update_log.append(
-                        UpdateRecord(r, t, n, float(_composite_norms(vv, sub)[0])))
+                    w = composite_channel(sub, PhaseAssignment(alphabet, idx[r:r + 1]))
+                    update_log.append(UpdateRecord(r, t, n, float(_sq_norms(w)[0])))
     return PhaseAssignment(alphabet=alphabet, indices=idx)

@@ -76,16 +76,25 @@ def test_malformed_config_reports_line_and_column(tmp_path, capsys):
     assert "line 3, column 16" in doc["error"]["message"]
 
 
+# 8 users on 4 OREs pass the edge-count checks, but the all-combinations
+# factor graph needs C(4, 2) = 6 users.
+NO_GRAPH_SYSTEM = {"num_users": 8, "num_ores": 4, "nonzero_per_user": 2,
+                   "nonzero_per_ore": 4}
+
+
 @pytest.mark.parametrize("doc", [
     {"scenario": "n_sweep", "sweep": {"grid": [0, 4]}},
     {"scenario": "n_sweep", "sweep": {"grid": [-3]}},
     {"scenario": "convergence", "sweep": {"grid": [0, 2]}},
     {"scenario": "bits_sweep", "sweep": {"grid": [0, 2]}},
     {"scenario": "deploy_sweep", "sweep": {"grid": [2.0, 50.0]}},
+    {"scenario": "n_sweep", "sweep": {"grid": [2]}, "system": NO_GRAPH_SYSTEM},
+    {"scenario": "complexity_grid", "system": NO_GRAPH_SYSTEM},
 ])
 def test_invalid_grid_point_is_a_config_error(doc, tmp_path, capsys):
     # Each grid value replaces a base parameter, so each is checked up front
-    # rather than failing mid-campaign.
+    # rather than failing mid-campaign.  So is the SCMA layout, for every
+    # scenario, including complexity_grid, which runs no trials.
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2

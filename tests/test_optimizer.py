@@ -176,6 +176,62 @@ def test_term_split_element_bounds(geom, fading):
         term_split(ch, blind_phases(PhaseAlphabet.from_bits(1), 1, 2), 2)
 
 
+@pytest.mark.parametrize("shape", [(1, 4), (2, 1)])
+def test_decomposition_rejects_mismatched_phases(geom, fading, shape):
+    # A size-1 axis would otherwise broadcast one ORE's (or one element's)
+    # phases over the whole channel.
+    ch = draw_link_channels(np.random.default_rng(15), 2, 3, geom, fading, 4)
+    bad = blind_phases(PhaseAlphabet.from_bits(2), *shape)
+    with pytest.raises(ValueError, match="does not match"):
+        snr_decomposition(ch, bad)
+    with pytest.raises(ValueError, match="does not match"):
+        term_split(ch, bad, 0)
+
+
+def _close(got, want):
+    """Criterion 4's tolerance: 1e-10 relative to the largest reference value."""
+    return np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("los_phase", ["random", "common"])
+@pytest.mark.parametrize("direct_loss_scale", [0.0, 1.0])
+@pytest.mark.parametrize("n_el", [1, 2, 5])
+def test_each_addend_matches_coupling_formula(geom, los_phase, direct_loss_scale, n_el):
+    # Every addend separately, against the paper's cached-coefficient form:
+    # quad = v D v^H, cross = 2 Re{v . dbar}, and the per-element split of
+    # both written out over the entries of D and dbar.
+    fading = FadingConfig(los_phase=los_phase, direct_loss_scale=direct_loss_scale)
+    rng = np.random.default_rng(16)
+    alpha = PhaseAlphabet.from_bits(3)
+    for _ in range(3):
+        ch = draw_link_channels(rng, 32, 3, geom, fading, n_el)
+        phases = PhaseAssignment(alpha, rng.integers(0, 8, size=(32, n_el)))
+        ws = build_lc_workspace(ch)
+        d, dbar = ws.element_coupling, ws.direct_coupling
+        v = phases.rotations()
+        h = ch.direct
+        quad, cross, direct = snr_decomposition(ch, phases)
+        assert _close(quad, np.einsum("rk,rkn,rn->r", v, d, np.conj(v)).real)
+        assert _close(cross, 2.0 * np.einsum("rn,rn->r", v, dbar).real)
+        assert _close(direct, (np.abs(h) ** 2).sum(axis=1))
+        for n in range(n_el):
+            others = np.arange(n_el) != n
+            vo = v[:, others]
+            do = d[:, others][:, :, others]
+            off_diag = ~np.eye(n_el - 1, dtype=bool)
+            want = (
+                2.0 * (v[:, n] * np.einsum("rk,rk->r", np.conj(vo),
+                                           np.conj(d[:, others, n]))).real,
+                np.einsum("rkk->rk", d).real.sum(axis=1)
+                + (vo[:, :, None] * do * np.conj(vo[:, None, :]))[:, off_diag]
+                .sum(axis=1).real,
+                2.0 * (v[:, n] * dbar[:, n]).real,
+                2.0 * np.einsum("rk,rk->r", vo, dbar[:, others]).real,
+            )
+            for got, ref in zip(term_split(ch, phases, n), want):
+                assert _close(got, ref)
+
+
 # ---------------------------------------------------------------------------
 # Coordinate ascent
 

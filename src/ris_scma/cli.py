@@ -28,7 +28,7 @@ from .opcount import OpCount, measured_run, predicted_ao, predicted_lc_ao
 from .optimizer import (PhaseAlphabet, ao_optimize, blind_phases,
                         exhaustive_optimize, lc_ao_optimize, received_snr,
                         snr_decomposition)
-from .writers import FIGURE_SCENARIOS, emit_plot_data, write_results
+from .writers import emit_plot_data, write_results
 
 OUTPUT_DIR_ENV = "RIS_SCMA_OUTPUT_DIR"
 
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(handler=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a preset figure experiment")
-    p_sweep.add_argument("figure_id", choices=sorted(FIGURE_SCENARIOS))
+    p_sweep.add_argument("figure_id", choices=sorted(FIGURE_PRESETS))
     p_sweep.add_argument("--trials", type=int, default=None,
                          help="override the preset trial count")
     _common_flags(p_sweep)
@@ -201,11 +201,11 @@ def _cmd_selftest(args) -> int:
         t = int(rng.integers(1, 4))
         ch = draw_link_channels(rng, r, df, geom, fading, n)
         alphabet = PhaseAlphabet.from_bits(b)
-        if not np.array_equal(ao_optimize(ch, alphabet, t).indices,
-                              lc_ao_optimize(ch, alphabet, t,
-                                             counter=OpCount()).indices):
-            mismatch += 1
-    failures += _report("vectorized and counted cached selections identical "
+        kernel = ao_optimize(ch, alphabet, t).indices
+        for optimize in (ao_optimize, lc_ao_optimize):
+            counted = optimize(ch, alphabet, t, counter=OpCount()).indices
+            mismatch += not np.array_equal(kernel, counted)
+    failures += _report("vectorized and both counted selections identical "
                         "(60 draws)", mismatch == 0)
 
     bad = 0

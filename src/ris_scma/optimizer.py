@@ -6,13 +6,12 @@ never decrease: the incumbent value is always among the candidates), and
 arg-max ties go to the smallest candidate index.
 
 Each optimizer takes an optional ``counter`` (an :class:`~ris_scma.opcount.OpCount`
-sink).  When a counter is supplied the run goes through a scalar,
-operation-by-operation path that tallies real arithmetic under the documented
-cost model; these counted paths are the reference the closed-form counts (and
-the tests) check against.  Without one, :func:`ao_optimize` and
-:func:`lc_ao_optimize` run one shared vectorized kernel that keeps each ORE's
-composite row up to date and scores every candidate from it, selecting the
-same phases as the counted paths.
+sink).  With a counter the run goes through one scalar driver that tallies real
+arithmetic under the documented cost model, and AO and LC-AO differ there only
+in how they score a candidate phase; these counted paths are the reference the
+closed-form counts (and the tests) check against.  Without one, both names run
+one vectorized kernel that keeps each ORE's composite row up to date and
+selects the same phases.  ``update_log`` and ``snapshots`` are kernel-only.
 """
 
 from __future__ import annotations
@@ -237,18 +236,17 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
 
     For each ORE: for t = 1..iterations, for each element, score all 2^b
     candidate phases by the composite-row norm and keep the first maximizer.
-    With a ``counter`` the scalar path recomputes every norm from scratch,
+    With a ``counter`` the scalar driver recomputes every norm from scratch,
     which is what the closed-form operation counts describe; without one the
     shared incremental kernel (:func:`_ascent`) selects the same phases.
 
-    ``snapshots`` (kernel only) maps sweep counts in 0..iterations to the
-    :class:`PhaseAssignment` after that many sweeps, set in place; the key
-    ``iterations`` gets the returned object itself.
+    Kernel only (either one with a ``counter`` raises): ``update_log`` gets
+    an :class:`UpdateRecord` per ORE per update, and ``snapshots`` maps sweep
+    counts in 0..iterations to the :class:`PhaseAssignment` after that many
+    sweeps, set in place; the key ``iterations`` gets the returned object.
     """
-    _check_run(iterations, counter, snapshots)
-    if counter is not None:
-        return _ao_counted(ch, alphabet, iterations, counter, update_log)
-    return _ascent(ch, alphabet, iterations, update_log, snapshots)
+    return _optimize(ch, alphabet, iterations, counter, update_log, snapshots,
+                     _full_norm_scores)
 
 
 def lc_ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
@@ -258,25 +256,27 @@ def lc_ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: 
     is scored by Re{e^{-j phi} * (direct coupling + rotated cross couplings)},
     which drops every phi_n-independent addend of the objective.
 
-    With a ``counter`` the scalar path scores from the cached couplings and
-    tallies the cost model's operations; without one it runs the same
-    incremental kernel (:func:`_ascent`) as :func:`ao_optimize`, and
-    ``snapshots`` works as there.
+    With a ``counter`` the same scalar driver as :func:`ao_optimize` runs with
+    the cached-coupling scorer (:func:`_cached_scores`) and tallies the cost
+    model's operations; without one it runs the same incremental kernel
+    (:func:`_ascent`), and ``update_log``/``snapshots`` work as there.
     """
-    _check_run(iterations, counter, snapshots)
-    if counter is not None:
-        return _lc_ao_counted(ch, alphabet, iterations, counter, update_log)
-    return _ascent(ch, alphabet, iterations, update_log, snapshots)
+    return _optimize(ch, alphabet, iterations, counter, update_log, snapshots,
+                     _cached_scores)
 
 
-def _check_run(iterations: int, counter: Optional[OpCount],
-               snapshots: Optional[dict]) -> None:
+def _optimize(ch, alphabet, iterations, counter, update_log, snapshots, score):
+    """Argument checks, then the counted driver with ``score`` or the kernel."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if snapshots is not None and (counter is not None
-                                  or any(not 0 <= k <= iterations for k in snapshots)):
-        raise ValueError(f"snapshots need the kernel (no counter) and sweep counts "
-                         f"in 0..{iterations}, got {sorted(snapshots)}")
+    if counter is not None:
+        if update_log is not None or snapshots is not None:
+            raise ValueError("update_log and snapshots need the kernel (no counter)")
+        return _counted(ch, alphabet, iterations, counter, score)
+    if snapshots is not None and any(not 0 <= k <= iterations for k in snapshots):
+        raise ValueError(f"snapshots need sweep counts in 0..{iterations}, "
+                         f"got {sorted(snapshots)}")
+    return _ascent(ch, alphabet, iterations, update_log, snapshots)
 
 
 def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
@@ -333,21 +333,19 @@ def exhaustive_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet,
             f"evaluations per ORE")
     rot = alphabet.rotations
     best_idx = np.zeros((num_ores, num_elem), dtype=np.int64)
+    best_val = np.full(num_ores, -np.inf)
     chunk = 4096
     shape = (size,) * num_elem
-    for r in range(num_ores):
-        gbar = ch.ris_to_bs[r]
-        g = ch.user_to_ris[r]
-        h = ch.direct[r]
-        best_val = -np.inf
-        for start in range(0, total, chunk):
-            flat = np.arange(start, min(start + chunk, total))
-            cand = np.stack(np.unravel_index(flat, shape), axis=1)   # lexicographic
-            w = (rot[cand] * gbar) @ g + h
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(start + chunk, total))
+        cand = np.stack(np.unravel_index(flat, shape), axis=1)       # lexicographic
+        cand_rot = rot[cand]                                         # same for every ORE
+        for r in range(num_ores):
+            w = (cand_rot * ch.ris_to_bs[r]) @ ch.user_to_ris[r] + ch.direct[r]
             obj = _sq_norms(w)
             k = int(obj.argmax())
-            if obj[k] > best_val:                                    # strict: keeps first
-                best_val = float(obj[k])
+            if obj[k] > best_val[r]:                                 # strict: keeps first
+                best_val[r] = obj[k]
                 best_idx[r] = cand[k]
     return PhaseAssignment(alphabet=alphabet, indices=best_idx)
 
@@ -391,81 +389,68 @@ def _first_argmax(scores: list) -> int:
     return next(i for i, score in enumerate(scores) if score >= floor)
 
 
-def _ao_counted(ch, alphabet, iterations, counter, update_log):
+def _counted(ch, alphabet, iterations, counter, score):
+    """The instrumented scalar ascent: per ORE, from the blind start, T sweeps
+    over the N elements, each keeping the first maximizer of the 2^b scores
+    ``score`` gives element n.  AO and LC-AO differ only in that scorer."""
     ops = _ComplexOps(counter)
     rot = [complex(x) for x in alphabet.rotations]
-    size = alphabet.size
-    num_ores, num_elem, df = ch.num_ores, ch.num_elements, ch.num_interferers
+    num_ores, num_elem = ch.num_ores, ch.num_elements
     idx = np.full((num_ores, num_elem), alphabet.zero_index, dtype=np.int64)
     for r in range(num_ores):
         gbar = [complex(x) for x in ch.ris_to_bs[r]]
         g = [[complex(x) for x in row] for row in ch.user_to_ris[r]]
         h = [complex(x) for x in ch.direct[r]]
         v = [rot[alphabet.zero_index]] * num_elem
-        for t in range(iterations):
+        for _ in range(iterations):
             for n in range(num_elem):
-                scores = []
-                for l in range(size):
-                    vn = list(v)
-                    vn[n] = rot[l]
-                    u = [ops.mul(gbar[k], vn[k]) for k in range(num_elem)]
-                    squares = []
-                    for i in range(df):
-                        acc = h[i]
-                        for k in range(num_elem):
-                            acc = ops.add(acc, ops.mul(u[k], g[k][i]))
-                        squares.append(ops.abs2(acc))
-                    norm = squares[0]
-                    for s in squares[1:]:
-                        norm = ops.add1(norm, s)
-                    scores.append(norm)
-                sel = _first_argmax(scores)
+                sel = _first_argmax(score(ops, rot, gbar, g, h, v, n))
                 idx[r, n] = sel
                 v[n] = rot[sel]
-                if update_log is not None:
-                    update_log.append(UpdateRecord(r, t, n, scores[sel]))
     return PhaseAssignment(alphabet=alphabet, indices=idx)
 
 
-def _lc_ao_counted(ch, alphabet, iterations, counter, update_log):
-    ops = _ComplexOps(counter)
-    rot = [complex(x) for x in alphabet.rotations]
-    size = alphabet.size
-    num_ores, num_elem, df = ch.num_ores, ch.num_elements, ch.num_interferers
-    idx = np.full((num_ores, num_elem), alphabet.zero_index, dtype=np.int64)
-    for r in range(num_ores):
-        gbar = [complex(x) for x in ch.ris_to_bs[r]]
-        g = [[complex(x) for x in row] for row in ch.user_to_ris[r]]
-        h = [complex(x) for x in ch.direct[r]]
-        v = [rot[alphabet.zero_index]] * num_elem
-        for t in range(iterations):
-            for n in range(num_elem):
-                psi = 0j
-                for k in range(num_elem):
-                    if k == n:
-                        continue
-                    acc = None
-                    for i in range(df):
-                        a = ops.mul(g[k][i], gbar[k])
-                        b = ops.mul(g[n][i], gbar[n])
-                        p = ops.mul(a, b.conjugate())
-                        acc = p if acc is None else ops.add(acc, p)
-                    rotated = ops.mul(v[k].conjugate(), acc.conjugate())
-                    psi = ops.add1(psi, rotated)
-                dbar = None
-                for i in range(df):
-                    a = ops.mul(g[n][i], gbar[n])
-                    p = ops.mul(a, h[i].conjugate())
-                    dbar = p if dbar is None else ops.add(dbar, p)
-                term3 = ops.add1(dbar, psi)
-                scores = [ops.mul(rot[l], term3).real for l in range(size)]
-                sel = _first_argmax(scores)
-                idx[r, n] = sel
-                v[n] = rot[sel]
-                if update_log is not None:
-                    sub = ChannelRealization(direct=ch.direct[r:r + 1],
-                                             ris_to_bs=ch.ris_to_bs[r:r + 1],
-                                             user_to_ris=ch.user_to_ris[r:r + 1])
-                    w = composite_channel(sub, PhaseAssignment(alphabet, idx[r:r + 1]))
-                    update_log.append(UpdateRecord(r, t, n, float(_sq_norms(w)[0])))
-    return PhaseAssignment(alphabet=alphabet, indices=idx)
+def _full_norm_scores(ops, rot, gbar, g, h, v, n):
+    """AO: each candidate's composite-row norm, recomputed from scratch."""
+    num_elem, df = len(gbar), len(h)
+    scores = []
+    for candidate in rot:
+        vn = list(v)
+        vn[n] = candidate
+        u = [ops.mul(gbar[k], vn[k]) for k in range(num_elem)]
+        squares = []
+        for i in range(df):
+            acc = h[i]
+            for k in range(num_elem):
+                acc = ops.add(acc, ops.mul(u[k], g[k][i]))
+            squares.append(ops.abs2(acc))
+        norm = squares[0]
+        for s in squares[1:]:
+            norm = ops.add1(norm, s)
+        scores.append(norm)
+    return scores
+
+
+def _cached_scores(ops, rot, gbar, g, h, v, n):
+    """LC-AO: only the phi_n-dependent part, Re{e^{-j phi} term3}, from the
+    couplings of element n with the other elements and with the direct path."""
+    num_elem, df = len(gbar), len(h)
+    psi = 0j
+    for k in range(num_elem):
+        if k == n:
+            continue
+        acc = None
+        for i in range(df):
+            a = ops.mul(g[k][i], gbar[k])
+            b = ops.mul(g[n][i], gbar[n])
+            p = ops.mul(a, b.conjugate())
+            acc = p if acc is None else ops.add(acc, p)
+        rotated = ops.mul(v[k].conjugate(), acc.conjugate())
+        psi = ops.add1(psi, rotated)
+    dbar = None
+    for i in range(df):
+        a = ops.mul(g[n][i], gbar[n])
+        p = ops.mul(a, h[i].conjugate())
+        dbar = p if dbar is None else ops.add(dbar, p)
+    term3 = ops.add1(dbar, psi)
+    return [ops.mul(candidate, term3).real for candidate in rot]

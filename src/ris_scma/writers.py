@@ -5,6 +5,7 @@ happened during aggregation."""
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .campaign import CampaignResult, ResultRow
@@ -39,46 +40,15 @@ def result_to_csv_text(result: CampaignResult) -> str:
 
 
 def result_to_json_text(result: CampaignResult) -> str:
-    doc = {
-        "scenario": result.scenario,
-        "sweep_axis": result.sweep_axis,
-        "sweep_grid": list(result.sweep_grid),
-        "algorithms": list(result.algorithms),
-        "num_trials": result.num_trials,
-        "master_seed": result.master_seed,
-        "average_mode": result.average_mode,
-        "config_hash": result.config_hash,
-        "rows": [
-            {
-                "axis_value": row.axis_value,
-                "algorithm": row.algorithm,
-                "trials": row.trials,
-                "mean_linear": row.mean_linear,
-                "mean_snr_db": row.mean_snr_db,
-                "stderr_db": row.stderr_db,
-                "real_adds": row.real_adds,
-                "real_mults": row.real_mults,
-            }
-            for row in result.rows
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(asdict(result), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def result_from_json_text(text: str) -> CampaignResult:
     doc = json.loads(text)
-    rows = tuple(
-        ResultRow(axis_value=r["axis_value"], algorithm=r["algorithm"],
-                  trials=r["trials"], mean_linear=r["mean_linear"],
-                  mean_snr_db=r["mean_snr_db"], stderr_db=r["stderr_db"],
-                  real_adds=r["real_adds"], real_mults=r["real_mults"])
-        for r in doc["rows"])
-    return CampaignResult(
-        scenario=doc["scenario"], sweep_axis=doc["sweep_axis"],
-        sweep_grid=tuple(doc["sweep_grid"]), algorithms=tuple(doc["algorithms"]),
-        num_trials=doc["num_trials"], master_seed=doc["master_seed"],
-        average_mode=doc["average_mode"], config_hash=doc["config_hash"],
-        rows=rows)
+    return CampaignResult(**{
+        **doc, "sweep_grid": tuple(doc["sweep_grid"]),
+        "algorithms": tuple(doc["algorithms"]),
+        "rows": tuple(ResultRow(**row) for row in doc["rows"])})
 
 
 def write_results(result: CampaignResult, out_dir, formats=("csv", "json")) -> list:

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -355,6 +356,8 @@ def test_snapshots_equal_shorter_runs(geom, fading, optimize):
         optimize(ch, alphabet, 4, snapshots={5: None})
     with pytest.raises(ValueError, match="snapshots"):
         optimize(ch, alphabet, 4, counter=OpCount(), snapshots={4: None})
+    with pytest.raises(ValueError, match="update_log"):
+        optimize(ch, alphabet, 4, counter=OpCount(), update_log=[])
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +386,21 @@ def test_exhaustive_dominates(geom, fading):
         assert (best >= mid * (1.0 - 1e-12)).all()
         assert (mid >= one * (1.0 - 1e-12)).all()
         assert (one >= low * (1.0 - 1e-12)).all()
+
+
+def test_exhaustive_chunks_and_ores_match_unchunked_argmax(geom, fading):
+    # N=7, b=2: 16384 candidates, so four 4096-candidate chunks, over 3 OREs
+    ch = draw_link_channels(np.random.default_rng(16), 3, 3, geom, fading, 7)
+    alpha = PhaseAlphabet.from_bits(2)
+    got = exhaustive_optimize(ch, alpha).indices
+    cand = np.array(list(product(range(alpha.size), repeat=7)))  # lexicographic
+    winners = []
+    for r in range(3):
+        w = (alpha.rotations[cand] * ch.ris_to_bs[r]) @ ch.user_to_ris[r] + ch.direct[r]
+        winners.append(int(np.argmax((w.real**2 + w.imag**2).sum(axis=1))))  # first max
+        assert np.array_equal(got[r], cand[winners[-1]])
+    # the draw puts the winners in different chunks, the last one included
+    assert {k // 4096 for k in winners} == {0, 1, 3}
 
 
 def test_exhaustive_hand_enumeration():

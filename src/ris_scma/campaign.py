@@ -3,11 +3,14 @@
 Every trial draws its own channel realization from a child seed derived as
 ``first 8 bytes (big endian) of SHA-256("{master_seed}:{grid_index}:{trial_index}")``,
 so results are bit-identical for any worker count and reproducible in any
-language.  Grid points that differ only in the sweep count T (the
-``convergence`` scenario) share the first such point's draws and one ascent
-trajectory, read after each point's T sweeps.  All requested algorithms run
-on the same realization (paired comparison), and the reduction is ordered by
-(grid index, trial index), never by completion order.
+language.  A trial's stream is the one numpy's default generator gives its
+child seed; each batch's child seeds are mixed into PCG64 states in one
+vectorized pass (:func:`~ris_scma.channel.draw_trial_block`).  Grid points
+that differ only in the sweep count T (the ``convergence`` scenario) share the
+first such point's draws and one ascent trajectory, read after each point's T
+sweeps.  All requested algorithms run on the same realization (paired
+comparison), and the reduction is ordered by (grid index, trial index), never
+by completion order.
 """
 
 from __future__ import annotations
@@ -194,7 +197,7 @@ def _trial_block(campaign: Campaign, grid_indices: tuple, trial_lo: int,
     alphabet = PhaseAlphabet.from_bits(b)
     scma, fading = campaign.scma, campaign.fading
     ch = draw_trial_block(
-        [np.random.default_rng(trial_seed(campaign.master_seed, grid_indices[0], i))
+        [trial_seed(campaign.master_seed, grid_indices[0], i)
          for i in range(trial_lo, trial_hi)],
         scma.num_ores, scma.nonzero_per_ore, geom, fading, n)
 

@@ -220,19 +220,104 @@ def rician_small_scale(rng: np.random.Generator, shape: tuple,
     return out.reshape(shape)
 
 
-def draw_trial_block(rngs, num_ores: int, num_interferers: int, geom: Geometry,
-                     fading: FadingConfig, num_elements: int) -> ChannelRealization:
-    """Draw one realization per generator, stacked along the ORE axis.
+# numpy's SeedSequence (pool of four 32-bit words) and PCG64 seeding
+# constants; see numpy/random/bit_generator.pyx and pcg64.h.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_XSHIFT = np.uint32(16)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
-    Byte-identical to ``stack_realizations([draw_link_channels(g, ...) for g
-    in rngs])``.  Each generator is consumed in a fixed order (direct, then
-    element->BS, then user->element; within each: LoS phases in random mode,
-    then real and imaginary diffuse parts) into its own row of one raw
-    buffer; the Rician transform and path-loss scaling then run once over the
-    whole block, in place in the complex outputs.
+
+def _hash_constants(init: int, mult: int, calls: int) -> list:
+    """The running hash constant before and after each of ``calls`` hashes:
+    SeedSequence multiplies it by ``mult`` once per hash, whatever the data."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return [np.uint32(c) for c in consts]
+
+
+# Mixing a pool of 4 hashes each word once, then 4 * 3 cross pairs.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE * _POOL_SIZE)
+# generate_state(4, uint64) hashes 8 words, cycling over the pool twice.
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
+
+
+def _hashmix(words: np.ndarray, consts: list, call: int) -> np.ndarray:
+    words = (words ^ consts[call]) * consts[call + 1]
+    return words ^ (words >> _XSHIFT)
+
+
+def _pcg64_states(seeds) -> list:
+    """PCG64 ``(state, inc)`` for each seed, equal to those of
+    ``np.random.default_rng(seed)``, computed in one pass over all seeds.
+
+    A seed below 2^64 is at most two 32-bit entropy words, and its
+    SeedSequence mixing equals that of ``[lo, hi, 0, 0]``, so every seed takes
+    the same sequence of ``uint32`` array operations (which wrap, as the C
+    code does).  The 128-bit PCG64 ``srandom`` step runs on Python ints.
     """
-    if len(rngs) == 0:
-        raise ValueError("draw_trial_block needs at least one generator")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("draw_trial_block needs at least one seed")
+    for seed in seeds:
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or not 0 <= seed <= 2**64 - 1):
+            raise ValueError(f"seeds must be integers in [0, 2^64), got {seed!r}")
+    values = np.array(seeds, dtype=np.uint64)
+    low = values.astype(np.uint32)
+    pool = [low, (values >> np.uint64(32)).astype(np.uint32),
+            np.zeros_like(low), np.zeros_like(low)]
+    pool = [_hashmix(word, _HASH_A, call) for call, word in enumerate(pool)]
+    call = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed = _hashmix(pool[src], _HASH_A, call)
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+                call += 1
+    words = [_hashmix(pool[i % _POOL_SIZE], _HASH_B, i).astype(np.uint64)
+             for i in range(2 * _POOL_SIZE)]
+    # Little-endian uint64 pairs: the initial state's high and low halves,
+    # then the stream selector's.
+    halves = [(words[2 * i] | words[2 * i + 1] << np.uint64(32)).tolist()
+              for i in range(4)]
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULTIPLIER + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _streams(states):
+    """Yield one private generator per ``(state, inc)``, set to that state;
+    each is consumed before the next is yielded."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state, inc in states:
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _draw_block(rngs, trials: int, num_ores: int, num_interferers: int,
+                geom: Geometry, fading: FadingConfig,
+                num_elements: int) -> ChannelRealization:
+    """One realization per generator of ``rngs`` (``trials`` of them),
+    stacked along the ORE axis.
+
+    Each generator is consumed in a fixed order (direct, then element->BS,
+    then user->element; within each: LoS phases in random mode, then real
+    and imaginary diffuse parts) into its own row of one raw buffer; the
+    Rician transform and path-loss scaling then run once over the whole
+    block, in place in the complex outputs.
+    """
     if num_elements < 1:
         raise ValueError(f"num_elements must be >= 1, got {num_elements}")
     mode = fading.los_phase
@@ -240,7 +325,6 @@ def draw_trial_block(rngs, num_ores: int, num_interferers: int, geom: Geometry,
     shapes = ((num_ores, num_interferers), (num_ores, num_elements),
               (num_ores, num_elements, num_interferers))
     sizes = tuple(math.prod(s) for s in shapes)
-    trials = len(rngs)
     raw = np.empty((trials, width * sum(sizes)))
     for row, rng in zip(raw, rngs):
         _fill_raw(rng, row, sizes, mode)
@@ -261,14 +345,29 @@ def draw_trial_block(rngs, num_ores: int, num_interferers: int, geom: Geometry,
     return ChannelRealization(direct=direct, ris_to_bs=ris_to_bs, user_to_ris=user_to_ris)
 
 
+def draw_trial_block(seeds, num_ores: int, num_interferers: int, geom: Geometry,
+                     fading: FadingConfig, num_elements: int) -> ChannelRealization:
+    """Draw one realization per seed, stacked along the ORE axis.
+
+    Each seed is an integer in [0, 2^64), and its stream is exactly that of
+    ``np.random.default_rng(seed)``, so the result is byte-identical to
+    ``stack_realizations([draw_link_channels(np.random.default_rng(s), ...)
+    for s in seeds])``.  The seeds are mixed into PCG64 states in one
+    vectorized pass, and one reused generator is set to each state in turn.
+    """
+    states = _pcg64_states(seeds)
+    return _draw_block(_streams(states), len(states), num_ores, num_interferers,
+                       geom, fading, num_elements)
+
+
 def draw_link_channels(rng: np.random.Generator, num_ores: int, num_interferers: int,
                        geom: Geometry, fading: FadingConfig,
                        num_elements: int) -> ChannelRealization:
-    """Draw coefficients for explicit (R, d_f, N) dimensions: the one-generator
-    case of :func:`draw_trial_block`, so a given seed pins the realization bit
-    for bit."""
-    return draw_trial_block((rng,), num_ores, num_interferers, geom, fading,
-                            num_elements)
+    """Draw coefficients for explicit (R, d_f, N) dimensions from ``rng``, in
+    the stream order of :func:`draw_trial_block`, so a given seed pins the
+    realization bit for bit."""
+    return _draw_block((rng,), 1, num_ores, num_interferers, geom, fading,
+                       num_elements)
 
 
 def draw_channels(rng: np.random.Generator, graph: FactorGraph, geom: Geometry,

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .campaign import run_campaign, trial_seed
-from .channel import FadingConfig, Geometry, draw_link_channels
+from .channel import (FadingConfig, Geometry, draw_link_channels,
+                      draw_trial_block, stack_realizations)
 from .config import ConfigError, config_from_document, config_hash, parse_config
 from .opcount import OpCount, measured_run, predicted_ao, predicted_lc_ao
 from .optimizer import (PhaseAlphabet, ao_optimize, blind_phases,
@@ -238,6 +239,19 @@ def _cmd_selftest(args) -> int:
         ok = ok and measured_run("ao", ch, alpha, t) == predicted_ao(r, n, b, df, t)
         ok = ok and measured_run("lc_ao", ch, alpha, t) == predicted_lc_ao(r, n, b, df, t)
     failures += _report("measured operation counts match closed forms", ok)
+
+    seeds = [0, 2**64 - 1] + [trial_seed(0, 1, i) for i in range(62)]
+    ok = True
+    for mode in ("random", "common"):
+        mode_fading = FadingConfig(los_phase=mode)
+        block = draw_trial_block(seeds, 2, 3, geom, mode_fading, 4)
+        ref = stack_realizations([
+            draw_link_channels(np.random.default_rng(s), 2, 3, geom, mode_fading, 4)
+            for s in seeds])
+        ok = ok and all(getattr(block, name).tobytes() == getattr(ref, name).tobytes()
+                        for name in ("direct", "ris_to_bs", "user_to_ris"))
+    failures += _report("seeded block draw equals per-seed default_rng draws "
+                        "(64 seeds, both LoS modes)", ok)
 
     print(f"selftest: {'PASS' if failures == 0 else 'FAIL'}")
     return 0 if failures == 0 else 1

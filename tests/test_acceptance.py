@@ -52,11 +52,10 @@ def equivalence_runs():
     sequences = []
     for index, (n, b, df, r, t) in enumerate(combos):
         # Nine draws: five under library fading, then four calibrated.
-        rngs = [np.random.default_rng(trial_seed(20240811, 0, 9 * index + j))
-                for j in range(1, 10)]
+        seeds = [trial_seed(20240811, 0, 9 * index + j) for j in range(1, 10)]
         ch = stack_realizations([
-            draw_trial_block(rngs[:5], r, df, GEOM, LIBRARY_FADING, n),
-            draw_trial_block(rngs[5:], r, df, GEOM, CALIBRATED_FADING, n)])
+            draw_trial_block(seeds[:5], r, df, GEOM, LIBRARY_FADING, n),
+            draw_trial_block(seeds[5:], r, df, GEOM, CALIBRATED_FADING, n)])
         instances += 9
         alpha = PhaseAlphabet.from_bits(b)
         log_ao, log_lc = [], []
@@ -233,8 +232,8 @@ def bits_sweep_paired():
     batch = 256
 
     def draw(lo, hi):
-        return draw_trial_block([np.random.default_rng(trial_seed(7_000, 0, i))
-                                 for i in range(lo, hi)], 4, 3, GEOM, fad, n)
+        return draw_trial_block([trial_seed(7_000, 0, i) for i in range(lo, hi)],
+                                4, 3, GEOM, fad, n)
 
     for start in range(0, trials, batch):
         stop = min(start + batch, trials)

@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from ris_scma.campaign import trial_seed
 from ris_scma.channel import (SPEED_OF_LIGHT, FadingConfig, Geometry,
-                              cascaded_path_loss, direct_path_loss,
-                              draw_channels, draw_link_channels,
-                              draw_trial_block, rician_small_scale)
+                              _pcg64_states, _streams, cascaded_path_loss,
+                              direct_path_loss, draw_channels,
+                              draw_link_channels, draw_trial_block,
+                              rician_small_scale)
 from ris_scma.factor_graph import ScmaConfig, build_factor_graph
 
 # Frequency chosen so the wavelength is exactly 0.125 m.
@@ -183,18 +186,33 @@ def test_trial_block_matches_reference_formula(geom):
                 for scale in (0.0, 0.0025):
                     fading = FadingConfig(rician_factor=k, los_phase=mode,
                                           direct_loss_scale=scale)
-                    ch = draw_trial_block([np.random.default_rng(s) for s in seeds],
-                                          4, 3, geom, fading, n)
+                    ch = draw_trial_block(seeds, 4, 3, geom, fading, n)
                     ref = _reference_block(seeds, 4, 3, geom, fading, n)
                     assert ch.user_to_ris.shape == ref[2].shape
                     assert _block_bytes(ch) == [a.tobytes() for a in ref], (mode, k, n, scale)
     # Splitting a block leaves every byte where it was.
     fading = FadingConfig(los_phase="common", direct_loss_scale=0.0025)
-    whole = draw_trial_block([np.random.default_rng(s) for s in range(256)],
-                             4, 3, geom, fading, 8)
-    pieces = [draw_trial_block([np.random.default_rng(s) for s in range(lo, hi)],
-                               4, 3, geom, fading, 8)
+    whole = draw_trial_block(range(256), 4, 3, geom, fading, 8)
+    pieces = [draw_trial_block(range(lo, hi), 4, 3, geom, fading, 8)
               for lo, hi in ((0, 1), (1, 8), (8, 256))]
     assert _block_bytes(whole) == [b"".join(p) for p in zip(*map(_block_bytes, pieces))]
-    with pytest.raises(ValueError, match="generator"):
+
+
+def test_seeded_streams_equal_default_rng(geom, fading):
+    # A numpy release that changes SeedSequence or PCG64 seeding fails here
+    # before any golden file does.
+    seeds = [trial_seed(s, g, t) for s in (0, 12345) for g in range(3)
+             for t in range(1000)] + [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    streams = _streams(_pcg64_states(seeds))
+    for seed, rng in zip(seeds, streams):
+        ref = np.random.default_rng(seed)
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
+        assert np.array_equal(rng.standard_normal(300), ref.standard_normal(300)), seed
+        assert np.array_equal(rng.uniform(-math.pi, math.pi, 50),
+                              ref.uniform(-math.pi, math.pi, 50)), seed
+    assert next(streams, None) is None
+    for bad in (-1, 2**64, 1.0, "7", True, None):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            draw_trial_block([5, bad], 4, 3, geom, fading, 8)
+    with pytest.raises(ValueError, match="at least one seed"):
         draw_trial_block([], 4, 3, geom, fading, 8)

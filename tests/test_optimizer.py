@@ -3,9 +3,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_channels
-from ris_scma.channel import FadingConfig, draw_link_channels
+from ris_scma.channel import (ChannelRealization, FadingConfig, Geometry,
+                              draw_link_channels, draw_trial_block)
 from ris_scma.opcount import OpCount
 from ris_scma.optimizer import (PhaseAlphabet, PhaseAssignment, SnrReport,
                                 ao_optimize, blind_phases, build_lc_workspace,
@@ -456,3 +459,50 @@ def test_composite_channel_shape_mismatch(geom, fading):
     bad = blind_phases(PhaseAlphabet.from_bits(1), 2, 4)
     with pytest.raises(ValueError, match="does not match"):
         composite_channel(ch, bad)
+
+
+# ---------------------------------------------------------------------------
+# Degenerate channels
+
+
+@st.composite
+def degenerate_channels(draw):
+    """A one-trial draw with any of: no direct link, pure common LoS (K = inf,
+    so every coefficient has the same phase), N = 1, an element whose column
+    is all zero, and an element whose column duplicates another's."""
+    n = draw(st.integers(1, 4))
+    df = draw(st.integers(1, 3))
+    fading = FadingConfig(
+        rician_factor=draw(st.sampled_from([1.0, math.inf])),
+        los_phase=draw(st.sampled_from(["random", "common"])),
+        direct_loss_scale=draw(st.sampled_from([0.0, 0.0025])))
+    ch = draw_trial_block([draw(st.integers(0, 2**64 - 1))], draw(st.integers(1, 3)),
+                          df, Geometry(40.0, 1.5, 2.0, 2.4e9), fading, n)
+    ris_to_bs, user_to_ris = ch.ris_to_bs.copy(), ch.user_to_ris.copy()
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        ris_to_bs[:, dst], user_to_ris[:, dst] = ris_to_bs[:, src], user_to_ris[:, src]
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, n - 1))
+        ris_to_bs[:, zero], user_to_ris[:, zero] = 0.0, 0.0
+    return ChannelRealization(direct=ch.direct, ris_to_bs=ris_to_bs,
+                              user_to_ris=user_to_ris), fading
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(case=degenerate_channels(), bits=st.integers(1, 3), sweeps=st.integers(1, 3))
+def test_degenerate_channels_keep_invariants(case, bits, sweeps):
+    ch, fading = case
+    alpha = PhaseAlphabet.from_bits(bits)
+    log = []
+    kernel = ao_optimize(ch, alpha, sweeps, update_log=log)
+    for optimize in (ao_optimize, lc_ao_optimize):
+        counted = optimize(ch, alpha, sweeps, counter=OpCount())
+        assert np.array_equal(kernel.indices, counted.indices), optimize.__name__
+    blind = blind_phases(alpha, ch.num_ores, ch.num_elements)
+    start = np.abs(composite_channel(ch, blind)) ** 2
+    objs = np.array([rec.objective for rec in log]).reshape(-1, ch.num_ores)
+    path = np.vstack([start.sum(axis=1), objs])
+    assert (path[1:] >= path[:-1] * (1.0 - 1e-12)).all()
+    for phases in (kernel, blind):
+        assert np.isfinite(received_snr(ch, phases, fading).per_ore_linear).all()

@@ -1,10 +1,10 @@
-"""Layer benchmark for ris_scma: the seeding and channel-draw layers.
+"""Layer benchmark for ris_scma: the seeding, channel-draw and ascent layers.
 
 Run from the root of a source checkout (``src`` is put on the path here):
 
     python3 bench/run_bench.py --output report.json
 
-Both layers use 256-trial blocks of campaign child seeds (``trial_seed``) and
+Every layer uses 256-trial blocks of campaign child seeds (``trial_seed``) and
 calibrated fading (R=4, d_f=3, common-phase LoS).
 
 * Seeding: the vectorized seed-to-stream pass that ``draw_trial_block`` runs
@@ -13,6 +13,9 @@ calibrated fading (R=4, d_f=3, common-phase LoS).
 * Channel draw, at N in {16, 64, 256}: ``draw_trial_block(seeds, ...)``
   against stacking one ``draw_link_channels(np.random.default_rng(seed),
   ...)`` per seed; both start from the seeds and must give the same bytes.
+* Ascent kernel, at N in {16, 64, 256}: ``optimizer._ascent`` (the kernel
+  behind ``ao_optimize``/``lc_ao_optimize``) on one block's 1024 ORE rows at
+  b=3, T=3, also given per element step (one update of element n on every row).
 
 Each timing is the median of that layer's repeats.  The JSON report (medians
 plus Python, numpy, BLAS and core count) goes to stdout and, with
@@ -37,11 +40,14 @@ from ris_scma.campaign import trial_seed                               # noqa: E
 from ris_scma.channel import (FadingConfig, Geometry, _pcg64_states,   # noqa: E402
                               _streams, draw_link_channels,
                               draw_trial_block, stack_realizations)
+from ris_scma.optimizer import PhaseAlphabet, _ascent                 # noqa: E402
 
 TRIALS = 256
 ELEMENTS = (16, 64, 256)
 DRAW_REPEATS = 7
 SEED_REPEATS = 51
+ASCENT_REPEATS = 9
+ASCENT_BITS, ASCENT_SWEEPS = 3, 3
 NUM_ORES, NUM_INTERFERERS = 4, 3
 GEOM = Geometry(40.0, 1.5, 2.0, 2.4e9)
 FADING = FadingConfig(los_phase="common", direct_loss_scale=0.0025)
@@ -132,6 +138,25 @@ def draw_layer() -> dict:
             "results": rows}
 
 
+def ascent_layer() -> dict:
+    alphabet = PhaseAlphabet.from_bits(ASCENT_BITS)
+    rows = []
+    for n in ELEMENTS:
+        ch = _block(_seeds(n), n)
+        kernel_s, _ = _median_seconds(
+            lambda r: _ascent(ch, alphabet, ASCENT_SWEEPS, None, None), ASCENT_REPEATS)
+        step_us = kernel_s / (ASCENT_SWEEPS * n) * 1e6
+        rows.append({"num_elements": n, "trials": TRIALS,
+                     "ore_rows": ch.num_ores, "ascent_s": kernel_s,
+                     "element_step_us": step_us})
+        print(f"N={n}: _ascent {kernel_s * 1e3:.2f} ms per block, {step_us:.1f} us "
+              f"per element step on {ch.num_ores} rows, median of {ASCENT_REPEATS}",
+              file=sys.stderr)
+    return {"repeats": ASCENT_REPEATS, "bits": ASCENT_BITS,
+            "iterations": ASCENT_SWEEPS, "num_interferers": NUM_INTERFERERS,
+            "results": rows}
+
+
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": sys.version.split()[0], "numpy": np.__version__,
@@ -143,7 +168,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, help="also write the report here")
     args = parser.parse_args(argv)
-    report = {"layers": {"seeding": seeding_layer(), "channel_draw": draw_layer()},
+    report = {"layers": {"seeding": seeding_layer(), "channel_draw": draw_layer(),
+                         "ascent": ascent_layer()},
               "environment": environment()}
     text = json.dumps(report, indent=2) + "\n"
     if args.output is not None:

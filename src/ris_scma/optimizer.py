@@ -289,29 +289,45 @@ def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
     only in 2 Re{e^{-j phi} sum_i xi_{n,i} conj(base_i)}: the cached score,
     at O(d_f) per element instead of O(N d_f).  w is recomputed at the start
     of every sweep, so rounding drift never spans more than one sweep.
+
+    The state is stored element-major, ORE last: xi is one C-contiguous
+    (N, d_f, R) array, v is (N, R) and w/base are (d_f, R), so every step
+    works on contiguous rows of length R; the indices stay (R, N).  Every
+    float is the same complex operation on the same operands as in an
+    ORE-major (R, N, d_f) layout, so the selections do not depend on the
+    layout.  The one choice of order is the score's sum over the d_f
+    addends, taken left to right: numpy's ``sum(axis=1)`` over an
+    ORE-major row does the same for d_f <= 3 but pairs the addends for
+    d_f >= 4, where the two can differ in the last bit.
     """
     num_ores, num_elem = ch.num_ores, ch.num_elements
+    df = ch.user_to_ris.shape[2]
     rot = alphabet.rotations
     idx = np.full((num_ores, num_elem), alphabet.zero_index, dtype=np.int64)
-    v = np.full((num_ores, num_elem), rot[alphabet.zero_index], dtype=np.complex128)
-    xi = _cascaded_paths(ch)                                  # (R, N, d_f)
+    v = np.full((num_elem, num_ores), rot[alphabet.zero_index], dtype=np.complex128)
+    xi = np.empty((num_elem, df, num_ores), dtype=np.complex128)
+    np.multiply(ch.ris_to_bs.T[:, None, :], ch.user_to_ris.transpose(1, 2, 0), out=xi)
+    direct = ch.direct.T
     for t in range(iterations):
         if snapshots is not None and t in snapshots:
             # The smallest index dtype: R * N int64 copies would raise peak memory.
             compact = idx.astype(np.min_scalar_type(alphabet.size - 1))
             snapshots[t] = PhaseAssignment(alphabet=alphabet, indices=compact)
-        w = np.einsum("rn,rni->ri", v, xi) + ch.direct
+        w = np.einsum("nr,nir->ir", v, xi) + direct
         for n in range(num_elem):
-            xi_n = xi[:, n, :]
-            base = w - v[:, n, None] * xi_n
-            term3 = (xi_n * np.conj(base)).sum(axis=1)
-            scores = (rot[None, :] * term3[:, None]).real       # (R, 2^b)
-            sel = scores.argmax(axis=1)                          # first max wins
+            xi_n = xi[n]
+            base = w - v[n] * xi_n
+            p = xi_n * np.conj(base)
+            term3 = p[0]
+            for i in range(1, df):
+                term3 = term3 + p[i]
+            sel = (rot[:, None] * term3).real.argmax(axis=0)   # first max wins
             idx[:, n] = sel
-            v[:, n] = rot[sel]
-            w = base + v[:, n, None] * xi_n
+            v[n] = rot[sel]
+            w = base + v[n] * xi_n
             if update_log is not None:
-                norms = _sq_norms(w)
+                # An (R, d_f) copy: summed in the order _sq_norms uses elsewhere.
+                norms = _sq_norms(np.ascontiguousarray(w.T))
                 update_log.extend(
                     UpdateRecord(r, t, n, float(norms[r])) for r in range(num_ores))
     phases = PhaseAssignment(alphabet=alphabet, indices=idx)

@@ -1,11 +1,19 @@
-"""Layer benchmark for ris_scma: the seeding, channel-draw and ascent layers.
+"""Layer benchmark for ris_scma: start-up, fan-out, seeding, channel draw, ascent.
 
 Run from the root of a source checkout (``src`` is put on the path here):
 
     python3 bench/run_bench.py --output report.json
 
-Every layer uses 256-trial blocks of campaign child seeds (``trial_seed``) and
-calibrated fading (R=4, d_f=3, common-phase LoS).
+* Start-up: fresh interpreters running ``pass``, ``import numpy`` and
+  ``import ris_scma.cli``, in alternating order, with the medians and the
+  standard-library modules the package imports beyond numpy.
+* Fan-out: whole campaigns in this process at 1 and 2 workers, alternating,
+  with their result bytes compared: the benchmark's ``draw_bound_deploy``
+  workload (112 blocks) and the ``fig5b`` preset at 2000 trials (32 blocks).
+
+The seeding, channel-draw and ascent layers use 256-trial blocks of campaign
+child seeds (``trial_seed``) and calibrated fading (R=4, d_f=3, common-phase
+LoS).
 
 * Seeding: the vectorized seed-to-stream pass that ``draw_trial_block`` runs
   (every seed's PCG64 state, set in turn on one reused generator) against
@@ -18,8 +26,9 @@ calibrated fading (R=4, d_f=3, common-phase LoS).
   b=3, T=3, also given per element step (one update of element n on every row).
 
 Each timing is the median of that layer's repeats.  The JSON report (medians
-plus Python, numpy, BLAS and core count) goes to stdout and, with
-``--output``, to that file.
+plus Python, numpy, BLAS, core count and ``PYTHONDONTWRITEBYTECODE``, which
+decides whether each fresh process recompiles the package) goes to stdout and,
+with ``--output``, to that file.
 """
 
 from __future__ import annotations
@@ -28,20 +37,40 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np                                                    # noqa: E402
 
-from ris_scma.campaign import trial_seed                               # noqa: E402
+from ris_scma.campaign import _plan_blocks, run_campaign, trial_seed   # noqa: E402
 from ris_scma.channel import (FadingConfig, Geometry, _pcg64_states,   # noqa: E402
                               _streams, draw_link_channels,
                               draw_trial_block, stack_realizations)
+from ris_scma.cli import FIGURE_PRESETS                                # noqa: E402
+from ris_scma.config import config_from_document, config_hash, parse_config  # noqa: E402
 from ris_scma.optimizer import PhaseAlphabet, _ascent                 # noqa: E402
+from ris_scma.writers import result_to_csv_text, result_to_json_text  # noqa: E402
+from workloads import DEFAULT_SEED, WORKLOADS                         # noqa: E402
 
+STARTUP_REPEATS = 25
+STARTUP_CODE = {"interpreter": "pass", "numpy": "import numpy",
+                "ris_scma.cli": "import ris_scma.cli"}
+ADDED_MODULES_CODE = (
+    "import sys\n"
+    "import numpy\n"
+    "before = set(sys.modules)\n"
+    "import ris_scma.cli\n"
+    "added = sorted(m for m in set(sys.modules) - before\n"
+    "               if m.partition('.')[0] not in ('ris_scma', 'numpy'))\n"
+    "print(' '.join(added))\n")
+FAN_OUT_REPEATS = 7
 TRIALS = 256
 ELEMENTS = (16, 64, 256)
 DRAW_REPEATS = 7
@@ -65,6 +94,69 @@ def _median_seconds(run, repeats: int) -> tuple:
         result = run(repeat)
         times.append(time.perf_counter() - start)
     return statistics.median(times), result
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+
+
+def startup_layer() -> dict:
+    times = {name: [] for name in STARTUP_CODE}
+    names = list(STARTUP_CODE)
+    for repeat in range(STARTUP_REPEATS):
+        # Rotate the order so no kind always runs first after a pause.
+        for name in names[repeat % 3:] + names[:repeat % 3]:
+            start = time.perf_counter()
+            _python(STARTUP_CODE[name])
+            times[name].append(time.perf_counter() - start)
+    medians = {name: statistics.median(t) for name, t in times.items()}
+    added = _python(ADDED_MODULES_CODE).stdout.split()
+    print("start-up: " + ", ".join(f"{name} {s * 1e3:.1f} ms"
+                                   for name, s in medians.items())
+          + f", median of {STARTUP_REPEATS}; the package adds {len(added)} "
+          "stdlib modules beyond numpy", file=sys.stderr)
+    return {"repeats": STARTUP_REPEATS,
+            "median_s": medians,
+            "numpy_over_interpreter_s": medians["numpy"] - medians["interpreter"],
+            "package_over_numpy_s": medians["ris_scma.cli"] - medians["numpy"],
+            "stdlib_modules_added_beyond_numpy": added}
+
+
+def _fan_out_campaigns() -> dict:
+    deploy = parse_config(WORKLOADS["draw_bound_deploy"].config_text(DEFAULT_SEED))
+    fig5b = config_from_document({**FIGURE_PRESETS["fig5b"], "num_trials": 2000})
+    return {"draw_bound_deploy": deploy, "fig5b_2000_trials": fig5b}
+
+
+def _campaign_bytes(cfg, workers: int) -> tuple:
+    result = run_campaign(replace(cfg.campaign, workers=workers),
+                          config_hash=config_hash(cfg))
+    return result_to_csv_text(result), result_to_json_text(result)
+
+
+def fan_out_layer() -> dict:
+    rows = []
+    for name, cfg in _fan_out_campaigns().items():
+        times, outputs = {1: [], 2: []}, {}
+        for repeat in range(FAN_OUT_REPEATS):
+            for workers in ((1, 2) if repeat % 2 == 0 else (2, 1)):
+                start = time.perf_counter()
+                outputs[workers] = _campaign_bytes(cfg, workers)
+                times[workers].append(time.perf_counter() - start)
+        if outputs[1] != outputs[2]:
+            raise SystemExit(f"{name}: 1- and 2-worker result bytes differ")
+        one, two = statistics.median(times[1]), statistics.median(times[2])
+        rows.append({"campaign": name, "blocks": len(_plan_blocks(cfg.campaign)),
+                     "one_worker_s": one, "two_workers_s": two,
+                     "speedup": one / two, "bytes_equal": True})
+        print(f"{name}: 1 worker {one:.3f} s, 2 workers {two:.3f} s "
+              f"({one / two:.2f}x), median of {FAN_OUT_REPEATS}, bytes equal",
+              file=sys.stderr)
+    return {"repeats": FAN_OUT_REPEATS, "results": rows}
 
 
 def _seed_vectorized(seeds) -> int:
@@ -161,14 +253,17 @@ def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": sys.version.split()[0], "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
-            "cpu_count": os.cpu_count()}
+            "cpu_count": os.cpu_count(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, help="also write the report here")
     args = parser.parse_args(argv)
-    report = {"layers": {"seeding": seeding_layer(), "channel_draw": draw_layer(),
+    # Fan-out runs before the big draws, so the pool forks a small process.
+    report = {"layers": {"startup": startup_layer(), "fan_out": fan_out_layer(),
+                         "seeding": seeding_layer(), "channel_draw": draw_layer(),
                          "ascent": ascent_layer()},
               "environment": environment()}
     text = json.dumps(report, indent=2) + "\n"

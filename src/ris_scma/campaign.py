@@ -16,7 +16,6 @@ by completion order.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -48,6 +47,8 @@ AXIS_BY_SCENARIO = {
 COMPLEXITY_AXES = ("num_elements", "phase_bits")
 
 _TRIAL_BATCH = 256
+# Blocks go to pool processes in contiguous chunks, about this many per process.
+_CHUNKS_PER_PROCESS = 4
 
 
 @dataclass(frozen=True)
@@ -266,13 +267,21 @@ def run_campaign(campaign: Campaign, config_hash: str = "") -> CampaignResult:
     Deterministic for a fixed master seed: trials are indexed, not streamed,
     so the worker count never changes the numbers.  ``complexity_grid`` runs
     no trials and reports only the operation counts.
+
+    A process pool starts only when ``workers > 1`` and the plan has at least
+    two blocks; it gets ``min(workers, blocks)`` processes and takes the blocks
+    in contiguous chunks, about ``_CHUNKS_PER_PROCESS`` per process.  Any other
+    run works in this process and never imports the pool.
     """
     counts_only = campaign.scenario == "complexity_grid"
     blocks = [] if counts_only else _plan_blocks(campaign)
     args = ([campaign] * len(blocks), *zip(*blocks))
-    if campaign.workers > 1:
-        with ProcessPoolExecutor(max_workers=campaign.workers) as pool:
-            partials = list(pool.map(_trial_block, *args))
+    processes = min(campaign.workers, len(blocks))
+    if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        chunksize = -(-len(blocks) // (_CHUNKS_PER_PROCESS * processes))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            partials = list(pool.map(_trial_block, *args, chunksize=chunksize))
     else:
         partials = list(map(_trial_block, *args))
     per_cell = {}

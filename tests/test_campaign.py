@@ -1,6 +1,10 @@
+import concurrent.futures
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +44,98 @@ def test_rerun_is_bit_identical():
     assert a == b
 
 
+def chunked_campaign(workers):
+    # 3 offsets x 1100 trials: 15 blocks, each offset's last one of 76 trials.
+    return small_campaign(scenario="deploy_sweep", sweep={"grid": [2.0, 20.0, 38.0]},
+                          num_elements=2, num_trials=1100,
+                          algorithms=["blind", "ao"], workers=workers)
+
+
+def recording_pool(monkeypatch):
+    """Swap in an executor that runs its tasks in this process and records
+    each pool's process count, chunk size and task count."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append({"processes": max_workers})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            tasks = list(zip(*iterables))
+            pools[-1].update(chunksize=chunksize, tasks=len(tasks))
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
 def test_worker_count_does_not_change_results():
-    base = run_campaign(small_campaign(num_trials=90))
-    multi = run_campaign(small_campaign(num_trials=90, workers=2))
-    for x, y in zip(base.rows, multi.rows):
-        assert x == y
+    # 90 trials are two blocks, one per process; the deploy plan's 15 blocks
+    # go out in chunks of several, the last chunk short.
+    for campaign in (lambda w: small_campaign(num_trials=90, workers=w),
+                     chunked_campaign):
+        base = run_campaign(campaign(1))
+        multi = run_campaign(campaign(2))
+        assert len(base.rows) == len(multi.rows)
+        for x, y in zip(base.rows, multi.rows):
+            assert x == y
+
+
+@pytest.mark.parametrize("workers", [2, 3, 64])
+def test_pool_gets_one_process_per_block_at_most(monkeypatch, workers):
+    pools = recording_pool(monkeypatch)
+    run_campaign(chunked_campaign(workers))
+    assert len(pools) == 1
+    pool = pools[0]
+    assert pool["processes"] == min(workers, 15) and pool["tasks"] == 15
+    chunks = -(-pool["tasks"] // pool["chunksize"])
+    assert chunks >= pool["processes"]      # no process is left without work
+    if workers == 2:
+        # what test_worker_count_does_not_change_results runs in real
+        # processes: chunks of several blocks, the last one short
+        assert pool["chunksize"] > 1 and pool["tasks"] % pool["chunksize"]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sweep": {"grid": [4]}},
+    {"scenario": "complexity_grid", "sweep": {"grid": [4, 8]}, "algorithms": ["ao"]},
+], ids=["one_block", "complexity_grid"])
+def test_no_pool_without_two_blocks(monkeypatch, overrides):
+    pools = recording_pool(monkeypatch)
+    run_campaign(small_campaign(**overrides, workers=2))
+    assert pools == []
+
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+ONE_PROCESS_RUNS = {
+    "import_cli": "import ris_scma.cli",
+    "one_block_campaign_at_two_workers": (
+        "from ris_scma.campaign import run_campaign\n"
+        "from ris_scma.config import campaign_from_config, config_from_document\n"
+        "run_campaign(campaign_from_config(config_from_document(\n"
+        "    {'scenario': 'n_sweep', 'sweep': {'grid': [4]}, 'num_elements': 4,\n"
+        "     'num_trials': 40, 'workers': 2})))"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PROCESS_RUNS))
+def test_one_process_runs_never_import_the_pool(case):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = (ONE_PROCESS_RUNS[case] + "\nimport sys\n"
+            f"loaded = [m for m in {POOL_MODULES!r} if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_paired_gain_nonnegative_everywhere():

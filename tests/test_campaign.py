@@ -80,11 +80,7 @@ def test_worker_count_does_not_change_results():
     # go out in chunks of several, the last chunk short.
     for campaign in (lambda w: small_campaign(num_trials=90, workers=w),
                      chunked_campaign):
-        base = run_campaign(campaign(1))
-        multi = run_campaign(campaign(2))
-        assert len(base.rows) == len(multi.rows)
-        for x, y in zip(base.rows, multi.rows):
-            assert x == y
+        assert run_campaign(campaign(2)).rows == run_campaign(campaign(1)).rows
 
 
 @pytest.mark.parametrize("workers", [2, 3, 64])

@@ -10,12 +10,10 @@ accounting), :mod:`~ris_scma.campaign` (seeded Monte Carlo experiments),
 """
 
 from .campaign import (Campaign, CampaignResult, DeploymentProfile, ResultRow,
-                       deploy_sweep_profile, run_campaign,
-                       synthesize_received_signal, trial_seed)
+                       deploy_sweep_profile, run_campaign, trial_seed)
 from .channel import (ChannelRealization, FadingConfig, Geometry,
                       cascaded_path_loss, direct_path_loss, draw_channels,
-                      draw_link_channels, draw_trial_block,
-                      rician_small_scale, stack_realizations)
+                      draw_link_channels, draw_trial_block, stack_realizations)
 from .config import (ConfigError, RunConfig, campaign_from_config,
                      config_from_document, config_hash, parse_config,
                      serialize_config)

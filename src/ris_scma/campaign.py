@@ -16,22 +16,21 @@ by completion order.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .channel import (ChannelRealization, FadingConfig, Geometry,
-                      draw_trial_block)
+from .channel import FadingConfig, Geometry, draw_trial_block
 # Not called here any more; the benchmark's tracer swaps these two names on
 # this module by name, so they must stay importable from it.
 from .channel import draw_link_channels, stack_realizations  # noqa: F401
 from .factor_graph import ScmaConfig, build_factor_graph
 from .opcount import (OpCount, predicted_ao, predicted_exhaustive,
                       predicted_lc_ao)
-from .optimizer import (DEFAULT_EXHAUSTIVE_BUDGET, PhaseAlphabet,
-                        PhaseAssignment, ao_optimize, blind_phases,
-                        composite_channel, db_from_linear, exhaustive_optimize,
+from .optimizer import (DEFAULT_EXHAUSTIVE_BUDGET, PhaseAlphabet, ao_optimize,
+                        blind_phases, db_from_linear, exhaustive_optimize,
                         lc_ao_optimize, no_ris_snr, received_snr)
 
 SCENARIOS = ("deploy_sweep", "bits_sweep", "n_sweep", "convergence", "complexity_grid")
@@ -242,19 +241,28 @@ def _aggregate(campaign: Campaign, axis_value, algorithm: str,
     trials, mean_lin, mean_db, stderr_db = 0, None, None, None
     if per_trial is not None:
         trials = per_trial.size
-        mean_lin = float(per_trial.mean())
-        if campaign.average_mode == "db_of_mean":
-            mean_db = db_from_linear(mean_lin)
-            if trials > 1 and mean_lin > 0:
-                stderr = float(per_trial.std(ddof=1) / np.sqrt(trials))
-                stderr_db = float(10.0 / np.log(10.0) * stderr / mean_lin)
+        # Non-finite statistics are refused below, so numpy need not warn.
+        with np.errstate(all="ignore"):
+            mean_lin = float(per_trial.mean())
+            if campaign.average_mode == "db_of_mean":
+                mean_db = db_from_linear(mean_lin)
+                if trials > 1 and mean_lin > 0:
+                    stderr = float(per_trial.std(ddof=1) / np.sqrt(trials))
+                    stderr_db = float(10.0 / np.log(10.0) * stderr / mean_lin)
+                else:
+                    stderr_db = 0.0
             else:
-                stderr_db = 0.0
-        else:
-            with np.errstate(divide="ignore"):
                 per_db = 10.0 * np.log10(per_trial)
-            mean_db = float(per_db.mean())
-            stderr_db = float(per_db.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+                mean_db = float(per_db.mean())
+                stderr_db = float(per_db.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+        if not all(map(math.isfinite, (mean_lin, mean_db, stderr_db))):
+            fading = campaign.fading
+            raise ValueError(
+                f"{algorithm} at {campaign.sweep_axis} = {axis_value}: the "
+                f"{campaign.average_mode} SNR mean or standard error is not finite "
+                f"(linear mean {mean_lin:g}); the link budget symbol_energy / "
+                f"noise_variance = {fading.symbol_energy:g} / "
+                f"{fading.noise_variance:g} is out of range")
     return ResultRow(axis_value=float(axis_value), algorithm=algorithm,
                      trials=trials, mean_linear=mean_lin, mean_snr_db=mean_db,
                      stderr_db=stderr_db, real_adds=ops.real_additions,
@@ -330,6 +338,8 @@ def deploy_sweep_profile(result: CampaignResult,
     """Locate the best offsets and check the endpoint-high, middle-low shape."""
     if result.scenario != "deploy_sweep":
         raise ValueError(f"expected a deploy_sweep result, got {result.scenario!r}")
+    if algorithm not in result.algorithms:
+        raise ValueError(f"the result has no {algorithm!r} rows; it has {result.algorithms}")
     curve = [(row.axis_value, row.mean_snr_db) for row in result.rows
              if row.algorithm == algorithm]
     if len(curve) < 3:
@@ -345,18 +355,3 @@ def deploy_sweep_profile(result: CampaignResult,
                              interior_min_offset=xs[k],
                              is_endpoint_high=interior and endpoint_high)
 
-
-def synthesize_received_signal(ch: ChannelRealization, phases: PhaseAssignment,
-                               codewords: np.ndarray, fading: FadingConfig,
-                               rng: np.random.Generator) -> np.ndarray:
-    """One noisy received scalar per ORE: composite row times the codeword
-    column plus CN(0, sigma^2) noise.  End-to-end sanity hook only."""
-    codewords = np.asarray(codewords)
-    if codewords.shape != (ch.num_ores, ch.num_interferers):
-        raise ValueError(
-            f"codewords must be (R, d_f) = ({ch.num_ores}, {ch.num_interferers}), "
-            f"got {codewords.shape}")
-    w = composite_channel(ch, phases)
-    noise = (rng.standard_normal(ch.num_ores) + 1j * rng.standard_normal(ch.num_ores)) \
-        * np.sqrt(fading.noise_variance / 2.0)
-    return (w * codewords).sum(axis=1) + noise

@@ -152,14 +152,6 @@ class ChannelRealization:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _raw_width(los_phase: str) -> int:
-    """Raw stream values per coefficient: LoS phase (random mode only), then
-    the real and imaginary diffuse parts."""
-    if los_phase not in LOS_PHASE_MODES:
-        raise ValueError(f"los_phase must be one of {LOS_PHASE_MODES}, got {los_phase!r}")
-    return 3 if los_phase == "random" else 2
-
-
 def _fill_raw(rng: np.random.Generator, row: np.ndarray, sizes: tuple,
               los_phase: str) -> None:
     """Consume one generator's stream into ``row`` for coefficient groups of
@@ -207,17 +199,6 @@ def _rician_transform(raw: np.ndarray, out: np.ndarray, k_factor: float,
     diffuse *= dw
     np.add(los_re, diffuse[:, :m], out=parts[..., 0])
     np.add(los_im, diffuse[:, m:], out=parts[..., 1])
-
-
-def rician_small_scale(rng: np.random.Generator, shape: tuple,
-                       k_factor: float, los_phase: str = "random") -> np.ndarray:
-    """Unit-power Rician coefficients; K=0 is Rayleigh, K=inf pure LoS."""
-    m = int(np.prod(shape))
-    raw = np.empty((1, _raw_width(los_phase) * m))
-    _fill_raw(rng, raw[0], (m,), los_phase)
-    out = np.empty((1, m), dtype=np.complex128)
-    _rician_transform(raw, out, k_factor, los_phase)
-    return out.reshape(shape)
 
 
 # numpy's SeedSequence (pool of four 32-bit words) and PCG64 seeding
@@ -321,7 +302,9 @@ def _draw_block(rngs, trials: int, num_ores: int, num_interferers: int,
     if num_elements < 1:
         raise ValueError(f"num_elements must be >= 1, got {num_elements}")
     mode = fading.los_phase
-    width = _raw_width(mode)
+    # Raw stream values per coefficient: LoS phase (random mode only), then
+    # the real and imaginary diffuse parts.
+    width = 3 if mode == "random" else 2
     shapes = ((num_ores, num_interferers), (num_ores, num_elements),
               (num_ores, num_elements, num_interferers))
     sizes = tuple(math.prod(s) for s in shapes)

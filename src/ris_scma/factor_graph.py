@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -17,8 +16,8 @@ class ScmaConfig:
     ``num_users`` sparse codebooks share ``num_ores`` orthogonal resource
     elements (OREs).  Each user occupies ``nonzero_per_user`` OREs and each
     ORE carries ``nonzero_per_ore`` interfering users.  ``codebook_size`` is
-    carried for signal synthesis; the received-SNR objective never looks at
-    the codewords themselves.
+    a key of the hashed config document that no output reads (ROADMAP items
+    3 and 4 remove it); the received-SNR objective never looks at codewords.
     """
 
     num_users: int
@@ -62,36 +61,8 @@ class FactorGraph:
         return self.incidence.shape[0]
 
     @property
-    def num_users(self) -> int:
-        return self.incidence.shape[1]
-
-    @property
     def users_per_ore(self) -> int:
         return len(self.interference_sets[0])
-
-    def to_json(self) -> str:
-        """Row-major 0/1 matrix, for fixtures and debugging."""
-        return json.dumps(self.incidence.tolist())
-
-    @classmethod
-    def from_json(cls, text: str) -> "FactorGraph":
-        rows = json.loads(text)
-        incidence = np.asarray(rows, dtype=np.int8)
-        if incidence.ndim != 2 or not np.isin(incidence, (0, 1)).all():
-            raise ValueError("factor graph JSON must be a 2-D 0/1 matrix")
-        return _graph_from_incidence(incidence)
-
-
-def _graph_from_incidence(incidence: np.ndarray) -> FactorGraph:
-    row_weights = incidence.sum(axis=1)
-    col_weights = incidence.sum(axis=0)
-    if len(set(row_weights.tolist())) != 1 or len(set(col_weights.tolist())) != 1:
-        raise ValueError("incidence matrix is not regular")
-    cols = {tuple(col) for col in incidence.T.tolist()}
-    if len(cols) != incidence.shape[1]:
-        raise ValueError("incidence matrix has duplicate user columns")
-    sets = tuple(tuple(int(u) for u in np.flatnonzero(row)) for row in incidence)
-    return FactorGraph(incidence=incidence, interference_sets=sets)
 
 
 def build_factor_graph(cfg: ScmaConfig) -> FactorGraph:
@@ -117,4 +88,5 @@ def build_factor_graph(cfg: ScmaConfig) -> FactorGraph:
         raise ValueError(
             f"all-combinations columns give ORE weight {int(row_weights[0])}, "
             f"not nonzero_per_ore = {df}")
-    return _graph_from_incidence(incidence)
+    sets = tuple(tuple(int(user) for user in np.flatnonzero(row)) for row in incidence)
+    return FactorGraph(incidence=incidence, interference_sets=sets)

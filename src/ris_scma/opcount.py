@@ -18,14 +18,6 @@ class OpCount:
     real_additions: int = 0
     real_multiplications: int = 0
 
-    def merge(self, other: "OpCount") -> None:
-        self.real_additions += other.real_additions
-        self.real_multiplications += other.real_multiplications
-
-    def __add__(self, other: "OpCount") -> "OpCount":
-        return OpCount(self.real_additions + other.real_additions,
-                       self.real_multiplications + other.real_multiplications)
-
 
 def norm_eval_cost(num_elements: int, num_interferers: int) -> tuple:
     """(adds, mults) for one full evaluation of the composite-row norm."""

@@ -76,9 +76,6 @@ class PhaseAssignment:
     def num_elements(self) -> int:
         return self.indices.shape[1]
 
-    def phases(self) -> np.ndarray:
-        return self.alphabet.values[self.indices]
-
     def rotations(self) -> np.ndarray:
         return self.alphabet.rotations[self.indices]
 

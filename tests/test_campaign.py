@@ -12,9 +12,8 @@ import pytest
 
 import ris_scma.campaign
 from ris_scma.campaign import (Campaign, deploy_sweep_profile, run_campaign,
-                               synthesize_received_signal, trial_seed)
-from ris_scma.channel import (FadingConfig, Geometry, draw_link_channels,
-                              stack_realizations)
+                               trial_seed)
+from ris_scma.channel import FadingConfig, Geometry, draw_link_channels
 from ris_scma.config import campaign_from_config, parse_config
 from ris_scma.factor_graph import ScmaConfig
 from ris_scma.optimizer import (PhaseAlphabet, ao_optimize, blind_phases,
@@ -271,6 +270,13 @@ def test_deploy_profile_requires_matching_scenario():
         deploy_sweep_profile(result)
 
 
+def test_deploy_profile_requires_the_algorithm():
+    c = small_campaign(scenario="deploy_sweep", sweep={"grid": [2.0, 20.0, 38.0]},
+                       num_trials=10, algorithms=["blind", "lc_ao"])
+    with pytest.raises(ValueError, match=r"no 'ao' rows; it has \('blind', 'lc_ao'\)"):
+        deploy_sweep_profile(run_campaign(c), "ao")
+
+
 def test_deploy_profile_degenerate_grid():
     c = small_campaign(scenario="deploy_sweep", sweep={"grid": [2.0, 38.0]},
                        num_trials=10, algorithms=["ao"])
@@ -282,33 +288,6 @@ def test_deploy_profile_degenerate_grid():
 # Signal synthesis
 
 
-def test_synthesize_noiseless_single_user_probe(geom):
-    fading = FadingConfig(noise_variance=1e-40)
-    ch = draw_link_channels(np.random.default_rng(3), 2, 3, geom, fading, 4)
-    phases = blind_phases(PhaseAlphabet.from_bits(2), 2, 4)
-    codewords = np.zeros((2, 3), dtype=complex)
-    codewords[:, 1] = 1.0   # unit symbol on the second interferer
-    y = synthesize_received_signal(ch, phases, codewords, fading,
-                                   np.random.default_rng(0))
-    w = composite_channel(ch, phases)
-    assert np.abs(y - w[:, 1]).max() < 1e-12 * np.abs(w[:, 1]).max()
-
-
-def test_synthesize_noise_moment(geom):
-    fading = FadingConfig(noise_variance=2.5e-9)
-    one = draw_link_channels(np.random.default_rng(4), 1, 3, geom, fading, 2)
-    # 200,000 noise samples on one realization, stacked along the ORE axis.
-    samples = 200_000
-    ch = stack_realizations([one] * samples)
-    phases = blind_phases(PhaseAlphabet.from_bits(2), samples, 2)
-    codewords = np.ones((samples, 3), dtype=complex)
-    w = composite_channel(ch, phases)
-    clean = (w * codewords).sum(axis=1)
-    rng = np.random.default_rng(5)
-    residuals = synthesize_received_signal(ch, phases, codewords, fading, rng) - clean
-    assert np.mean(np.abs(residuals) ** 2) == pytest.approx(2.5e-9, rel=0.02)
-
-
 def test_synthesize_uses_the_snr_composite(geom):
     # the vector multiplying the codewords is the one whose norm is the SNR
     fading = FadingConfig()
@@ -318,12 +297,3 @@ def test_synthesize_uses_the_snr_composite(geom):
     scale = fading.symbol_energy / fading.noise_variance
     assert received_snr(ch, phases, fading).per_ore_linear == pytest.approx(
         scale * (np.abs(w) ** 2).sum(axis=1), rel=1e-12)
-
-
-def test_synthesize_codeword_shape_check(geom):
-    fading = FadingConfig()
-    ch = draw_link_channels(np.random.default_rng(7), 2, 3, geom, fading, 2)
-    phases = blind_phases(PhaseAlphabet.from_bits(1), 2, 2)
-    with pytest.raises(ValueError, match="codewords"):
-        synthesize_received_signal(ch, phases, np.ones((2, 2)), fading,
-                                   np.random.default_rng(0))

@@ -8,8 +8,7 @@ from ris_scma.campaign import trial_seed
 from ris_scma.channel import (SPEED_OF_LIGHT, FadingConfig, Geometry,
                               _pcg64_states, _streams, cascaded_path_loss,
                               direct_path_loss, draw_channels,
-                              draw_link_channels, draw_trial_block,
-                              rician_small_scale)
+                              draw_link_channels, draw_trial_block)
 from ris_scma.factor_graph import ScmaConfig, build_factor_graph
 
 # Frequency chosen so the wavelength is exactly 0.125 m.
@@ -77,23 +76,28 @@ def test_fading_validation():
         FadingConfig(direct_loss_scale=-1.0)
 
 
+def small_scale(geom, seed, samples, k, los_phase="random"):
+    """``samples`` Rician coefficients: the user->element entries, which carry
+    no path loss."""
+    fading = FadingConfig(rician_factor=k, los_phase=los_phase)
+    ch = draw_link_channels(np.random.default_rng(seed), 1, 1, geom, fading, samples)
+    return ch.user_to_ris.ravel()
+
+
 @pytest.mark.parametrize("k", [0.0, 1.0, 4.0])
-def test_small_scale_unit_power(k):
-    rng = np.random.default_rng(11)
-    coeff = rician_small_scale(rng, (100_000,), k)
+def test_small_scale_unit_power(geom, k):
+    coeff = small_scale(geom, 11, 100_000, k)
     assert np.mean(np.abs(coeff) ** 2) == pytest.approx(1.0, rel=0.02)
 
 
-def test_small_scale_los_only_limit():
-    rng = np.random.default_rng(12)
-    coeff = rician_small_scale(rng, (1000,), math.inf)
+def test_small_scale_los_only_limit(geom):
+    coeff = small_scale(geom, 12, 1000, math.inf)
     assert np.abs(np.abs(coeff) - 1.0).max() < 1e-12
 
 
-def test_small_scale_common_phase_mean():
+def test_small_scale_common_phase_mean(geom):
     # common-phase LoS at K=1 has mean exactly sqrt(1/2) up to diffuse noise
-    rng = np.random.default_rng(13)
-    coeff = rician_small_scale(rng, (200_000,), 1.0, los_phase="common")
+    coeff = small_scale(geom, 13, 200_000, 1.0, los_phase="common")
     assert coeff.mean().real == pytest.approx(math.sqrt(0.5), abs=5e-3)
     assert abs(coeff.mean().imag) < 5e-3
 

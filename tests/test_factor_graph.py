@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ris_scma.factor_graph import FactorGraph, ScmaConfig, build_factor_graph
+from ris_scma.factor_graph import ScmaConfig, build_factor_graph
 
 REFERENCE_CFG = ScmaConfig(num_users=6, num_ores=4, codebook_size=2,
                        nonzero_per_user=2, nonzero_per_ore=3)
@@ -85,18 +85,3 @@ def test_build_is_deterministic():
     b = build_factor_graph(REFERENCE_CFG)
     assert np.array_equal(a.incidence, b.incidence)
     assert a.interference_sets == b.interference_sets
-
-
-def test_json_round_trip():
-    graph = build_factor_graph(REFERENCE_CFG)
-    text = graph.to_json()
-    clone = FactorGraph.from_json(text)
-    assert np.array_equal(clone.incidence, graph.incidence)
-    assert clone.interference_sets == graph.interference_sets
-
-
-def test_json_rejects_irregular():
-    with pytest.raises(ValueError, match="regular"):
-        FactorGraph.from_json("[[1, 1], [1, 0]]")
-    with pytest.raises(ValueError, match="0/1"):
-        FactorGraph.from_json("[[2, 0], [0, 1]]")

@@ -63,13 +63,6 @@ def test_predicted_validation():
         predicted_lc_ao(1, 1, 1, 1, iterations=0)
 
 
-def test_opcount_merge_and_add():
-    a = OpCount(3, 5)
-    a.merge(OpCount(1, 2))
-    assert a == OpCount(4, 7)
-    assert OpCount(1, 1) + OpCount(2, 3) == OpCount(3, 4)
-
-
 @pytest.fixture(scope="module")
 def instance_factory():
     geom = Geometry(40.0, 1.5, 2.0, 2.4e9)

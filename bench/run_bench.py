@@ -18,9 +18,11 @@ LoS).
 * Seeding: the vectorized seed-to-stream pass that ``draw_trial_block`` runs
   (every seed's PCG64 state, set in turn on one reused generator) against
   constructing one ``np.random.default_rng`` per seed; the states must agree.
-* Channel draw, at N in {16, 64, 256}: ``draw_trial_block(seeds, ...)``
+* Channel draw, at N in {8, 16, 64, 256}: ``draw_trial_block(seeds, ...)``
   against stacking one ``draw_link_channels(np.random.default_rng(seed),
   ...)`` per seed; both start from the seeds and must give the same bytes.
+  Each block draw's ``tracemalloc`` peak (one untimed run) is reported beside
+  its median time, with the bytes of its outputs.
 * Ascent kernel, at N in {16, 64, 256}: ``optimizer._ascent`` (the kernel
   behind ``ao_optimize``/``lc_ao_optimize``) on one block's 1024 ORE rows at
   b=3, T=3, also given per element step (one update of element n on every row).
@@ -40,6 +42,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -51,8 +54,8 @@ import numpy as np                                                    # noqa: E4
 
 from ris_scma.campaign import _plan_blocks, run_campaign, trial_seed   # noqa: E402
 from ris_scma.channel import (FadingConfig, Geometry, _pcg64_states,   # noqa: E402
-                              _streams, draw_link_channels,
-                              draw_trial_block, stack_realizations)
+                              draw_link_channels, draw_trial_block,
+                              stack_realizations)
 from ris_scma.cli import FIGURE_PRESETS                                # noqa: E402
 from ris_scma.config import config_from_document, config_hash, parse_config  # noqa: E402
 from ris_scma.optimizer import PhaseAlphabet, _ascent                 # noqa: E402
@@ -73,6 +76,7 @@ ADDED_MODULES_CODE = (
 FAN_OUT_REPEATS = 7
 TRIALS = 256
 ELEMENTS = (16, 64, 256)
+DRAW_ELEMENTS = (8,) + ELEMENTS
 DRAW_REPEATS = 7
 SEED_REPEATS = 51
 ASCENT_REPEATS = 9
@@ -161,10 +165,11 @@ def fan_out_layer() -> dict:
 
 def _seed_vectorized(seeds) -> int:
     """Set the reused generator to every seed's state, as a block draw does."""
-    count = 0
-    for _ in _streams(_pcg64_states(seeds)):
-        count += 1
-    return count
+    rng = np.random.Generator(np.random.PCG64(0))
+    states = _pcg64_states(seeds)
+    for state in states:
+        rng.bit_generator.state = state
+    return len(states)
 
 
 def _seed_default_rng(seeds) -> list:
@@ -180,8 +185,8 @@ def seeding_layer() -> dict:
     default_rng_s, _ = _median_seconds(lambda r: _seed_default_rng(blocks[r]),
                                        SEED_REPEATS)
     for seeds in blocks:
-        states = [rng.bit_generator.state for rng in _streams(_pcg64_states(seeds))]
-        if states != [rng.bit_generator.state for rng in _seed_default_rng(seeds)]:
+        if _pcg64_states(seeds) != [rng.bit_generator.state
+                                    for rng in _seed_default_rng(seeds)]:
             raise SystemExit("vectorized seeding differs from default_rng")
     print(f"seeding: vectorized {vectorized_s * 1e3:.3f} ms, default_rng "
           f"{default_rng_s * 1e3:.3f} ms per {TRIALS} seeds "
@@ -206,20 +211,35 @@ def _bytes(ch) -> list:
     return [a.tobytes() for a in (ch.direct, ch.ris_to_bs, ch.user_to_ris)]
 
 
+def _traced_peak_bytes(run) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated during ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def draw_layer() -> dict:
     rows = []
-    for n in ELEMENTS:
+    for n in DRAW_ELEMENTS:
         seeds = _seeds(n)
         block_s, block = _median_seconds(lambda r: _block(seeds, n), DRAW_REPEATS)
         per_trial_s, reference = _median_seconds(lambda r: _per_trial(seeds, n),
                                                  DRAW_REPEATS)
         if _bytes(block) != _bytes(reference):
             raise SystemExit(f"draw_trial_block differs from per-trial draws at N={n}")
+        output_bytes = block.direct.nbytes + block.ris_to_bs.nbytes + block.user_to_ris.nbytes
+        peak = _traced_peak_bytes(lambda: _block(seeds, n))
         rows.append({"num_elements": n, "trials": TRIALS,
                      "draw_trial_block_s": block_s,
+                     "draw_trial_block_peak_bytes": peak,
+                     "output_bytes": output_bytes,
                      "per_trial_stacked_s": per_trial_s,
                      "speedup": per_trial_s / block_s})
-        print(f"N={n}: draw_trial_block {block_s:.4f} s, per-trial + stack "
+        print(f"N={n}: draw_trial_block {block_s:.4f} s (peak {peak / 1e6:.2f} MB "
+              f"for {output_bytes / 1e6:.2f} MB of output), per-trial + stack "
               f"{per_trial_s:.4f} s ({per_trial_s / block_s:.1f}x), median of "
               f"{DRAW_REPEATS}", file=sys.stderr)
     return {"repeats": DRAW_REPEATS, "num_ores": NUM_ORES,

@@ -108,6 +108,12 @@ class Campaign:
             raise ValueError(
                 "no_ris needs a direct link: with fading.direct_loss_scale = 0 "
                 "its SNR is identically 0")
+        budget = self.fading.symbol_energy / self.fading.noise_variance
+        if not math.isfinite(budget):
+            raise ValueError(
+                f"the link budget symbol_energy / noise_variance = "
+                f"{self.fading.symbol_energy:g} / {self.fading.noise_variance:g} "
+                f"is not finite")
         for name, value in (("num_elements", self.num_elements),
                             ("phase_bits", self.phase_bits),
                             ("num_iterations", self.num_iterations)):

@@ -233,7 +233,7 @@ def _hashmix(words: np.ndarray, consts: list, call: int) -> np.ndarray:
 
 
 def _pcg64_states(seeds) -> list:
-    """PCG64 ``(state, inc)`` for each seed, equal to those of
+    """The PCG64 state of each seed, as the ``bit_generator.state`` dict of
     ``np.random.default_rng(seed)``, computed in one pass over all seeds.
 
     A seed below 2^64 is at most two 32-bit entropy words, and its
@@ -271,36 +271,36 @@ def _pcg64_states(seeds) -> list:
     for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
         state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULTIPLIER + inc) & _MASK128
-        states.append((state, inc))
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
     return states
 
 
-def _streams(states):
-    """Yield one private generator per ``(state, inc)``, set to that state;
-    each is consumed before the next is yielded."""
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for state, inc in states:
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng
+# A block draw passes its raw stream values through a scratch buffer of this
+# many float64 (1 MiB), whole trials at a time, so it never holds a raw array
+# as large as its outputs and each chunk is transformed while still in cache.
+# A block whose raw rows fit is one chunk.
+_SCRATCH_FLOATS = 2**17
 
 
-def _draw_block(rngs, trials: int, num_ores: int, num_interferers: int,
-                geom: Geometry, fading: FadingConfig,
+def _draw_block(rng: np.random.Generator, states, num_ores: int,
+                num_interferers: int, geom: Geometry, fading: FadingConfig,
                 num_elements: int) -> ChannelRealization:
-    """One realization per generator of ``rngs`` (``trials`` of them),
-    stacked along the ORE axis.
+    """One realization per trial, stacked along the ORE axis.
 
-    Each generator is consumed in a fixed order (direct, then element->BS,
-    then user->element; within each: LoS phases in random mode, then real
-    and imaginary diffuse parts) into its own row of one raw buffer; the
-    Rician transform and path-loss scaling then run once over the whole
-    block, in place in the complex outputs.
+    ``states`` holds one PCG64 state per trial, each set on ``rng`` before
+    its trial is drawn; with ``states=None`` one trial is drawn from ``rng``
+    as it stands.  Each trial's stream is consumed in a fixed order (direct,
+    then element->BS, then user->element; within each: LoS phases in random
+    mode, then real and imaginary diffuse parts) into its own row of a
+    scratch buffer.  Each chunk of trial rows goes through the Rician
+    transform straight into its rows of the complex outputs, and the
+    path-loss scaling runs once over the whole block, in place.
     """
     if num_elements < 1:
         raise ValueError(f"num_elements must be >= 1, got {num_elements}")
+    trials = 1 if states is None else len(states)
     mode = fading.los_phase
     # Raw stream values per coefficient: LoS phase (random mode only), then
     # the real and imaginary diffuse parts.
@@ -308,17 +308,24 @@ def _draw_block(rngs, trials: int, num_ores: int, num_interferers: int,
     shapes = ((num_ores, num_interferers), (num_ores, num_elements),
               (num_ores, num_elements, num_interferers))
     sizes = tuple(math.prod(s) for s in shapes)
-    raw = np.empty((trials, width * sum(sizes)))
-    for row, rng in zip(raw, rngs):
-        _fill_raw(rng, row, sizes, mode)
-    outs = []
-    pos = 0
-    for shape, m in zip(shapes, sizes):
-        out = np.empty((trials * shape[0],) + shape[1:], dtype=np.complex128)
-        _rician_transform(raw[:, pos:pos + width * m], out.reshape(trials, m),
-                          fading.rician_factor, mode)
-        outs.append(out)
-        pos += width * m
+    outs = [np.empty((trials * shape[0],) + shape[1:], dtype=np.complex128)
+            for shape in shapes]
+    out_rows = [out.reshape(trials, m) for out, m in zip(outs, sizes)]
+    row_width = width * sum(sizes)
+    chunk = min(trials, max(1, _SCRATCH_FLOATS // row_width))
+    scratch = np.empty((chunk, row_width))
+    for lo in range(0, trials, chunk):
+        hi = min(lo + chunk, trials)
+        raw = scratch[:hi - lo]
+        for trial, row in enumerate(raw, lo):
+            if states is not None:
+                rng.bit_generator.state = states[trial]
+            _fill_raw(rng, row, sizes, mode)
+        pos = 0
+        for out, m in zip(out_rows, sizes):
+            _rician_transform(raw[:, pos:pos + width * m], out[lo:hi],
+                              fading.rician_factor, mode)
+            pos += width * m
     direct, ris_to_bs, user_to_ris = outs
     # Complex products, as the per-trial scaling was: with direct_loss_scale
     # = 0 the signs of the zeros depend on both parts.
@@ -338,8 +345,8 @@ def draw_trial_block(seeds, num_ores: int, num_interferers: int, geom: Geometry,
     for s in seeds])``.  The seeds are mixed into PCG64 states in one
     vectorized pass, and one reused generator is set to each state in turn.
     """
-    states = _pcg64_states(seeds)
-    return _draw_block(_streams(states), len(states), num_ores, num_interferers,
+    rng = np.random.Generator(np.random.PCG64(0))
+    return _draw_block(rng, _pcg64_states(seeds), num_ores, num_interferers,
                        geom, fading, num_elements)
 
 
@@ -349,7 +356,7 @@ def draw_link_channels(rng: np.random.Generator, num_ores: int, num_interferers:
     """Draw coefficients for explicit (R, d_f, N) dimensions from ``rng``, in
     the stream order of :func:`draw_trial_block`, so a given seed pins the
     realization bit for bit."""
-    return _draw_block((rng,), 1, num_ores, num_interferers, geom, fading,
+    return _draw_block(rng, None, num_ores, num_interferers, geom, fading,
                        num_elements)
 
 

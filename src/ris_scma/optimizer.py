@@ -140,7 +140,8 @@ def _re_inner2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def composite_channel(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
     """(R, d_f) composite rows: rotated cascaded paths plus the direct path."""
-    u = _rotations(ch, phases) * ch.ris_to_bs                  # (R, N)
+    u = _rotations(ch, phases)                                 # (R, N)
+    np.multiply(u, ch.ris_to_bs, out=u)
     return np.einsum("rn,rni->ri", u, ch.user_to_ris) + ch.direct
 
 

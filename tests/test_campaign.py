@@ -17,8 +17,8 @@ from ris_scma.channel import FadingConfig, Geometry, draw_link_channels
 from ris_scma.config import campaign_from_config, parse_config
 from ris_scma.factor_graph import ScmaConfig
 from ris_scma.optimizer import (PhaseAlphabet, ao_optimize, blind_phases,
-                                composite_channel, exhaustive_optimize,
-                                lc_ao_optimize, received_snr)
+                                exhaustive_optimize, lc_ao_optimize,
+                                received_snr)
 
 
 def small_campaign(**overrides):
@@ -282,18 +282,3 @@ def test_deploy_profile_degenerate_grid():
                        num_trials=10, algorithms=["ao"])
     with pytest.raises(ValueError, match="degenerate"):
         deploy_sweep_profile(run_campaign(c))
-
-
-# ---------------------------------------------------------------------------
-# Signal synthesis
-
-
-def test_synthesize_uses_the_snr_composite(geom):
-    # the vector multiplying the codewords is the one whose norm is the SNR
-    fading = FadingConfig()
-    ch = draw_link_channels(np.random.default_rng(6), 3, 3, geom, fading, 5)
-    phases = ao_optimize(ch, PhaseAlphabet.from_bits(2), 1)
-    w = composite_channel(ch, phases)
-    scale = fading.symbol_energy / fading.noise_variance
-    assert received_snr(ch, phases, fading).per_ore_linear == pytest.approx(
-        scale * (np.abs(w) ** 2).sum(axis=1), rel=1e-12)

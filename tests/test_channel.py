@@ -1,12 +1,13 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ris_scma.campaign import trial_seed
 from ris_scma.channel import (SPEED_OF_LIGHT, FadingConfig, Geometry,
-                              _pcg64_states, _streams, cascaded_path_loss,
+                              _SCRATCH_FLOATS, _pcg64_states, cascaded_path_loss,
                               direct_path_loss, draw_channels,
                               draw_link_channels, draw_trial_block)
 from ris_scma.factor_graph import ScmaConfig, build_factor_graph
@@ -202,19 +203,57 @@ def test_trial_block_matches_reference_formula(geom):
     assert _block_bytes(whole) == [b"".join(p) for p in zip(*map(_block_bytes, pieces))]
 
 
+@pytest.mark.parametrize("mode", ["random", "common"])
+def test_trial_block_matches_per_seed_draws_across_chunks(geom, mode):
+    # At this N a scratch chunk holds only a few trials, so the block is
+    # drawn in several chunks; the bytes must not depend on where they split.
+    r, df = 2, 3
+    width = 3 if mode == "random" else 2
+    n = _SCRATCH_FLOATS // (4 * width * r * (1 + df))
+    c = _SCRATCH_FLOATS // (width * (r * df + r * n + r * n * df))
+    assert 2 <= c < 8
+    fading = FadingConfig(rician_factor=1.0, los_phase=mode, direct_loss_scale=0.0025)
+    for trials in (1, c - 1, c, c + 1, 2 * c + 1):
+        seeds = [trial_seed(7, trials, t) for t in range(trials)]
+        block = draw_trial_block(seeds, r, df, geom, fading, n)
+        per_seed = [draw_link_channels(np.random.default_rng(s), r, df, geom, fading, n)
+                    for s in seeds]
+        assert _block_bytes(block) == [b"".join(p) for p in
+                                       zip(*map(_block_bytes, per_seed))], trials
+
+
+def test_trial_block_draw_holds_no_block_sized_buffer(geom):
+    # A campaign block (256 trials, R=4, d_f=3) at N=256: besides its outputs
+    # the draw may hold the scratch buffer and small temporaries, not a raw
+    # buffer as large as the outputs.
+    fading = FadingConfig(los_phase="common", direct_loss_scale=0.0025)
+    seeds = [trial_seed(1, 0, t) for t in range(256)]
+    tracemalloc.start()
+    try:
+        ch = draw_trial_block(seeds, 4, 3, geom, fading, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out_bytes = ch.direct.nbytes + ch.ris_to_bs.nbytes + ch.user_to_ris.nbytes
+    assert out_bytes == 256 * 4 * (3 + 256 + 256 * 3) * 16
+    assert peak <= out_bytes + 4 * 2**20, (peak, out_bytes)
+
+
 def test_seeded_streams_equal_default_rng(geom, fading):
     # A numpy release that changes SeedSequence or PCG64 seeding fails here
     # before any golden file does.
     seeds = [trial_seed(s, g, t) for s in (0, 12345) for g in range(3)
              for t in range(1000)] + [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-    streams = _streams(_pcg64_states(seeds))
-    for seed, rng in zip(seeds, streams):
+    states = _pcg64_states(seeds)
+    assert len(states) == len(seeds)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for seed, state in zip(seeds, states):
+        rng.bit_generator.state = state
         ref = np.random.default_rng(seed)
         assert rng.bit_generator.state == ref.bit_generator.state, seed
         assert np.array_equal(rng.standard_normal(300), ref.standard_normal(300)), seed
         assert np.array_equal(rng.uniform(-math.pi, math.pi, 50),
                               ref.uniform(-math.pi, math.pi, 50)), seed
-    assert next(streams, None) is None
     for bad in (-1, 2**64, 1.0, "7", True, None):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             draw_trial_block([5, bad], 4, 3, geom, fading, 8)

@@ -105,14 +105,31 @@ def test_invalid_grid_point_is_a_config_error(doc, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc", [
-    {"fading": {"symbol_energy": 1e308}},             # every SNR is inf
-    {"fading": {"noise_variance": 1e-320}},           # every SNR is inf
+    {"fading": {"symbol_energy": 1e308}},
+    {"fading": {"noise_variance": 1e-320}},
+], ids=["inf_energy", "inf_noise"])
+def test_infinite_link_budget_is_a_config_error(doc, tmp_path, capsys):
+    # symbol_energy / noise_variance overflows, so every SNR would be inf:
+    # refused with the config, before any trial runs.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"num_trials": 4, "num_elements": 4,
+                               "sweep": {"grid": [4]}, **doc}))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])["error"]
+    assert error["type"] == "config"
+    assert "symbol_energy / noise_variance" in error["message"]
+    assert error["message"].endswith("is not finite")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", [
     {"fading": {"symbol_energy": 1e290}},             # finite SNRs, std overflows
     {"fading": {"symbol_energy": 1e-300, "noise_variance": 1e20},
      "average_mode": "mean_of_db"},                   # every SNR is exactly 0
     {"fading": {"symbol_energy": 1e-300, "noise_variance": 1e20}},
-], ids=["inf_energy", "inf_noise", "std_overflow", "zero_mean_of_db",
-        "zero_db_of_mean"])
+], ids=["std_overflow", "zero_mean_of_db", "zero_db_of_mean"])
 def test_out_of_range_link_budget_writes_nothing(doc, tmp_path, capsys):
     # A valid config whose SNR statistics are not finite fails with one error
     # line naming the row and the budget, before any results file is written.

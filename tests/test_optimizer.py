@@ -131,6 +131,17 @@ def test_coupling_matrix_properties(geom, fading):
     assert np.abs(quad.imag).max() < 1e-12 * np.abs(d).sum()
 
 
+def test_received_snr_uses_the_composite_row(geom):
+    # the vector multiplying the codewords is the one whose norm is the SNR
+    fading = FadingConfig()
+    ch = draw_link_channels(np.random.default_rng(6), 3, 3, geom, fading, 5)
+    phases = ao_optimize(ch, PhaseAlphabet.from_bits(2), 1)
+    w = composite_channel(ch, phases)
+    scale = fading.symbol_energy / fading.noise_variance
+    assert received_snr(ch, phases, fading).per_ore_linear == pytest.approx(
+        scale * (np.abs(w) ** 2).sum(axis=1), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # term_split
 
@@ -535,7 +546,7 @@ def test_degenerate_channels_keep_invariants(case, bits, sweeps):
 # this check has a test of its own: added to the test above, it would give
 # that test 50 other channels, and those include a duplicated element column
 # whose exact tie the kernel and the counted lc_ao path break differently by
-# rounding (ROADMAP item 6).
+# rounding (ROADMAP item 1).
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(case=degenerate_channels(), bits=st.integers(1, 3), sweeps=st.integers(1, 3))
 def test_degenerate_channels_stay_between_blind_and_oracle(case, bits, sweeps):

@@ -1,4 +1,5 @@
-"""Layer benchmark for ris_scma: start-up, fan-out, seeding, channel draw, ascent.
+"""Layer benchmark for ris_scma: start-up, fan-out, seeding, channel draw,
+ascent, SNR evaluation.
 
 Run from the root of a source checkout (``src`` is put on the path here):
 
@@ -11,21 +12,26 @@ Run from the root of a source checkout (``src`` is put on the path here):
   with their result bytes compared: the benchmark's ``draw_bound_deploy``
   workload (112 blocks) and the ``fig5b`` preset at 2000 trials (32 blocks).
 
-The seeding, channel-draw and ascent layers use 256-trial blocks of campaign
-child seeds (``trial_seed``) and calibrated fading (R=4, d_f=3, common-phase
-LoS).
+The seeding, channel-draw, ascent and SNR layers use 256-trial blocks of
+campaign child seeds (``trial_seed``) and calibrated fading (R=4, d_f=3,
+common-phase LoS), at N in {8, 16, 64, 256}.
 
 * Seeding: the vectorized seed-to-stream pass that ``draw_trial_block`` runs
   (every seed's PCG64 state, set in turn on one reused generator) against
   constructing one ``np.random.default_rng`` per seed; the states must agree.
-* Channel draw, at N in {8, 16, 64, 256}: ``draw_trial_block(seeds, ...)``
-  against stacking one ``draw_link_channels(np.random.default_rng(seed),
-  ...)`` per seed; both start from the seeds and must give the same bytes.
-  Each block draw's ``tracemalloc`` peak (one untimed run) is reported beside
-  its median time, with the bytes of its outputs.
-* Ascent kernel, at N in {16, 64, 256}: ``optimizer._ascent`` (the kernel
-  behind ``ao_optimize``/``lc_ao_optimize``) on one block's 1024 ORE rows at
-  b=3, T=3, also given per element step (one update of element n on every row).
+* Channel draw: ``draw_trial_block(seeds, ...)`` against stacking one
+  ``draw_link_channels(np.random.default_rng(seed), ...)`` per seed; both
+  start from the seeds and must give the same bytes (compared untimed).
+  Each timed call drops its result before the next starts, so every call
+  sees the same allocator state, and the median of its minor page faults
+  (``ru_minflt``) is reported beside its median time.  Each block draw's
+  ``tracemalloc`` peak (one untimed run) is given with its output bytes.
+* Ascent kernel: ``optimizer._ascent`` (the kernel behind
+  ``ao_optimize``/``lc_ao_optimize``) on one block's 1024 ORE rows at b=3,
+  T=3, also given per element step (one update of element n on every row),
+  with its ``tracemalloc`` peak (one untimed run).
+* SNR evaluation: ``received_snr`` on one block with the kernel's
+  selections, median time and ``tracemalloc`` peak.
 
 Each timing is the median of that layer's repeats.  The JSON report (medians
 plus Python, numpy, BLAS, core count and ``PYTHONDONTWRITEBYTECODE``, which
@@ -38,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -58,7 +65,7 @@ from ris_scma.channel import (FadingConfig, Geometry, _pcg64_states,   # noqa: E
                               stack_realizations)
 from ris_scma.cli import FIGURE_PRESETS                                # noqa: E402
 from ris_scma.config import config_from_document, config_hash, parse_config  # noqa: E402
-from ris_scma.optimizer import PhaseAlphabet, _ascent                 # noqa: E402
+from ris_scma.optimizer import PhaseAlphabet, _ascent, received_snr   # noqa: E402
 from ris_scma.writers import result_to_csv_text, result_to_json_text  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS                         # noqa: E402
 
@@ -75,11 +82,11 @@ ADDED_MODULES_CODE = (
     "print(' '.join(added))\n")
 FAN_OUT_REPEATS = 7
 TRIALS = 256
-ELEMENTS = (16, 64, 256)
-DRAW_ELEMENTS = (8,) + ELEMENTS
-DRAW_REPEATS = 7
+ELEMENTS = (8, 16, 64, 256)
+DRAW_REPEATS = 15
 SEED_REPEATS = 51
 ASCENT_REPEATS = 9
+SNR_REPEATS = 15
 ASCENT_BITS, ASCENT_SWEEPS = 3, 3
 NUM_ORES, NUM_INTERFERERS = 4, 3
 GEOM = Geometry(40.0, 1.5, 2.0, 2.4e9)
@@ -90,14 +97,18 @@ def _seeds(block: int) -> list:
     return [trial_seed(block, 0, i) for i in range(TRIALS)]
 
 
-def _median_seconds(run, repeats: int) -> tuple:
-    """(median seconds, last result) of ``run(repeat index)``."""
-    times = []
+def _median_calls(run, repeats: int) -> tuple:
+    """(median seconds, median minor page faults) of ``run(repeat index)``;
+    each result is dropped before the next call starts, so every call sees
+    the same allocator state."""
+    times, faults = [], []
     for repeat in range(repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
-        result = run(repeat)
+        run(repeat)
         times.append(time.perf_counter() - start)
-    return statistics.median(times), result
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return statistics.median(times), statistics.median(faults)
 
 
 def _python(code: str) -> subprocess.CompletedProcess:
@@ -180,10 +191,10 @@ def seeding_layer() -> dict:
     # Each repeat seeds a fresh block, hashed before the clock starts; the
     # states are compared untimed.
     blocks = [_seeds(r) for r in range(SEED_REPEATS)]
-    vectorized_s, _ = _median_seconds(lambda r: _seed_vectorized(blocks[r]),
-                                      SEED_REPEATS)
-    default_rng_s, _ = _median_seconds(lambda r: _seed_default_rng(blocks[r]),
-                                       SEED_REPEATS)
+    vectorized_s, _ = _median_calls(lambda r: _seed_vectorized(blocks[r]),
+                                    SEED_REPEATS)
+    default_rng_s, _ = _median_calls(lambda r: _seed_default_rng(blocks[r]),
+                                     SEED_REPEATS)
     for seeds in blocks:
         if _pcg64_states(seeds) != [rng.bit_generator.state
                                     for rng in _seed_default_rng(seeds)]:
@@ -223,25 +234,27 @@ def _traced_peak_bytes(run) -> int:
 
 def draw_layer() -> dict:
     rows = []
-    for n in DRAW_ELEMENTS:
+    for n in ELEMENTS:
         seeds = _seeds(n)
-        block_s, block = _median_seconds(lambda r: _block(seeds, n), DRAW_REPEATS)
-        per_trial_s, reference = _median_seconds(lambda r: _per_trial(seeds, n),
-                                                 DRAW_REPEATS)
-        if _bytes(block) != _bytes(reference):
+        block = _block(seeds, n)
+        if _bytes(block) != _bytes(_per_trial(seeds, n)):
             raise SystemExit(f"draw_trial_block differs from per-trial draws at N={n}")
         output_bytes = block.direct.nbytes + block.ris_to_bs.nbytes + block.user_to_ris.nbytes
+        del block
+        block_s, block_faults = _median_calls(lambda r: _block(seeds, n), DRAW_REPEATS)
+        per_trial_s, _ = _median_calls(lambda r: _per_trial(seeds, n), DRAW_REPEATS)
         peak = _traced_peak_bytes(lambda: _block(seeds, n))
         rows.append({"num_elements": n, "trials": TRIALS,
                      "draw_trial_block_s": block_s,
+                     "draw_trial_block_minor_faults": block_faults,
                      "draw_trial_block_peak_bytes": peak,
                      "output_bytes": output_bytes,
                      "per_trial_stacked_s": per_trial_s,
                      "speedup": per_trial_s / block_s})
-        print(f"N={n}: draw_trial_block {block_s:.4f} s (peak {peak / 1e6:.2f} MB "
-              f"for {output_bytes / 1e6:.2f} MB of output), per-trial + stack "
-              f"{per_trial_s:.4f} s ({per_trial_s / block_s:.1f}x), median of "
-              f"{DRAW_REPEATS}", file=sys.stderr)
+        print(f"N={n}: draw_trial_block {block_s * 1e3:.2f} ms ({block_faults:.0f} page "
+              f"faults, peak {peak / 1e6:.2f} MB for {output_bytes / 1e6:.2f} MB of output), "
+              f"per-trial + stack {per_trial_s * 1e3:.2f} ms ({per_trial_s / block_s:.1f}x), "
+              f"median of {DRAW_REPEATS}", file=sys.stderr)
     return {"repeats": DRAW_REPEATS, "num_ores": NUM_ORES,
             "num_interferers": NUM_INTERFERERS,
             "fading": {"los_phase": FADING.los_phase,
@@ -255,18 +268,34 @@ def ascent_layer() -> dict:
     rows = []
     for n in ELEMENTS:
         ch = _block(_seeds(n), n)
-        kernel_s, _ = _median_seconds(
+        kernel_s, _ = _median_calls(
             lambda r: _ascent(ch, alphabet, ASCENT_SWEEPS, None, None), ASCENT_REPEATS)
+        peak = _traced_peak_bytes(lambda: _ascent(ch, alphabet, ASCENT_SWEEPS, None, None))
         step_us = kernel_s / (ASCENT_SWEEPS * n) * 1e6
         rows.append({"num_elements": n, "trials": TRIALS,
                      "ore_rows": ch.num_ores, "ascent_s": kernel_s,
-                     "element_step_us": step_us})
+                     "element_step_us": step_us, "peak_bytes": peak})
         print(f"N={n}: _ascent {kernel_s * 1e3:.2f} ms per block, {step_us:.1f} us "
-              f"per element step on {ch.num_ores} rows, median of {ASCENT_REPEATS}",
-              file=sys.stderr)
+              f"per element step on {ch.num_ores} rows, peak {peak / 1e6:.2f} MB, "
+              f"median of {ASCENT_REPEATS}", file=sys.stderr)
     return {"repeats": ASCENT_REPEATS, "bits": ASCENT_BITS,
             "iterations": ASCENT_SWEEPS, "num_interferers": NUM_INTERFERERS,
             "results": rows}
+
+
+def snr_layer() -> dict:
+    alphabet = PhaseAlphabet.from_bits(ASCENT_BITS)
+    rows = []
+    for n in ELEMENTS:
+        ch = _block(_seeds(n), n)
+        phases = _ascent(ch, alphabet, ASCENT_SWEEPS, None, None)
+        snr_s, _ = _median_calls(lambda r: received_snr(ch, phases, FADING), SNR_REPEATS)
+        peak = _traced_peak_bytes(lambda: received_snr(ch, phases, FADING))
+        rows.append({"num_elements": n, "trials": TRIALS, "ore_rows": ch.num_ores,
+                     "received_snr_s": snr_s, "peak_bytes": peak})
+        print(f"N={n}: received_snr {snr_s * 1e3:.3f} ms per block, peak "
+              f"{peak / 1e6:.2f} MB, median of {SNR_REPEATS}", file=sys.stderr)
+    return {"repeats": SNR_REPEATS, "bits": ASCENT_BITS, "results": rows}
 
 
 def environment() -> dict:
@@ -284,7 +313,7 @@ def main(argv=None) -> int:
     # Fan-out runs before the big draws, so the pool forks a small process.
     report = {"layers": {"startup": startup_layer(), "fan_out": fan_out_layer(),
                          "seeding": seeding_layer(), "channel_draw": draw_layer(),
-                         "ascent": ascent_layer()},
+                         "ascent": ascent_layer(), "snr": snr_layer()},
               "environment": environment()}
     text = json.dumps(report, indent=2) + "\n"
     if args.output is not None:

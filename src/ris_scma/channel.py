@@ -116,6 +116,11 @@ class ChannelRealization:
     Shapes: ``direct`` (R, d_f) user->BS rows ordered by ascending user index
     within each ORE's interference set, ``ris_to_bs`` (R, N), ``user_to_ris``
     (R, N, d_f) with column u holding user u's element coefficients.
+
+    A drawn block stores the element groups element-major, ORE axis last:
+    ``ris_to_bs`` and ``user_to_ris`` are transposed views of C-contiguous
+    (N, R) and (N, d_f, R) buffers, which the ascent kernel and
+    ``composite_channel`` read in place; they copy any other layout.
     """
 
     direct: np.ndarray
@@ -280,7 +285,8 @@ def _pcg64_states(seeds) -> list:
 # A block draw passes its raw stream values through a scratch buffer of this
 # many float64 (1 MiB), whole trials at a time, so it never holds a raw array
 # as large as its outputs and each chunk is transformed while still in cache.
-# A block whose raw rows fit is one chunk.
+# The same buffer stages one chunk's complex coefficients of the element-major
+# groups on their way to the outputs.  A block whose rows fit is one chunk.
 _SCRATCH_FLOATS = 2**17
 
 
@@ -295,44 +301,59 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
     then element->BS, then user->element; within each: LoS phases in random
     mode, then real and imaginary diffuse parts) into its own row of a
     scratch buffer.  Each chunk of trial rows goes through the Rician
-    transform straight into its rows of the complex outputs, and the
-    path-loss scaling runs once over the whole block, in place.
+    transform: the direct rows straight into their output rows, the element
+    groups into a staging area of the scratch and from there, transposed,
+    into element-major outputs.  The path-loss scaling runs once over the
+    whole block, in place.
     """
     if num_elements < 1:
         raise ValueError(f"num_elements must be >= 1, got {num_elements}")
     trials = 1 if states is None else len(states)
+    rows = trials * num_ores
     mode = fading.los_phase
     # Raw stream values per coefficient: LoS phase (random mode only), then
     # the real and imaginary diffuse parts.
     width = 3 if mode == "random" else 2
-    shapes = ((num_ores, num_interferers), (num_ores, num_elements),
-              (num_ores, num_elements, num_interferers))
-    sizes = tuple(math.prod(s) for s in shapes)
-    outs = [np.empty((trials * shape[0],) + shape[1:], dtype=np.complex128)
-            for shape in shapes]
-    out_rows = [out.reshape(trials, m) for out, m in zip(outs, sizes)]
+    sizes = (num_ores * num_interferers, num_ores * num_elements,
+             num_ores * num_elements * num_interferers)
+    direct = np.empty((rows, num_interferers), dtype=np.complex128)
+    # Element-major storage, ORE axis last: (N, rows) and (N, d_f, rows).
+    ris_to_bs = np.empty((num_elements, rows), dtype=np.complex128)
+    user_to_ris = np.empty((num_elements, num_interferers, rows), dtype=np.complex128)
+    # Each element group's storage as (N or N * d_f, rows): a chunk's staged
+    # (trial * R, N[ * d_f]) rows land in it transposed.
+    element_major = (ris_to_bs, user_to_ris.reshape(-1, rows))
     row_width = width * sum(sizes)
-    chunk = min(trials, max(1, _SCRATCH_FLOATS // row_width))
-    scratch = np.empty((chunk, row_width))
+    # The staging area holds one element group at a time, as complex pairs.
+    stage_width = 2 * sizes[2]
+    chunk = min(trials, max(1, _SCRATCH_FLOATS // (row_width + stage_width)))
+    scratch = np.empty(chunk * (stage_width + row_width))
+    staged = scratch[:chunk * stage_width].view(np.complex128)
+    raw_all = scratch[chunk * stage_width:].reshape(chunk, row_width)
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
-        raw = scratch[:hi - lo]
+        raw = raw_all[:hi - lo]
         for trial, row in enumerate(raw, lo):
             if states is not None:
                 rng.bit_generator.state = states[trial]
             _fill_raw(rng, row, sizes, mode)
-        pos = 0
-        for out, m in zip(out_rows, sizes):
-            _rician_transform(raw[:, pos:pos + width * m], out[lo:hi],
+        _rician_transform(raw[:, :width * sizes[0]],
+                          direct.reshape(trials, sizes[0])[lo:hi],
+                          fading.rician_factor, mode)
+        pos = width * sizes[0]
+        for m, out in zip(sizes[1:], element_major):
+            stage = staged[:(hi - lo) * m].reshape(hi - lo, m)
+            _rician_transform(raw[:, pos:pos + width * m], stage,
                               fading.rician_factor, mode)
+            out[:, lo * num_ores:hi * num_ores] = stage.reshape(-1, len(out)).T
             pos += width * m
-    direct, ris_to_bs, user_to_ris = outs
     # Complex products, as the per-trial scaling was: with direct_loss_scale
     # = 0 the signs of the zeros depend on both parts.
     np.multiply(direct, math.sqrt(direct_path_loss(geom) * fading.direct_loss_scale),
                 out=direct)
     np.multiply(ris_to_bs, math.sqrt(cascaded_path_loss(geom)), out=ris_to_bs)
-    return ChannelRealization(direct=direct, ris_to_bs=ris_to_bs, user_to_ris=user_to_ris)
+    return ChannelRealization(direct=direct, ris_to_bs=ris_to_bs.T,
+                              user_to_ris=user_to_ris.transpose(2, 0, 1))
 
 
 def draw_trial_block(seeds, num_ores: int, num_interferers: int, geom: Geometry,

@@ -6,12 +6,13 @@ never decrease: the incumbent value is always among the candidates), and
 arg-max ties go to the smallest candidate index.
 
 Each optimizer takes an optional ``counter`` (an :class:`~ris_scma.opcount.OpCount`
-sink).  With a counter the run goes through one scalar driver that tallies real
-arithmetic under the documented cost model, and AO and LC-AO differ there only
-in how they score a candidate phase; these counted paths are the reference the
-closed-form counts (and the tests) check against.  Without one, both names run
-one vectorized kernel that keeps each ORE's composite row up to date and
-selects the same phases.  ``update_log`` and ``snapshots`` are kernel-only.
+sink).  With a counter the run goes through one scalar driver
+(:mod:`~ris_scma.opcount`) that tallies real arithmetic under the documented
+cost model, and AO and LC-AO differ there only in how they score a candidate
+phase; these counted paths are the reference the closed-form counts (and the
+tests) check against.  Without one, both names run one vectorized kernel that
+keeps each ORE's composite row up to date and selects the same phases.
+``update_log`` and ``snapshots`` are kernel-only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import ChannelRealization, FadingConfig
-from .opcount import OpCount
+from .opcount import OpCount, _cached_scores, _counted, _full_norm_scores
 
 DEFAULT_EXHAUSTIVE_BUDGET = 2**20
 
@@ -53,6 +54,11 @@ class PhaseAlphabet:
     def zero_index(self) -> int:
         """Index of the 0-radian member (always present)."""
         return 2 ** (self.bits - 1)
+
+    @property
+    def index_dtype(self) -> np.dtype:
+        """The smallest integer dtype that holds every index (uint8 to b = 8)."""
+        return np.min_scalar_type(self.size - 1)
 
 
 @dataclass(eq=False)
@@ -114,13 +120,25 @@ class UpdateRecord(NamedTuple):
 # Objective
 
 
-def _rotations(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
-    """(R, N) rotations e^{-j phi} of ``phases``, checked against the channel."""
+def _check_shape(ch: ChannelRealization, phases: PhaseAssignment) -> None:
     if phases.indices.shape != (ch.num_ores, ch.num_elements):
         raise ValueError(
             f"phase indices shape {phases.indices.shape} does not match "
             f"channel dims (R={ch.num_ores}, N={ch.num_elements})")
+
+
+def _rotations(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
+    """(R, N) rotations e^{-j phi} of ``phases``, checked against the channel."""
+    _check_shape(ch, phases)
     return phases.rotations()
+
+
+def _element_major(ch: ChannelRealization) -> tuple:
+    """The (N, R) element->BS and (N, d_f, R) user->element arrays, ORE axis
+    last and C-contiguous: views of a drawn block's storage, copies of any
+    other layout, so every product below sees the same operand layout."""
+    return (np.ascontiguousarray(ch.ris_to_bs.T),
+            np.ascontiguousarray(ch.user_to_ris.transpose(1, 2, 0)))
 
 
 def _cascaded_paths(ch: ChannelRealization) -> np.ndarray:
@@ -139,10 +157,19 @@ def _re_inner2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def composite_channel(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
-    """(R, d_f) composite rows: rotated cascaded paths plus the direct path."""
-    u = _rotations(ch, phases)                                 # (R, N)
-    np.multiply(u, ch.ris_to_bs, out=u)
-    return np.einsum("rn,rni->ri", u, ch.user_to_ris) + ch.direct
+    """(R, d_f) composite rows: rotated cascaded paths plus the direct path.
+
+    Runs element-major: u = e^{-j phi} * ris_to_bs as (N, R), its (d_f, R)
+    contraction with user_to_ris, then transposed onto the direct rows.
+    Each float is the same operation as in the ORE-major form.
+    """
+    _check_shape(ch, phases)
+    g, G = _element_major(ch)
+    u = phases.alphabet.rotations[np.ascontiguousarray(phases.indices.T)]
+    np.multiply(u, g, out=u)
+    # C-ordered rows, so _sq_norms sums each row's addends as it always has.
+    w = np.empty(ch.direct.shape, dtype=np.complex128)
+    return np.add(np.einsum("nr,nir->ir", u, G).T, ch.direct, out=w)
 
 
 def received_snr(ch: ChannelRealization, phases: PhaseAssignment,
@@ -160,9 +187,11 @@ def no_ris_snr(ch: ChannelRealization, fading: FadingConfig) -> SnrReport:
 
 def blind_phases(alphabet: PhaseAlphabet, num_ores: int,
                  num_elements: int) -> PhaseAssignment:
-    """All phases 0: the unoptimized baseline every optimizer starts from."""
-    idx = np.full((num_ores, num_elements), alphabet.zero_index, dtype=np.int64)
-    return PhaseAssignment(alphabet=alphabet, indices=idx)
+    """All phases 0: the unoptimized baseline every optimizer starts from.
+    Stored element-major, like the kernel's selections."""
+    idx = np.full((num_elements, num_ores), alphabet.zero_index,
+                  dtype=alphabet.index_dtype)
+    return PhaseAssignment(alphabet=alphabet, indices=idx.T)
 
 
 # ---------------------------------------------------------------------------
@@ -270,65 +299,101 @@ def _optimize(ch, alphabet, iterations, counter, update_log, snapshots, score):
     if counter is not None:
         if update_log is not None or snapshots is not None:
             raise ValueError("update_log and snapshots need the kernel (no counter)")
-        return _counted(ch, alphabet, iterations, counter, score)
+        return PhaseAssignment(alphabet, _counted(ch, alphabet, iterations, counter, score))
     if snapshots is not None and any(not 0 <= k <= iterations for k in snapshots):
         raise ValueError(f"snapshots need sweep counts in 0..{iterations}, "
                          f"got {sorted(snapshots)}")
     return _ascent(ch, alphabet, iterations, update_log, snapshots)
 
 
+# The kernel holds the cascaded paths of at most this many bytes of elements
+# at a time (1 MiB), never a whole (N, d_f, R) copy.
+_XI_CHUNK_BYTES = 2**20
+
+
 def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
             update_log: Optional[list], snapshots: Optional[dict]) -> PhaseAssignment:
     """The vectorized coordinate ascent behind both optimizers.
 
-    Keeps the composite row w = h + sum_k v_k xi_k, with xi_k the cascaded
-    path of element k.  Updating element n, base = w - v_n xi_n is w without
-    that element, and ||base + e^{-j phi} xi_n||^2 differs across candidates
-    only in 2 Re{e^{-j phi} sum_i xi_{n,i} conj(base_i)}: the cached score,
-    at O(d_f) per element instead of O(N d_f).  w is recomputed at the start
-    of every sweep, so rounding drift never spans more than one sweep.
+    Keeps the composite row w = h + sum_k v_k xi_k, with xi_k = g_k G_k the
+    cascaded path of element k.  Updating element n, base = w - v_n xi_n is w
+    without that element, and ||base + e^{-j phi} xi_n||^2 differs across
+    candidates only in 2 Re{e^{-j phi} sum_i xi_{n,i} conj(base_i)}: the
+    cached score, at O(d_f) per element instead of O(N d_f).  w is summed
+    afresh for every sweep, so rounding drift never spans more than one.
 
-    The state is stored element-major, ORE last: xi is one C-contiguous
-    (N, d_f, R) array, v is (N, R) and w/base are (d_f, R), so every step
-    works on contiguous rows of length R; the indices stay (R, N).  Every
-    float is the same complex operation on the same operands as in an
-    ORE-major (R, N, d_f) layout, so the selections do not depend on the
-    layout.  The one choice of order is the score's sum over the d_f
-    addends, taken left to right: numpy's ``sum(axis=1)`` over an
-    ORE-major row does the same for d_f <= 3 but pairs the addends for
-    d_f >= 4, where the two can differ in the last bit.
+    The channel is read in place, element-major (:func:`_element_major`).
+    The state is w, base and a few (R,) rows, the (N, R) indices in the
+    alphabet's compact dtype, and one chunk of elements' xi and v: at most
+    ``_XI_CHUNK_BYTES`` of xi, rebuilt from the channel and the indices every
+    sweep, or built once when all N fit.  The next sweep's w is summed chunk
+    by chunk, and equals one einsum over all N exactly.
+
+    Each float is the same complex operation, on operands of the same
+    broadcast shape and order, as in an ORE-major layout: numpy's complex
+    multiply rounds g * G and G * g differently.  The score sums the d_f
+    addends left to right, which numpy's ``sum(axis=1)`` does only for
+    d_f <= 3.
     """
     num_ores, num_elem = ch.num_ores, ch.num_elements
-    df = ch.user_to_ris.shape[2]
-    rot = alphabet.rotations
-    idx = np.full((num_ores, num_elem), alphabet.zero_index, dtype=np.int64)
-    v = np.full((num_elem, num_ores), rot[alphabet.zero_index], dtype=np.complex128)
-    xi = np.empty((num_elem, df, num_ores), dtype=np.complex128)
-    np.multiply(ch.ris_to_bs.T[:, None, :], ch.user_to_ris.transpose(1, 2, 0), out=xi)
-    direct = ch.direct.T
+    g, G = _element_major(ch)
+    df = G.shape[1]
+    rot, rot_col = alphabet.rotations, alphabet.rotations[:, None]
+    idx = np.full((num_elem, num_ores), alphabet.zero_index, dtype=alphabet.index_dtype)
+    chunks = max(1, -(-num_elem * df * num_ores * 16 // _XI_CHUNK_BYTES))
+    size = -(-num_elem // chunks)
+    spans = [(lo, min(lo + size, num_elem)) for lo in range(0, num_elem, size)]
+    # Slot 0 holds the composite summed over the elements before the chunk,
+    # with weight 1, so that einsum continues that running sum.
+    xi = np.empty((size + 1, df, num_ores), dtype=np.complex128)
+    v = np.empty((size + 1, num_ores), dtype=np.complex128)
+    v[0] = 1.0
+
+    def load(lo, hi):
+        np.multiply(g[lo:hi, None, :], G[lo:hi], out=xi[1:hi - lo + 1])
+        v[1:hi - lo + 1] = rot[idx[lo:hi]]
+
+    def summed(partial, k):
+        xi[0] = partial
+        return np.einsum("nr,nir->ir", v[:k + 1], xi[:k + 1])
+
+    total = np.zeros((df, num_ores), dtype=np.complex128)
+    for lo, hi in spans:                          # the blind start's composite
+        load(lo, hi)
+        total = summed(total, hi - lo)
+    base, tmp = np.empty_like(total), np.empty_like(total)
+    sums = np.empty(num_ores, dtype=np.complex128)
+    scores = np.empty((alphabet.size, num_ores), dtype=np.complex128)
     for t in range(iterations):
         if snapshots is not None and t in snapshots:
-            # The smallest index dtype: R * N int64 copies would raise peak memory.
-            compact = idx.astype(np.min_scalar_type(alphabet.size - 1))
-            snapshots[t] = PhaseAssignment(alphabet=alphabet, indices=compact)
-        w = np.einsum("nr,nir->ir", v, xi) + direct
-        for n in range(num_elem):
-            xi_n = xi[n]
-            base = w - v[n] * xi_n
-            p = xi_n * np.conj(base)
-            term3 = p[0]
-            for i in range(1, df):
-                term3 = term3 + p[i]
-            sel = (rot[:, None] * term3).real.argmax(axis=0)   # first max wins
-            idx[:, n] = sel
-            v[n] = rot[sel]
-            w = base + v[n] * xi_n
-            if update_log is not None:
-                # An (R, d_f) copy: summed in the order _sq_norms uses elsewhere.
-                norms = _sq_norms(np.ascontiguousarray(w.T))
-                update_log.extend(
-                    UpdateRecord(r, t, n, float(norms[r])) for r in range(num_ores))
-    phases = PhaseAssignment(alphabet=alphabet, indices=idx)
+            snapshots[t] = PhaseAssignment(alphabet=alphabet, indices=idx.copy().T)
+        w = total + ch.direct.T
+        total = np.zeros_like(w)
+        for lo, hi in spans:
+            if len(spans) > 1:
+                load(lo, hi)
+            for j, n in enumerate(range(lo, hi), 1):
+                np.multiply(v[j], xi[j], out=tmp)
+                np.subtract(w, tmp, out=base)
+                np.conjugate(base, out=tmp)
+                np.multiply(xi[j], tmp, out=tmp)
+                term3 = tmp[0]
+                for i in range(1, df):
+                    term3 = np.add(term3, tmp[i], out=sums)
+                np.multiply(rot_col, term3, out=scores)
+                sel = scores.real.argmax(axis=0)                # first max wins
+                idx[n] = sel
+                v[j] = rot[sel]
+                np.multiply(v[j], xi[j], out=tmp)
+                np.add(base, tmp, out=w)
+                if update_log is not None:
+                    # An (R, d_f) copy: summed in the order _sq_norms uses elsewhere.
+                    norms = _sq_norms(np.ascontiguousarray(w.T))
+                    update_log.extend(
+                        UpdateRecord(r, t, n, float(norms[r])) for r in range(num_ores))
+            if t + 1 < iterations:
+                total = summed(total, hi - lo)
+    phases = PhaseAssignment(alphabet=alphabet, indices=idx.T)
     if snapshots is not None and iterations in snapshots:
         snapshots[iterations] = phases
     return phases
@@ -346,7 +411,11 @@ def exhaustive_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet,
             f"exhaustive budget exceeded: 2^(b*N) = {total} > {eval_budget} "
             f"evaluations per ORE")
     rot = alphabet.rotations
-    best_idx = np.zeros((num_ores, num_elem), dtype=np.int64)
+    # ORE-major copies of element-major storage: each ORE's (N, d_f) matrix
+    # must be contiguous for matmul to take the BLAS path.
+    ris_to_bs = np.ascontiguousarray(ch.ris_to_bs)
+    user_to_ris = np.ascontiguousarray(ch.user_to_ris)
+    best_idx = np.zeros((num_ores, num_elem), dtype=alphabet.index_dtype)
     best_val = np.full(num_ores, -np.inf)
     chunk = 4096
     shape = (size,) * num_elem
@@ -355,116 +424,10 @@ def exhaustive_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet,
         cand = np.stack(np.unravel_index(flat, shape), axis=1)       # lexicographic
         cand_rot = rot[cand]                                         # same for every ORE
         for r in range(num_ores):
-            w = (cand_rot * ch.ris_to_bs[r]) @ ch.user_to_ris[r] + ch.direct[r]
+            w = (cand_rot * ris_to_bs[r]) @ user_to_ris[r] + ch.direct[r]
             obj = _sq_norms(w)
             k = int(obj.argmax())
             if obj[k] > best_val[r]:                                 # strict: keeps first
                 best_val[r] = obj[k]
                 best_idx[r] = cand[k]
     return PhaseAssignment(alphabet=alphabet, indices=best_idx)
-
-
-# ---------------------------------------------------------------------------
-# Instrumented scalar paths
-
-
-class _ComplexOps:
-    """Scalar complex arithmetic that tallies real operations as it goes."""
-
-    def __init__(self, count: OpCount):
-        self.count = count
-
-    def mul(self, a: complex, b: complex) -> complex:
-        self.count.real_multiplications += 4
-        self.count.real_additions += 2
-        return a * b
-
-    def add(self, a: complex, b: complex) -> complex:
-        self.count.real_additions += 2
-        return a + b
-
-    def abs2(self, a: complex) -> float:
-        self.count.real_multiplications += 2
-        self.count.real_additions += 1
-        return a.real * a.real + a.imag * a.imag
-
-    def add1(self, a, b):
-        """Accumulate tallied as a single real addition (the convention the
-        cached optimizer's closed-form count is built on)."""
-        self.count.real_additions += 1
-        return a + b
-
-
-def _first_argmax(scores: list) -> int:
-    """Smallest index whose score is within a relative 1e-12 of the maximum,
-    so exact ties do not go to whichever candidate rounding favoured."""
-    top = max(scores)
-    floor = top - 1e-12 * abs(top)
-    return next(i for i, score in enumerate(scores) if score >= floor)
-
-
-def _counted(ch, alphabet, iterations, counter, score):
-    """The instrumented scalar ascent: per ORE, from the blind start, T sweeps
-    over the N elements, each keeping the first maximizer of the 2^b scores
-    ``score`` gives element n.  AO and LC-AO differ only in that scorer."""
-    ops = _ComplexOps(counter)
-    rot = [complex(x) for x in alphabet.rotations]
-    num_ores, num_elem = ch.num_ores, ch.num_elements
-    idx = np.full((num_ores, num_elem), alphabet.zero_index, dtype=np.int64)
-    for r in range(num_ores):
-        gbar = [complex(x) for x in ch.ris_to_bs[r]]
-        g = [[complex(x) for x in row] for row in ch.user_to_ris[r]]
-        h = [complex(x) for x in ch.direct[r]]
-        v = [rot[alphabet.zero_index]] * num_elem
-        for _ in range(iterations):
-            for n in range(num_elem):
-                sel = _first_argmax(score(ops, rot, gbar, g, h, v, n))
-                idx[r, n] = sel
-                v[n] = rot[sel]
-    return PhaseAssignment(alphabet=alphabet, indices=idx)
-
-
-def _full_norm_scores(ops, rot, gbar, g, h, v, n):
-    """AO: each candidate's composite-row norm, recomputed from scratch."""
-    num_elem, df = len(gbar), len(h)
-    scores = []
-    for candidate in rot:
-        vn = list(v)
-        vn[n] = candidate
-        u = [ops.mul(gbar[k], vn[k]) for k in range(num_elem)]
-        squares = []
-        for i in range(df):
-            acc = h[i]
-            for k in range(num_elem):
-                acc = ops.add(acc, ops.mul(u[k], g[k][i]))
-            squares.append(ops.abs2(acc))
-        norm = squares[0]
-        for s in squares[1:]:
-            norm = ops.add1(norm, s)
-        scores.append(norm)
-    return scores
-
-
-def _cached_scores(ops, rot, gbar, g, h, v, n):
-    """LC-AO: only the phi_n-dependent part, Re{e^{-j phi} term3}, from the
-    couplings of element n with the other elements and with the direct path."""
-    num_elem, df = len(gbar), len(h)
-    psi = 0j
-    for k in range(num_elem):
-        if k == n:
-            continue
-        acc = None
-        for i in range(df):
-            a = ops.mul(g[k][i], gbar[k])
-            b = ops.mul(g[n][i], gbar[n])
-            p = ops.mul(a, b.conjugate())
-            acc = p if acc is None else ops.add(acc, p)
-        rotated = ops.mul(v[k].conjugate(), acc.conjugate())
-        psi = ops.add1(psi, rotated)
-    dbar = None
-    for i in range(df):
-        a = ops.mul(g[n][i], gbar[n])
-        p = ops.mul(a, h[i].conjugate())
-        dbar = p if dbar is None else ops.add(dbar, p)
-    term3 = ops.add1(dbar, psi)
-    return [ops.mul(candidate, term3).real for candidate in rot]

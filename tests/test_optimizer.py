@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_channels
+from ris_scma import optimizer
 from ris_scma.channel import (ChannelRealization, FadingConfig, Geometry,
                               draw_link_channels, draw_trial_block)
 from ris_scma.opcount import OpCount
@@ -493,6 +496,101 @@ def test_composite_channel_shape_mismatch(geom, fading):
     bad = blind_phases(PhaseAlphabet.from_bits(1), 2, 4)
     with pytest.raises(ValueError, match="does not match"):
         composite_channel(ch, bad)
+
+
+# ---------------------------------------------------------------------------
+# Storage layout
+
+
+def _both_layouts(ch):
+    """A drawn (element-major) block and the same values rebuilt trial-major
+    from nested lists, as hand-built channels are."""
+    trial_major = make_channels(ch.direct.tolist(), ch.ris_to_bs.tolist(),
+                                ch.user_to_ris.tolist())
+    assert ch.user_to_ris.transpose(1, 2, 0).flags.c_contiguous
+    assert trial_major.user_to_ris.flags.c_contiguous
+    return ch, trial_major
+
+
+LAYOUT_SHAPES = list(product((1, 2, 5, 8), (1, 3, 8), (1, 2, 4, 6)))   # (N, R, d_f)
+
+
+@pytest.mark.parametrize("los_phase", ["random", "common"])
+@pytest.mark.parametrize("direct_loss_scale", [0.0, 0.0025])
+def test_selections_and_snr_do_not_depend_on_layout(geom, monkeypatch, los_phase,
+                                                    direct_loss_scale):
+    fading = FadingConfig(los_phase=los_phase, direct_loss_scale=direct_loss_scale)
+    for case, (n, r, df) in enumerate(LAYOUT_SHAPES):
+        alpha = PhaseAlphabet.from_bits(1 + case % 3)
+        t = 1 + case % 3
+        layouts = _both_layouts(draw_trial_block([case], r, df, geom, fading, n))
+        logs = [[], []]
+        kernel = [ao_optimize(ch, alpha, t, update_log=log).indices
+                  for ch, log in zip(layouts, logs)]
+        assert np.array_equal(kernel[0], kernel[1]) and logs[0] == logs[1], (n, r, df)
+        for optimize in (ao_optimize, lc_ao_optimize):
+            for ch in layouts:
+                counted = optimize(ch, alpha, t, counter=OpCount()).indices
+                assert np.array_equal(counted, kernel[0]), (n, r, df)
+        # Holding one or two elements' cascaded paths at a time runs the
+        # chunked sweep sums, which must give every logged objective exactly.
+        for chunk_elements in (1, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "_XI_CHUNK_BYTES", 16 * df * r * chunk_elements)
+                for ch in layouts:
+                    log = []
+                    chunked = ao_optimize(ch, alpha, t, update_log=log).indices
+                    assert np.array_equal(chunked, kernel[0]) and log == logs[0], (n, r, df)
+        # Element-major indices (the kernel's, blind) and ORE-major ones.
+        for phases in (PhaseAssignment(alpha, kernel[0]), blind_phases(alpha, r, n),
+                       PhaseAssignment(alpha, np.ascontiguousarray(kernel[0]))):
+            rows, snrs = zip(*[(composite_channel(ch, phases).tobytes(),
+                                received_snr(ch, phases, fading).per_ore_linear.tobytes())
+                               for ch in layouts])
+            assert rows[0] == rows[1] and snrs[0] == snrs[1], (n, r, df)
+        if n <= 4:
+            best = [exhaustive_optimize(ch, alpha).indices for ch in layouts]
+            assert np.array_equal(best[0], best[1]), (n, r, df)
+
+
+# sha256 of the objectives the kernel logs and the indices it returns on the
+# channels below, recorded with numpy 2.4.6 on x86-64 before the kernel read
+# element-major storage.  The golden files see the kernel only through its
+# selections, which a last-bit change rarely flips; this pins its arithmetic,
+# e.g. numpy's complex multiply rounds g * G and G * g differently.
+KERNEL_LOG_SHA256 = "b55832f9e2e3c6c055c01f00d0559e15b20675aadce91080eff30ec38c9a746a"
+
+
+def test_kernel_arithmetic_is_pinned(geom):
+    digest = hashlib.sha256()
+    shapes = ((1, 3, 2), (5, 4, 6), (8, 8, 3), (3, 2, 1), (40, 16, 3), (7, 5, 5))
+    for case, (n, r, df) in enumerate(shapes):
+        fading = FadingConfig(los_phase=("random", "common")[case % 2],
+                              direct_loss_scale=(0.0025, 0.0)[case // 2 % 2])
+        ch = draw_trial_block(range(10 * case, 10 * case + 3), r, df, geom, fading, n)
+        log = []
+        phases = ao_optimize(ch, PhaseAlphabet.from_bits(1 + case % 3), 3, update_log=log)
+        digest.update(np.array([rec.objective for rec in log]).tobytes())
+        digest.update(phases.indices.astype(np.int64).tobytes())
+    assert digest.hexdigest() == KERNEL_LOG_SHA256
+
+
+def test_kernel_state_stays_below_one_cascaded_path_copy(geom):
+    # On a drawn N=256 campaign block (1024 ORE rows, d_f=3) one (N, d_f, R)
+    # complex array of cascaded paths is 12.6 MB; the kernel reads the
+    # channel in place and holds at most 1 MiB of them at a time.
+    fading = FadingConfig(los_phase="common", direct_loss_scale=0.0025)
+    ch = draw_trial_block(range(256), 4, 3, geom, fading, 256)
+    alpha = PhaseAlphabet.from_bits(3)
+    tracemalloc.start()
+    try:
+        phases = lc_ao_optimize(ch, alpha, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+    assert phases.indices.dtype == np.uint8
+    assert blind_phases(alpha, 1024, 256).indices.dtype == np.uint8
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Layer benchmark for ris_scma: start-up, fan-out, seeding, channel draw,
-ascent, SNR evaluation.
+"""Layer benchmark for ris_scma: start-up, fan-out, grid point, seeding,
+channel draw, ascent, SNR evaluation.
 
 Run from the root of a source checkout (``src`` is put on the path here):
 
@@ -11,6 +11,12 @@ Run from the root of a source checkout (``src`` is put on the path here):
 * Fan-out: whole campaigns in this process at 1 and 2 workers, alternating,
   with their result bytes compared: the benchmark's ``draw_bound_deploy``
   workload (112 blocks) and the ``fig5b`` preset at 2000 trials (32 blocks).
+* Grid point: one grid point of the benchmark's ``large_n_cached`` workload
+  (``n_sweep``, 256 trials, blind and lc_ao: draw, ascent and two SNR
+  evaluations) at N in {64, 128, 256}, run through ``_trial_block`` two ways
+  on every repeat, in alternating order: as the blocks ``_plan_blocks`` gives
+  and as one 256-trial block.  The median time and minor page faults, one
+  untimed ``tracemalloc`` peak each, and whether the per-trial bytes agree.
 
 The seeding, channel-draw, ascent and SNR layers use 256-trial blocks of
 campaign child seeds (``trial_seed``) and calibrated fading (R=4, d_f=3,
@@ -59,7 +65,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np                                                    # noqa: E402
 
-from ris_scma.campaign import _plan_blocks, run_campaign, trial_seed   # noqa: E402
+from ris_scma.campaign import (_plan_blocks, _trial_block,            # noqa: E402
+                               run_campaign, trial_seed)
 from ris_scma.channel import (FadingConfig, Geometry, _pcg64_states,   # noqa: E402
                               draw_link_channels, draw_trial_block,
                               stack_realizations)
@@ -81,6 +88,8 @@ ADDED_MODULES_CODE = (
     "               if m.partition('.')[0] not in ('ris_scma', 'numpy'))\n"
     "print(' '.join(added))\n")
 FAN_OUT_REPEATS = 7
+GRID_POINT_ELEMENTS = (64, 128, 256)
+GRID_POINT_REPEATS = 15
 TRIALS = 256
 ELEMENTS = (8, 16, 64, 256)
 DRAW_REPEATS = 15
@@ -109,6 +118,26 @@ def _median_calls(run, repeats: int) -> tuple:
         times.append(time.perf_counter() - start)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     return statistics.median(times), statistics.median(faults)
+
+
+def _interleaved_calls(runs: dict, repeats: int) -> tuple:
+    """Call every entry of ``runs`` once per repeat, the order reversed on odd
+    repeats: ({name: (median seconds, median minor page faults)},
+    {name: its last result})."""
+    times = {name: [] for name in runs}
+    faults = {name: [] for name in runs}
+    results = {}
+    names = list(runs)
+    for repeat in range(repeats):
+        for name in (names if repeat % 2 == 0 else names[::-1]):
+            results.pop(name, None)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = time.perf_counter()
+            results[name] = runs[name]()
+            times[name].append(time.perf_counter() - start)
+            faults[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return ({name: (statistics.median(times[name]), statistics.median(faults[name]))
+             for name in runs}, results)
 
 
 def _python(code: str) -> subprocess.CompletedProcess:
@@ -156,15 +185,12 @@ def _campaign_bytes(cfg, workers: int) -> tuple:
 def fan_out_layer() -> dict:
     rows = []
     for name, cfg in _fan_out_campaigns().items():
-        times, outputs = {1: [], 2: []}, {}
-        for repeat in range(FAN_OUT_REPEATS):
-            for workers in ((1, 2) if repeat % 2 == 0 else (2, 1)):
-                start = time.perf_counter()
-                outputs[workers] = _campaign_bytes(cfg, workers)
-                times[workers].append(time.perf_counter() - start)
+        medians, outputs = _interleaved_calls(
+            {workers: lambda workers=workers: _campaign_bytes(cfg, workers)
+             for workers in (1, 2)}, FAN_OUT_REPEATS)
         if outputs[1] != outputs[2]:
             raise SystemExit(f"{name}: 1- and 2-worker result bytes differ")
-        one, two = statistics.median(times[1]), statistics.median(times[2])
+        (one, _), (two, _) = medians[1], medians[2]
         rows.append({"campaign": name, "blocks": len(_plan_blocks(cfg.campaign)),
                      "one_worker_s": one, "two_workers_s": two,
                      "speedup": one / two, "bytes_equal": True})
@@ -172,6 +198,44 @@ def fan_out_layer() -> dict:
               f"({one / two:.2f}x), median of {FAN_OUT_REPEATS}, bytes equal",
               file=sys.stderr)
     return {"repeats": FAN_OUT_REPEATS, "results": rows}
+
+
+def _planned_blocks(campaign) -> dict:
+    parts = [_trial_block(campaign, *block) for block in _plan_blocks(campaign)]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+def _one_block(campaign) -> dict:
+    return _trial_block(campaign, (0,), 0, campaign.num_trials)
+
+
+def grid_point_layer() -> dict:
+    base = parse_config(WORKLOADS["large_n_cached"].config_text(DEFAULT_SEED)).campaign
+    ways = {"planned": _planned_blocks, "one_block": _one_block}
+    rows = []
+    for n in GRID_POINT_ELEMENTS:
+        campaign = replace(base, sweep_grid=(n,))
+        medians, outputs = _interleaved_calls(
+            {way: lambda run=run: run(campaign) for way, run in ways.items()},
+            GRID_POINT_REPEATS)
+        if not all(outputs["planned"][key].tobytes() == per_trial.tobytes()
+                   for key, per_trial in outputs["one_block"].items()):
+            raise SystemExit(f"N={n}: the planned blocks' per-trial bytes differ")
+        row = {"num_elements": n, "trials": campaign.num_trials,
+               "planned_blocks": len(_plan_blocks(campaign)), "bytes_equal": True}
+        for way, run in ways.items():
+            row[f"{way}_s"], row[f"{way}_minor_faults"] = medians[way]
+            row[f"{way}_peak_bytes"] = _traced_peak_bytes(lambda: run(campaign))
+        row["planned_over_one_block"] = row["planned_s"] / row["one_block_s"]
+        rows.append(row)
+        print(f"N={n}: {row['planned_blocks']} planned block(s) "
+              f"{row['planned_s'] * 1e3:.1f} ms ({row['planned_minor_faults']:.0f} page "
+              f"faults, peak {row['planned_peak_bytes'] / 1e6:.2f} MB), one block "
+              f"{row['one_block_s'] * 1e3:.1f} ms ({row['one_block_minor_faults']:.0f} "
+              f"page faults, peak {row['one_block_peak_bytes'] / 1e6:.2f} MB), median "
+              f"of {GRID_POINT_REPEATS}, bytes equal", file=sys.stderr)
+    return {"repeats": GRID_POINT_REPEATS, "workload": "large_n_cached",
+            "algorithms": list(base.algorithms), "results": rows}
 
 
 def _seed_vectorized(seeds) -> int:
@@ -312,6 +376,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # Fan-out runs before the big draws, so the pool forks a small process.
     report = {"layers": {"startup": startup_layer(), "fan_out": fan_out_layer(),
+                         "grid_point": grid_point_layer(),
                          "seeding": seeding_layer(), "channel_draw": draw_layer(),
                          "ascent": ascent_layer(), "snr": snr_layer()},
               "environment": environment()}

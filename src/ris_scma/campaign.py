@@ -4,13 +4,14 @@ Every trial draws its own channel realization from a child seed derived as
 ``first 8 bytes (big endian) of SHA-256("{master_seed}:{grid_index}:{trial_index}")``,
 so results are bit-identical for any worker count and reproducible in any
 language.  A trial's stream is the one numpy's default generator gives its
-child seed; each batch's child seeds are mixed into PCG64 states in one
-vectorized pass (:func:`~ris_scma.channel.draw_trial_block`).  Grid points
-that differ only in the sweep count T (the ``convergence`` scenario) share the
-first such point's draws and one ascent trajectory, read after each point's T
-sweeps.  All requested algorithms run on the same realization (paired
-comparison), and the reduction is ordered by (grid index, trial index), never
-by completion order.
+child seed; each block's child seeds are mixed into PCG64 states in one
+vectorized pass (:func:`~ris_scma.channel.draw_trial_block`).  Block sizes
+shrink with N (:func:`_plan_blocks`).  Grid points that differ only in the
+sweep count T (the ``convergence`` scenario) share the first such point's
+draws and one ascent trajectory, read after each point's T sweeps.  All
+requested algorithms run on the same realization (paired comparison), and
+the reduction is ordered by (grid index, trial index), never by completion
+order.
 """
 
 from __future__ import annotations
@@ -45,7 +46,11 @@ AXIS_BY_SCENARIO = {
 }
 COMPLEXITY_AXES = ("num_elements", "phase_bits")
 
-_TRIAL_BATCH = 256
+# Block sizes for _plan_blocks.  Every size divides the largest, so a group's
+# ranges nest inside 256-aligned ones whatever its N.
+_MAX_BLOCK_TRIALS = 256
+_BLOCK_ELEMENT_ROWS = 2**16
+_MIN_BLOCK_ROWS = 512
 # Blocks go to pool processes in contiguous chunks, about this many per process.
 _CHUNKS_PER_PROCESS = 4
 
@@ -316,18 +321,27 @@ def run_campaign(campaign: Campaign, config_hash: str = "") -> CampaignResult:
 
 
 def _plan_blocks(campaign: Campaign) -> list:
-    """(grid indices, lo, hi) work items, one per batch of trials.  Grid points
+    """(grid indices, lo, hi) work items, one per block of trials.  Grid points
     whose parameters agree on everything but T (geometry, N, b) form one group
-    that shares draws and ascents; ranges align to the fixed batch size, so
-    the stacked groups (and thus every float) are identical for any worker
-    count."""
+    that shares draws and ascents.  A group's block size depends only on its
+    N and R = ``scma.num_ores``: 256 trials, halved while N x (trials x R)
+    exceeds 2^16 element-rows but never below 512 ORE rows.  At R = 4 that is
+    256 trials up to N = 64 and 128 above, which halves an N = 256 block's
+    channel to 8.4 MB.  A trial's values do not depend on its block, so every
+    float is identical for any plan and any worker count."""
     groups = {}
     for gi, axis_value in enumerate(campaign.sweep_grid):
         geom, n, b, _ = campaign.point_params(axis_value)
         groups.setdefault((geom, n, b), []).append(gi)
-    return [(tuple(group), lo, min(lo + _TRIAL_BATCH, campaign.num_trials))
-            for group in groups.values()
-            for lo in range(0, campaign.num_trials, _TRIAL_BATCH)]
+    r = campaign.scma.num_ores
+    blocks = []
+    for (_, n, _), group in groups.items():
+        size = _MAX_BLOCK_TRIALS
+        while n * size * r > _BLOCK_ELEMENT_ROWS and size // 2 * r >= _MIN_BLOCK_ROWS:
+            size //= 2
+        blocks += [(tuple(group), lo, min(lo + size, campaign.num_trials))
+                   for lo in range(0, campaign.num_trials, size)]
+    return blocks
 
 
 @dataclass(frozen=True)

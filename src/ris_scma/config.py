@@ -175,6 +175,8 @@ def config_from_document(doc: dict, overrides: dict | None = None) -> RunConfig:
     for fmt in output["formats"]:
         if fmt not in OUTPUT_FORMATS:
             raise ConfigError(f"output.formats: unknown format {fmt!r}")
+        if output["formats"].count(fmt) > 1:
+            raise ConfigError(f"output.formats: format {fmt!r} is listed more than once")
 
     # Every top-level scalar except verbosity is a Campaign field.
     fields = {key: tuple(value) if isinstance(value, list) else value

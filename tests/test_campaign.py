@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import ris_scma.campaign
-from ris_scma.campaign import (Campaign, deploy_sweep_profile, run_campaign,
-                               trial_seed)
+from ris_scma.campaign import (Campaign, _plan_blocks, deploy_sweep_profile,
+                               run_campaign, trial_seed)
 from ris_scma.channel import FadingConfig, Geometry, draw_link_channels
 from ris_scma.config import campaign_from_config, parse_config
 from ris_scma.factor_graph import ScmaConfig
@@ -131,6 +131,58 @@ def test_one_process_runs_never_import_the_pool(case):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# A layout with R = 8 (28 users, d_f = 7): its floor of 512 ORE rows is 64 trials.
+EIGHT_ORES = {"num_users": 28, "num_ores": 8, "codebook_size": 2,
+              "nonzero_per_user": 2, "nonzero_per_ore": 7}
+
+
+@pytest.mark.parametrize("system, trials_by_n", [
+    (None, {16: 256, 64: 256, 65: 128, 128: 128, 256: 128}),
+    (EIGHT_ORES, {16: 256, 64: 128, 65: 64, 128: 64, 256: 64}),
+], ids=["four_ores", "eight_ores"])
+def test_block_size_halves_with_n_down_to_512_ore_rows(system, trials_by_n):
+    overrides = {"system": system} if system else {}
+    campaign = small_campaign(sweep={"grid": [16, 64, 65, 128, 256]},
+                              num_trials=300, **overrides)
+    ranges_by_n = {}
+    for (gi,), lo, hi in _plan_blocks(campaign):
+        ranges_by_n.setdefault(campaign.sweep_grid[gi], []).append((lo, hi))
+    for n, size in trials_by_n.items():
+        ranges = ranges_by_n[n]
+        assert ranges == [(lo, min(lo + size, 300)) for lo in range(0, 300, size)], n
+        # every block lies inside one 256-aligned range of the fixed plan
+        assert all(lo // 256 == (hi - 1) // 256 for lo, hi in ranges), n
+
+
+def fixed_256_trial_plan(campaign):
+    """The plan before blocks were sized by N: 256 trials per block."""
+    return [((gi,), lo, min(lo + 256, campaign.num_trials))
+            for gi in range(len(campaign.sweep_grid))
+            for lo in range(0, campaign.num_trials, 256)]
+
+
+@pytest.mark.parametrize("los_phase", ["common", "random"])
+def test_large_n_plan_gives_the_fixed_plan_bytes(monkeypatch, los_phase):
+    campaign = small_campaign(sweep={"grid": [128, 256]}, num_trials=256,
+                              fading={"los_phase": los_phase},
+                              algorithms=["blind", "lc_ao", "no_ris"])
+    assert len(_plan_blocks(campaign)) == 4
+    planned = run_campaign(campaign)
+    monkeypatch.setattr(ris_scma.campaign, "_plan_blocks", fixed_256_trial_plan)
+    assert run_campaign(campaign).rows == planned.rows
+
+
+def test_one_large_n_point_fans_out(monkeypatch):
+    def campaign(workers):
+        return small_campaign(sweep={"grid": [128]}, num_trials=256,
+                              algorithms=["blind", "lc_ao"], workers=workers)
+    one_worker = run_campaign(campaign(1)).rows
+    assert run_campaign(campaign(2)).rows == one_worker     # real processes
+    pools = recording_pool(monkeypatch)
+    run_campaign(campaign(2))
+    assert [(p["processes"], p["tasks"]) for p in pools] == [(2, 2)]
 
 
 def test_paired_gain_nonnegative_everywhere():

@@ -225,9 +225,10 @@ def test_trial_block_matches_per_seed_draws_across_chunks(geom, mode):
 
 
 def test_trial_block_draw_holds_no_block_sized_buffer(geom):
-    # A campaign block (256 trials, R=4, d_f=3) at N=256: besides its outputs
-    # the draw may hold the 1 MiB scratch buffer (raw rows and staged
-    # element-major groups) and small temporaries, not a second copy of a group.
+    # A 256-trial block (R=4, d_f=3) at N=256, twice what a campaign draws
+    # there: besides its outputs the draw may hold the 1 MiB scratch buffer
+    # (raw rows and staged element-major groups) and small temporaries, not a
+    # second copy of a group.
     fading = FadingConfig(los_phase="common", direct_loss_scale=0.0025)
     seeds = [trial_seed(1, 0, t) for t in range(256)]
     # The first draw in a process also imports numpy.random (about 0.7 MiB).

@@ -99,6 +99,21 @@ def test_wrongly_typed_values_rejected_by_key(text, key, tmp_path, capsys):
     assert key in json.loads(err[0])["error"]["message"]
 
 
+def test_duplicate_output_format_rejected(tmp_path, capsys):
+    # A repeated format would write its file twice and print its path twice.
+    text = '{"output": {"formats": ["csv", "csv", "json"]}}'
+    with pytest.raises(ConfigError, match="output.formats: format 'csv'"):
+        parse_config(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_dir.exists()
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "config" and "output.formats" in error["message"]
+
+
 def test_number_keys_take_integers():
     cfg = parse_config('{"fading": {"rician_factor": 2}, '
                        '"scenario": "deploy_sweep", "sweep": {"grid": [2, 5]}}')

@@ -576,9 +576,10 @@ def test_kernel_arithmetic_is_pinned(geom):
 
 
 def test_kernel_state_stays_below_one_cascaded_path_copy(geom):
-    # On a drawn N=256 campaign block (1024 ORE rows, d_f=3) one (N, d_f, R)
-    # complex array of cascaded paths is 12.6 MB; the kernel reads the
-    # channel in place and holds at most 1 MiB of them at a time.
+    # On a drawn 256-trial block at N=256 (1024 ORE rows, d_f=3; a campaign
+    # draws 128 trials there) one (N, d_f, R) complex array of cascaded paths
+    # is 12.6 MB; the kernel reads the channel in place and holds at most
+    # 1 MiB of them at a time.
     fading = FadingConfig(los_phase="common", direct_loss_scale=0.0025)
     ch = draw_trial_block(range(256), 4, 3, geom, fading, 256)
     alpha = PhaseAlphabet.from_bits(3)

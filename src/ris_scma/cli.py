@@ -203,11 +203,7 @@ def _cmd_selftest(args) -> int:
         r = int(rng.integers(1, 5))
         t = int(rng.integers(1, 4))
         ch = draw_link_channels(rng, r, df, geom, fading, n)
-        alphabet = PhaseAlphabet.from_bits(b)
-        kernel = ao_optimize(ch, alphabet, t).indices
-        for optimize in (ao_optimize, lc_ao_optimize):
-            counted = optimize(ch, alphabet, t, counter=OpCount()).indices
-            mismatch += not np.array_equal(kernel, counted)
+        mismatch += _counted_mismatches(ch, PhaseAlphabet.from_bits(b), t)
     failures += _report("vectorized and both counted selections identical "
                         "(60 draws, d_f <= 6)", mismatch == 0)
 
@@ -255,8 +251,31 @@ def _cmd_selftest(args) -> int:
     failures += _report("seeded block draw equals per-seed default_rng draws "
                         "(64 seeds, both LoS modes)", ok)
 
+    # One element's column duplicates another's, so candidates can tie in
+    # exact arithmetic and differ only by rounding; half have no direct link.
+    rng = np.random.default_rng(20240602)
+    mismatch = 0
+    for k in range(500):
+        n, r, df, b, t = (int(x) for x in rng.integers([2, 1, 1, 1, 1], [6, 4, 4, 4, 4]))
+        ch = draw_link_channels(rng, r, df, geom, FadingConfig(
+            direct_loss_scale=(0.0025, 0.0)[k % 2]), n)
+        src, dst = rng.permutation(n)[:2]
+        ch.ris_to_bs[:, dst], ch.user_to_ris[:, dst] = ch.ris_to_bs[:, src], ch.user_to_ris[:, src]
+        mismatch += _counted_mismatches(ch, PhaseAlphabet.from_bits(b), t)
+    failures += _report("kernel and both counted selections identical on "
+                        "duplicated-column channels (500 draws)", mismatch == 0)
+
     print(f"selftest: {'PASS' if failures == 0 else 'FAIL'}")
     return 0 if failures == 0 else 1
+
+
+def _counted_mismatches(ch, alphabet, iterations) -> int:
+    """How many of the counted ao and lc_ao runs select other phases than
+    the kernel."""
+    kernel = ao_optimize(ch, alphabet, iterations).indices
+    return sum(not np.array_equal(kernel, optimize(
+        ch, alphabet, iterations, counter=OpCount()).indices)
+        for optimize in (ao_optimize, lc_ao_optimize))
 
 
 def _report(name: str, ok: bool) -> int:

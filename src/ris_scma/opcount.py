@@ -2,10 +2,10 @@
 
 Cost model: one complex multiply = 4 real multiplications + 2 real additions,
 one complex add = 2 real additions, one squared magnitude = 2 real
-multiplications + 1 real addition.  Loop control, comparisons, arg-max scans
-and phase-table lookups are free.  The closed forms are checked against the
-instrumented scalar ascent below, which tallies the same operations one by
-one.
+multiplications + 1 real addition.  Loop control, comparisons, the phase
+selection (:func:`_select`, its threshold included) and phase-table lookups
+are free.  The closed forms are checked against the instrumented scalar
+ascent below, which tallies the same operations one by one.
 """
 
 from __future__ import annotations
@@ -114,32 +114,42 @@ class _ComplexOps:
         return a + b
 
 
-def _first_argmax(scores: list) -> int:
-    """Smallest index whose score is within a relative 1e-12 of the maximum,
-    so exact ties do not go to whichever candidate rounding favoured."""
-    top = max(scores)
-    floor = top - 1e-12 * abs(top)
-    return next(i for i, score in enumerate(scores) if score >= floor)
+# Scores within this fraction of S = ||h||^2 + sum_k ||xi_k||^2 (the mean
+# objective over uniformly random phases) of the best tie.  Rounding moves
+# a score by about 1e-16 S.
+_TIE_TOLERANCE = 1e-12
+
+
+def _select(scores, gap):
+    """The tie rule of the kernel and both counted paths: along axis 0 of
+    (2^b,) or (2^b, R) scores, the first index scoring at least max - gap."""
+    scores = np.asarray(scores)
+    return (scores >= scores.max(axis=0) - gap).argmax(axis=0)
 
 
 def _counted(ch, alphabet, iterations, counter, score):
     """The instrumented scalar ascent behind ``ao_optimize`` and
     ``lc_ao_optimize`` with a counter: per ORE, from the blind start, T sweeps
-    over the N elements, each keeping the first maximizer of the 2^b scores
-    ``score`` gives element n.  AO and LC-AO differ only in that scorer.
+    over the N elements, each keeping the :func:`_select` choice among the 2^b
+    scores ``score`` gives element n.  AO and LC-AO differ only in that scorer.
     Returns the (R, N) selected indices."""
     ops = _ComplexOps(counter)
     rot = [complex(x) for x in alphabet.rotations]
     num_ores, num_elem = ch.num_ores, ch.num_elements
     idx = np.full((num_ores, num_elem), alphabet.zero_index, dtype=alphabet.index_dtype)
+    # LC-AO's scores, like the kernel's, are half the phase-dependent part.
+    scale = 0.5 * _TIE_TOLERANCE if score is _cached_scores else _TIE_TOLERANCE
     for r in range(num_ores):
         gbar = [complex(x) for x in ch.ris_to_bs[r]]
         g = [[complex(x) for x in row] for row in ch.user_to_ris[r]]
         h = [complex(x) for x in ch.direct[r]]
+        # Untallied: the selection, its threshold included, is free.
+        gap = scale * (sum(abs(x) ** 2 for x in h) + sum(
+            abs(gbar[k] * x) ** 2 for k in range(num_elem) for x in g[k]))
         v = [rot[alphabet.zero_index]] * num_elem
         for _ in range(iterations):
             for n in range(num_elem):
-                sel = _first_argmax(score(ops, rot, gbar, g, h, v, n))
+                sel = _select(score(ops, rot, gbar, g, h, v, n), gap)
                 idx[r, n] = sel
                 v[n] = rot[sel]
     return idx

@@ -3,7 +3,9 @@
 All optimizers treat OREs independently and share the same conventions:
 phases start at 0, coordinates are updated in place (so the objective can
 never decrease: the incumbent value is always among the candidates), and
-arg-max ties go to the smallest candidate index.
+each coordinate update takes the first candidate scoring within 1e-12 times
+the ORE's mean objective of the best (:func:`~ris_scma.opcount._select`), so
+exact ties stay ties after rounding.
 
 Each optimizer takes an optional ``counter`` (an :class:`~ris_scma.opcount.OpCount`
 sink).  With a counter the run goes through one scalar driver
@@ -24,7 +26,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import ChannelRealization, FadingConfig
-from .opcount import OpCount, _cached_scores, _counted, _full_norm_scores
+from .opcount import (_TIE_TOLERANCE, OpCount, _cached_scores, _counted,
+                      _full_norm_scores, _select)
 
 DEFAULT_EXHAUSTIVE_BUDGET = 2**20
 
@@ -262,7 +265,9 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
     """Cyclic coordinate ascent with a full norm evaluation per candidate.
 
     For each ORE: for t = 1..iterations, for each element, score all 2^b
-    candidate phases by the composite-row norm and keep the first maximizer.
+    candidate phases by the composite-row norm and keep the first within
+    1e-12 S of the best, S = ||h||^2 + sum_k ||xi_k||^2 being the mean
+    objective over random phases (:func:`_select`).
     With a ``counter`` the scalar driver recomputes every norm from scratch,
     which is what the closed-form operation counts describe; without one the
     shared incremental kernel (:func:`_ascent`) selects the same phases.
@@ -321,6 +326,8 @@ def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
     candidates only in 2 Re{e^{-j phi} sum_i xi_{n,i} conj(base_i)}: the
     cached score, at O(d_f) per element instead of O(N d_f).  w is summed
     afresh for every sweep, so rounding drift never spans more than one.
+    Scores are half the phase-dependent part, so the gap is 1e-12 S / 2, S
+    summed on the blind-start pass.
 
     The channel is read in place, element-major (:func:`_element_major`).
     The state is w, base and a few (R,) rows, the (N, R) indices in the
@@ -358,9 +365,13 @@ def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
         return np.einsum("nr,nir->ir", v[:k + 1], xi[:k + 1])
 
     total = np.zeros((df, num_ores), dtype=np.complex128)
+    energy = np.zeros(2 * num_ores)               # sum |xi|^2: re, im per ORE
     for lo, hi in spans:                          # the blind start's composite
         load(lo, hi)
         total = summed(total, hi - lo)
+        part = xi[1:hi - lo + 1].view(np.float64)
+        energy += np.einsum("nir,nir->r", part, part)
+    half_gap = 0.5 * _TIE_TOLERANCE * (_sq_norms(ch.direct) + energy[0::2] + energy[1::2])
     base, tmp = np.empty_like(total), np.empty_like(total)
     sums = np.empty(num_ores, dtype=np.complex128)
     scores = np.empty((alphabet.size, num_ores), dtype=np.complex128)
@@ -381,7 +392,7 @@ def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
                 for i in range(1, df):
                     term3 = np.add(term3, tmp[i], out=sums)
                 np.multiply(rot_col, term3, out=scores)
-                sel = scores.real.argmax(axis=0)                # first max wins
+                sel = _select(scores.real, half_gap)
                 idx[n] = sel
                 v[j] = rot[sel]
                 np.multiply(v[j], xi[j], out=tmp)
@@ -402,7 +413,9 @@ def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
 def exhaustive_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet,
                         eval_budget: int = DEFAULT_EXHAUSTIVE_BUDGET) -> PhaseAssignment:
     """Global maximizer per ORE over all 2^{bN} assignments; ties go to the
-    lexicographically smallest index vector."""
+    lexicographically smallest index vector.  It keeps the exact first
+    maximum, not the ascent's gap rule, so compare the two by objective
+    value, not by index."""
     num_ores, num_elem = ch.num_ores, ch.num_elements
     size = alphabet.size
     total = size**num_elem

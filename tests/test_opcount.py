@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ris_scma.channel import FadingConfig, Geometry, draw_link_channels
-from ris_scma.opcount import (OpCount, measured_run, predicted_ao,
+from ris_scma.opcount import (OpCount, _select, measured_run, predicted_ao,
                               predicted_exhaustive, predicted_lc_ao)
 from ris_scma.optimizer import PhaseAlphabet
 
@@ -106,3 +106,17 @@ def test_predicted_exhaustive_counts():
     per_eval_mults = 4 * 3 * 4 + 6
     assert got.real_additions == 2 * 4**3 * per_eval_adds
     assert got.real_multiplications == 2 * 4**3 * per_eval_mults
+
+
+def test_select_keeps_the_first_score_within_the_gap():
+    # Columns: an exact tie, a score within the gap of the maximum, one just
+    # outside it, and all scores equal.
+    scores = np.array([[1.0, 3.0, 3.0, 2.0], [1.0, 3.0 - 1e-9, 3.0, 2.0],
+                       [1.0, 3.0 - 2e-9, 3.0, 2.0], [-5.0] * 4]).T
+    gaps = np.array([0.0, 1e-9, 1e-9, 1e-9])
+    expected = [1, 1, 2, 0]
+    for r in range(4):                    # 1-D, as the counted paths call it
+        assert _select(scores[:, r].tolist(), gaps[r]) == expected[r]
+    assert _select(scores, gaps).tolist() == expected     # (2^b, R), a gap per row
+    assert _select(scores, 0.0).tolist() == [1, 2, 2, 0]  # exact first maximum
+    assert _select(np.zeros((2, 3)), 0.0).tolist() == [0, 0, 0]

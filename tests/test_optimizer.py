@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_channels
@@ -643,9 +643,7 @@ def test_degenerate_channels_keep_invariants(case, bits, sweeps):
 
 # Hypothesis derives a derandomized test's examples from the test's source, so
 # this check has a test of its own: added to the test above, it would give
-# that test 50 other channels, and those include a duplicated element column
-# whose exact tie the kernel and the counted lc_ao path break differently by
-# rounding (ROADMAP item 1).
+# that test 50 other channels in place of the ones it has always checked.
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(case=degenerate_channels(), bits=st.integers(1, 3), sweeps=st.integers(1, 3))
 def test_degenerate_channels_stay_between_blind_and_oracle(case, bits, sweeps):
@@ -657,3 +655,36 @@ def test_degenerate_channels_stay_between_blind_and_oracle(case, bits, sweeps):
         ao_optimize(ch, alpha, sweeps), exhaustive_optimize(ch, alpha)))
     assert (mid >= low * (1.0 - 1e-12)).all()
     assert (best >= mid * (1.0 - 1e-12)).all()
+
+
+@st.composite
+def duplicated_column_channels(draw):
+    """A one-trial draw (N 2-5, R 1-3, d_f 1-3, with or without a direct
+    link) in which one element's column duplicates another's, so candidates
+    can tie in exact arithmetic and differ only by rounding."""
+    n = draw(st.integers(2, 5))
+    fading = FadingConfig(los_phase=draw(st.sampled_from(["random", "common"])),
+                          direct_loss_scale=draw(st.sampled_from([0.0, 0.0025])))
+    ch = draw_trial_block([draw(st.integers(0, 2**64 - 1))], draw(st.integers(1, 3)),
+                          draw(st.integers(1, 3)), Geometry(40.0, 1.5, 2.0, 2.4e9),
+                          fading, n)
+    src, dst = draw(st.permutations(range(n)))[:2]
+    ris_to_bs, user_to_ris = ch.ris_to_bs.copy(), ch.user_to_ris.copy()
+    ris_to_bs[:, dst], user_to_ris[:, dst] = ris_to_bs[:, src], user_to_ris[:, src]
+    return ChannelRealization(direct=ch.direct, ris_to_bs=ris_to_bs,
+                              user_to_ris=user_to_ris)
+
+
+# xi = (1, -2, 1), no direct link: element 0 turns to -pi, and then elements 0
+# and 2 cancel except for the 1.2e-16 imaginary part of e^{j pi}, so element
+# 1's two candidates tie in exact arithmetic but not after rounding.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(ch=make_channels(direct=[0.0], ris_to_bs=[1.0, 1.0, 1.0],
+                          user_to_ris=[[1.0], [-2.0], [1.0]]), bits=1, sweeps=1)
+@given(ch=duplicated_column_channels(), bits=st.integers(1, 3), sweeps=st.integers(1, 3))
+def test_duplicated_columns_select_identically(ch, bits, sweeps):
+    alpha = PhaseAlphabet.from_bits(bits)
+    kernel = ao_optimize(ch, alpha, sweeps).indices
+    for optimize in (ao_optimize, lc_ao_optimize):
+        counted = optimize(ch, alpha, sweeps, counter=OpCount()).indices
+        assert np.array_equal(kernel, counted), optimize.__name__

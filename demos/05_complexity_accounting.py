@@ -1,9 +1,9 @@
 """Counting every real addition and multiplication.
 
-The two optimizers are instrumented: running them with a counter tallies
-real arithmetic under a fixed cost model (complex multiply = 4 mults +
-2 adds, complex add = 2 adds, squared magnitude = 2 mults + 1 add).  The
-tallies land exactly on the closed-form predictions, and the closed forms
+``measured_run`` runs either optimizer's instrumented scalar ascent and
+tallies real arithmetic under a fixed cost model (complex multiply = 4
+mults + 2 adds, complex add = 2 adds, squared magnitude = 2 mults + 1 add).
+The tallies land exactly on the closed-form predictions, and the closed forms
 show why the cached variant wins: its per-sweep cost is quadratic in N but
 the 2^b candidate scoring is additive, not multiplicative.
 """
@@ -23,8 +23,8 @@ print(f"{'R':>3} {'N':>4} {'b':>3} {'d_f':>4}   {'ascent measured':>22} "
 for (r, n, b, df) in [(1, 1, 1, 1), (4, 8, 2, 3), (4, 16, 3, 3), (2, 12, 3, 2)]:
     ch = draw_link_channels(np.random.default_rng(n), r, df, geom, fading, n)
     alpha = PhaseAlphabet.from_bits(b)
-    ma = measured_run("ao", ch, alpha, 1)
-    ml = measured_run("lc_ao", ch, alpha, 1)
+    _, ma = measured_run("ao", ch, alpha, 1)
+    _, ml = measured_run("lc_ao", ch, alpha, 1)
     pa = predicted_ao(r, n, b, df)
     pl = predicted_lc_ao(r, n, b, df)
     assert ma == pa and ml == pl

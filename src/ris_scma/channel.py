@@ -37,17 +37,20 @@ class Geometry:
     carrier_frequency: float
 
     def __post_init__(self) -> None:
-        if self.bs_user_distance <= 0:
-            raise ValueError(f"bs_user_distance must be > 0, got {self.bs_user_distance}")
-        if self.ris_perpendicular_offset <= 0:
-            raise ValueError(
-                f"ris_perpendicular_offset must be > 0, got {self.ris_perpendicular_offset}")
+        # Written so that NaN fails every bound.
+        if not 0 < self.bs_user_distance < math.inf:
+            raise ValueError(f"bs_user_distance must be finite and > 0, "
+                             f"got {self.bs_user_distance}")
+        if not 0 < self.ris_perpendicular_offset < math.inf:
+            raise ValueError(f"ris_perpendicular_offset must be finite and > 0, "
+                             f"got {self.ris_perpendicular_offset}")
         if not 0 < self.ris_horizontal_offset < self.bs_user_distance:
             raise ValueError(
                 f"ris_horizontal_offset must lie strictly between 0 and "
                 f"bs_user_distance = {self.bs_user_distance}, got {self.ris_horizontal_offset}")
-        if self.carrier_frequency <= 0:
-            raise ValueError(f"carrier_frequency must be > 0, got {self.carrier_frequency}")
+        if not 0 < self.carrier_frequency < math.inf:
+            raise ValueError(f"carrier_frequency must be finite and > 0, "
+                             f"got {self.carrier_frequency}")
 
     @property
     def wavelength(self) -> float:
@@ -80,18 +83,21 @@ class FadingConfig:
     direct_loss_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rician_factor < 0:
+        # Written so that NaN fails every bound; K = inf is pure LoS.
+        if not self.rician_factor >= 0:
             raise ValueError(f"rician_factor must be >= 0, got {self.rician_factor}")
-        if self.noise_variance <= 0:
-            raise ValueError(f"noise_variance must be > 0, got {self.noise_variance}")
-        if self.symbol_energy <= 0:
-            raise ValueError(f"symbol_energy must be > 0, got {self.symbol_energy}")
+        if not 0 < self.noise_variance < math.inf:
+            raise ValueError(f"noise_variance must be finite and > 0, "
+                             f"got {self.noise_variance}")
+        if not 0 < self.symbol_energy < math.inf:
+            raise ValueError(f"symbol_energy must be finite and > 0, "
+                             f"got {self.symbol_energy}")
         if self.los_phase not in LOS_PHASE_MODES:
             raise ValueError(
                 f"los_phase must be one of {LOS_PHASE_MODES}, got {self.los_phase!r}")
-        if self.direct_loss_scale < 0:
-            raise ValueError(
-                f"direct_loss_scale must be >= 0, got {self.direct_loss_scale}")
+        if not 0 <= self.direct_loss_scale < math.inf:
+            raise ValueError(f"direct_loss_scale must be finite and >= 0, "
+                             f"got {self.direct_loss_scale}")
 
 
 def cascaded_path_loss(geom: Geometry) -> float:

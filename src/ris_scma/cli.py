@@ -25,27 +25,12 @@ from .campaign import run_campaign, trial_seed
 from .channel import (FadingConfig, Geometry, draw_link_channels,
                       draw_trial_block, stack_realizations)
 from .config import ConfigError, config_from_document, config_hash, parse_config
-from .opcount import OpCount, measured_run, predicted_ao, predicted_lc_ao
+from .opcount import measured_run, predicted_ao, predicted_lc_ao
 from .optimizer import (PhaseAlphabet, ao_optimize, blind_phases,
-                        exhaustive_optimize, lc_ao_optimize, received_snr,
-                        snr_decomposition)
-from .writers import emit_plot_data, write_results
+                        exhaustive_optimize, received_snr, snr_decomposition)
+from .writers import FIGURE_PRESETS, emit_plot_data, write_results
 
 OUTPUT_DIR_ENV = "RIS_SCMA_OUTPUT_DIR"
-
-FIGURE_PRESETS = {
-    "fig2": {"scenario": "deploy_sweep", "num_elements": 32, "num_trials": 500},
-    "fig4": {"scenario": "bits_sweep", "num_elements": 16, "num_trials": 2000},
-    "fig5a": {"scenario": "convergence", "num_elements": 16, "num_trials": 2000,
-              "algorithms": ["blind", "ao", "lc_ao"]},
-    "fig5b": {"scenario": "n_sweep", "num_trials": 2000,
-              "sweep": {"grid": [8, 16, 32, 64]},
-              "algorithms": ["blind", "ao", "lc_ao", "no_ris"]},
-    "fig6a": {"scenario": "complexity_grid",
-              "sweep": {"axis": "num_elements", "grid": [4, 8, 16, 32, 64, 128]}},
-    "fig6b": {"scenario": "complexity_grid", "num_elements": 32,
-              "sweep": {"axis": "phase_bits", "grid": [1, 2, 3, 4, 5, 6]}},
-}
 
 DEFAULT_COMPLEXITY_GRID = {
     "num_ores": [1, 4],
@@ -175,7 +160,7 @@ def _cmd_verify(args) -> int:
         ch = draw_link_channels(rng, r, df, geom, fading, n)
         alphabet = PhaseAlphabet.from_bits(b)
         for kind, predict in (("ao", predicted_ao), ("lc_ao", predicted_lc_ao)):
-            measured = measured_run(kind, ch, alphabet, t)
+            _, measured = measured_run(kind, ch, alphabet, t)
             expected = predict(r, n, b, df, t)
             ok = measured == expected
             mismatches += 0 if ok else 1
@@ -234,8 +219,8 @@ def _cmd_selftest(args) -> int:
     for r, n, b, df, t in ((1, 2, 2, 1, 1), (2, 4, 2, 3, 2)):
         ch = draw_link_channels(rng, r, df, geom, fading, n)
         alpha = PhaseAlphabet.from_bits(b)
-        ok = ok and measured_run("ao", ch, alpha, t) == predicted_ao(r, n, b, df, t)
-        ok = ok and measured_run("lc_ao", ch, alpha, t) == predicted_lc_ao(r, n, b, df, t)
+        for kind, predict in (("ao", predicted_ao), ("lc_ao", predicted_lc_ao)):
+            ok = ok and measured_run(kind, ch, alpha, t)[1] == predict(r, n, b, df, t)
     failures += _report("measured operation counts match closed forms", ok)
 
     seeds = [0, 2**64 - 1] + [trial_seed(0, 1, i) for i in range(62)]
@@ -273,9 +258,8 @@ def _counted_mismatches(ch, alphabet, iterations) -> int:
     """How many of the counted ao and lc_ao runs select other phases than
     the kernel."""
     kernel = ao_optimize(ch, alphabet, iterations).indices
-    return sum(not np.array_equal(kernel, optimize(
-        ch, alphabet, iterations, counter=OpCount()).indices)
-        for optimize in (ao_optimize, lc_ao_optimize))
+    return sum(not np.array_equal(kernel, measured_run(kind, ch, alphabet, iterations)[0])
+               for kind in ("ao", "lc_ao"))
 
 
 def _report(name: str, ok: bool) -> int:

@@ -5,7 +5,8 @@ one complex add = 2 real additions, one squared magnitude = 2 real
 multiplications + 1 real addition.  Loop control, comparisons, the phase
 selection (:func:`_select`, its threshold included) and phase-table lookups
 are free.  The closed forms are checked against the instrumented scalar
-ascent below, which tallies the same operations one by one.
+ascent below (:func:`measured_run`), which tallies the same operations one
+by one.
 """
 
 from __future__ import annotations
@@ -58,20 +59,6 @@ def predicted_exhaustive(num_ores: int, num_elements: int, bits: int,
     adds, mults = norm_eval_cost(num_elements, num_interferers)
     evals = num_ores * (2**bits) ** num_elements
     return OpCount(evals * adds, evals * mults)
-
-
-def measured_run(kind: str, ch, alphabet, iterations: int) -> OpCount:
-    """Run one instrumented optimizer pass and return its tally."""
-    from . import optimizer  # local import avoids a cycle
-
-    counter = OpCount()
-    if kind == "ao":
-        optimizer.ao_optimize(ch, alphabet, iterations, counter=counter)
-    elif kind == "lc_ao":
-        optimizer.lc_ao_optimize(ch, alphabet, iterations, counter=counter)
-    else:
-        raise ValueError(f"kind must be 'ao' or 'lc_ao', got {kind!r}")
-    return counter
 
 
 def _check_args(num_ores, num_elements, bits, num_interferers, iterations) -> None:
@@ -127,18 +114,18 @@ def _select(scores, gap):
     return (scores >= scores.max(axis=0) - gap).argmax(axis=0)
 
 
-def _counted(ch, alphabet, iterations, counter, score):
-    """The instrumented scalar ascent behind ``ao_optimize`` and
-    ``lc_ao_optimize`` with a counter: per ORE, from the blind start, T sweeps
+def _counted(ch, alphabet, iterations, score, gap_scale):
+    """The instrumented scalar ascent: per ORE, from the blind start, T sweeps
     over the N elements, each keeping the :func:`_select` choice among the 2^b
-    scores ``score`` gives element n.  AO and LC-AO differ only in that scorer.
-    Returns the (R, N) selected indices."""
+    scores ``score`` gives element n, with a gap of ``gap_scale`` * 1e-12 S.
+    AO and LC-AO differ only in the scorer and its gap scale.
+    Returns the (R, N) selected indices and their tally."""
+    counter = OpCount()
     ops = _ComplexOps(counter)
     rot = [complex(x) for x in alphabet.rotations]
     num_ores, num_elem = ch.num_ores, ch.num_elements
     idx = np.full((num_ores, num_elem), alphabet.zero_index, dtype=alphabet.index_dtype)
-    # LC-AO's scores, like the kernel's, are half the phase-dependent part.
-    scale = 0.5 * _TIE_TOLERANCE if score is _cached_scores else _TIE_TOLERANCE
+    scale = gap_scale * _TIE_TOLERANCE
     for r in range(num_ores):
         gbar = [complex(x) for x in ch.ris_to_bs[r]]
         g = [[complex(x) for x in row] for row in ch.user_to_ris[r]]
@@ -152,7 +139,7 @@ def _counted(ch, alphabet, iterations, counter, score):
                 sel = _select(score(ops, rot, gbar, g, h, v, n), gap)
                 idx[r, n] = sel
                 v[n] = rot[sel]
-    return idx
+    return idx, counter
 
 
 def _full_norm_scores(ops, rot, gbar, g, h, v, n):
@@ -199,3 +186,20 @@ def _cached_scores(ops, rot, gbar, g, h, v, n):
         dbar = p if dbar is None else ops.add(dbar, p)
     term3 = ops.add1(dbar, psi)
     return [ops.mul(candidate, term3).real for candidate in rot]
+
+
+# Each kind's scorer and gap scale.  LC-AO's scores, like the kernel's, are
+# half the phase-dependent part of the objective, so its gap is halved too.
+_KINDS = {"ao": (_full_norm_scores, 1.0), "lc_ao": (_cached_scores, 0.5)}
+
+
+def measured_run(kind: str, ch, alphabet, iterations: int) -> tuple:
+    """The counted reference: one instrumented scalar ascent of ``kind``
+    ('ao' or 'lc_ao') over ``iterations`` sweeps, the same schedule and tie
+    rule as the optimizers' kernel.  Returns the (R, N) selected indices and
+    the :class:`OpCount` the closed forms predict."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be 'ao' or 'lc_ao', got {kind!r}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    return _counted(ch, alphabet, iterations, *_KINDS[kind])

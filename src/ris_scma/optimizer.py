@@ -7,14 +7,12 @@ each coordinate update takes the first candidate scoring within 1e-12 times
 the ORE's mean objective of the best (:func:`~ris_scma.opcount._select`), so
 exact ties stay ties after rounding.
 
-Each optimizer takes an optional ``counter`` (an :class:`~ris_scma.opcount.OpCount`
-sink).  With a counter the run goes through one scalar driver
-(:mod:`~ris_scma.opcount`) that tallies real arithmetic under the documented
-cost model, and AO and LC-AO differ there only in how they score a candidate
-phase; these counted paths are the reference the closed-form counts (and the
-tests) check against.  Without one, both names run one vectorized kernel that
-keeps each ORE's composite row up to date and selects the same phases.
-``update_log`` and ``snapshots`` are kernel-only.
+``ao_optimize`` and ``lc_ao_optimize`` run one vectorized kernel that
+keeps each ORE's composite row up to date and scores a candidate in O(d_f).
+The paper's AO and LC-AO differ only in what a candidate costs, so that
+difference lives in the counted scalar reference,
+:func:`~ris_scma.opcount.measured_run`, which the kernel's selections and
+the closed-form counts are checked against.
 """
 
 from __future__ import annotations
@@ -26,8 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import ChannelRealization, FadingConfig
-from .opcount import (_TIE_TOLERANCE, OpCount, _cached_scores, _counted,
-                      _full_norm_scores, _select)
+from .opcount import _TIE_TOLERANCE, _select
 
 DEFAULT_EXHAUSTIVE_BUDGET = 2**20
 
@@ -260,55 +257,32 @@ def term_split(ch: ChannelRealization, phases: PhaseAssignment, element: int) ->
 
 
 def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
-                counter: Optional[OpCount] = None, update_log: Optional[list] = None,
+                update_log: Optional[list] = None,
                 snapshots: Optional[dict] = None) -> PhaseAssignment:
-    """Cyclic coordinate ascent with a full norm evaluation per candidate.
+    """Cyclic coordinate ascent.
 
     For each ORE: for t = 1..iterations, for each element, score all 2^b
     candidate phases by the composite-row norm and keep the first within
     1e-12 S of the best, S = ||h||^2 + sum_k ||xi_k||^2 being the mean
-    objective over random phases (:func:`_select`).
-    With a ``counter`` the scalar driver recomputes every norm from scratch,
-    which is what the closed-form operation counts describe; without one the
-    shared incremental kernel (:func:`_ascent`) selects the same phases.
+    objective over random phases (:func:`_select`).  Runs :func:`_ascent`.
 
-    Kernel only (either one with a ``counter`` raises): ``update_log`` gets
-    an :class:`UpdateRecord` per ORE per update, and ``snapshots`` maps sweep
-    counts in 0..iterations to the :class:`PhaseAssignment` after that many
-    sweeps, set in place; the key ``iterations`` gets the returned object.
+    ``update_log`` gets an :class:`UpdateRecord` per ORE per update, and
+    ``snapshots`` maps sweep counts in 0..iterations to the
+    :class:`PhaseAssignment` after that many sweeps, set in place; the key
+    ``iterations`` gets the returned object.
     """
-    return _optimize(ch, alphabet, iterations, counter, update_log, snapshots,
-                     _full_norm_scores)
-
-
-def lc_ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
-                   counter: Optional[OpCount] = None, update_log: Optional[list] = None,
-                   snapshots: Optional[dict] = None) -> PhaseAssignment:
-    """Same schedule and selections as :func:`ao_optimize`, but each candidate
-    is scored by Re{e^{-j phi} * (direct coupling + rotated cross couplings)},
-    which drops every phi_n-independent addend of the objective.
-
-    With a ``counter`` the same scalar driver as :func:`ao_optimize` runs with
-    the cached-coupling scorer (:func:`_cached_scores`) and tallies the cost
-    model's operations; without one it runs the same incremental kernel
-    (:func:`_ascent`), and ``update_log``/``snapshots`` work as there.
-    """
-    return _optimize(ch, alphabet, iterations, counter, update_log, snapshots,
-                     _cached_scores)
-
-
-def _optimize(ch, alphabet, iterations, counter, update_log, snapshots, score):
-    """Argument checks, then the counted driver with ``score`` or the kernel."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if counter is not None:
-        if update_log is not None or snapshots is not None:
-            raise ValueError("update_log and snapshots need the kernel (no counter)")
-        return PhaseAssignment(alphabet, _counted(ch, alphabet, iterations, counter, score))
     if snapshots is not None and any(not 0 <= k <= iterations for k in snapshots):
         raise ValueError(f"snapshots need sweep counts in 0..{iterations}, "
                          f"got {sorted(snapshots)}")
     return _ascent(ch, alphabet, iterations, update_log, snapshots)
+
+
+# LC-AO scores only the phase-dependent part of AO's objective, and so does
+# the kernel, so the two select alike; they differ in operation count only
+# (measured_run).  Both names stay for the campaign's ao/lc_ao rows.
+lc_ao_optimize = ao_optimize
 
 
 # The kernel holds the cascaded paths of at most this many bytes of elements

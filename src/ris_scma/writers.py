@@ -10,15 +10,21 @@ from pathlib import Path
 
 from .campaign import CampaignResult, ResultRow
 
-FIGURE_SCENARIOS = {
-    "fig2": "deploy_sweep",
-    "fig4": "bits_sweep",
-    "fig5a": "convergence",
-    "fig5b": "n_sweep",
-    "fig6a": "complexity_grid",
-    "fig6b": "complexity_grid",
+# The config document behind each `ris-scma sweep` figure; its scenario and
+# any sweep axis are what emit_plot_data expects of a result.
+FIGURE_PRESETS = {
+    "fig2": {"scenario": "deploy_sweep", "num_elements": 32, "num_trials": 500},
+    "fig4": {"scenario": "bits_sweep", "num_elements": 16, "num_trials": 2000},
+    "fig5a": {"scenario": "convergence", "num_elements": 16, "num_trials": 2000,
+              "algorithms": ["blind", "ao", "lc_ao"]},
+    "fig5b": {"scenario": "n_sweep", "num_trials": 2000,
+              "sweep": {"grid": [8, 16, 32, 64]},
+              "algorithms": ["blind", "ao", "lc_ao", "no_ris"]},
+    "fig6a": {"scenario": "complexity_grid",
+              "sweep": {"axis": "num_elements", "grid": [4, 8, 16, 32, 64, 128]}},
+    "fig6b": {"scenario": "complexity_grid", "num_elements": 32,
+              "sweep": {"axis": "phase_bits", "grid": [1, 2, 3, 4, 5, 6]}},
 }
-FIGURE_AXES = {"fig6a": "num_elements", "fig6b": "phase_bits"}
 
 CSV_HEADER = "axis_value,algorithm,mean_snr_db,stderr_db,real_adds,real_mults,trials"
 
@@ -74,15 +80,16 @@ def write_results(result: CampaignResult, out_dir, formats=("csv", "json")) -> l
 
 def emit_plot_data(result: CampaignResult, figure_id: str, out_dir) -> list:
     """One plot-ready CSV per algorithm series, axes matching the figure."""
-    if figure_id not in FIGURE_SCENARIOS:
+    if figure_id not in FIGURE_PRESETS:
         raise ValueError(f"unknown figure id {figure_id!r}; "
-                         f"choose from {sorted(FIGURE_SCENARIOS)}")
-    expected = FIGURE_SCENARIOS[figure_id]
-    if result.scenario != expected:
-        raise ValueError(f"figure {figure_id} needs a {expected!r} result, "
+                         f"choose from {sorted(FIGURE_PRESETS)}")
+    preset = FIGURE_PRESETS[figure_id]
+    if result.scenario != preset["scenario"]:
+        raise ValueError(f"figure {figure_id} needs a {preset['scenario']!r} result, "
                          f"got {result.scenario!r}")
-    if figure_id in FIGURE_AXES and result.sweep_axis != FIGURE_AXES[figure_id]:
-        raise ValueError(f"figure {figure_id} sweeps {FIGURE_AXES[figure_id]!r}, "
+    axis = preset.get("sweep", {}).get("axis")
+    if axis is not None and result.sweep_axis != axis:
+        raise ValueError(f"figure {figure_id} sweeps {axis!r}, "
                          f"got {result.sweep_axis!r}")
     if not result.algorithms:
         raise ValueError("result has no algorithm series to plot")

@@ -64,6 +64,18 @@ def test_geometry_validation():
         Geometry(40.0, 0.0, 2.0, 2.4e9)
     with pytest.raises(ValueError, match="carrier_frequency"):
         Geometry(40.0, 1.5, 2.0, -1.0)
+    # NaN fails no `x <= 0` test, and an infinite distance or frequency
+    # would make the path losses NaN or 0.
+    nan, inf = math.nan, math.inf
+    for args, name in (((nan, 1.5, 2.0, 2.4e9), "bs_user_distance"),
+                       ((inf, 1.5, 2.0, 2.4e9), "bs_user_distance"),
+                       ((40.0, nan, 2.0, 2.4e9), "ris_perpendicular_offset"),
+                       ((40.0, inf, 2.0, 2.4e9), "ris_perpendicular_offset"),
+                       ((40.0, 1.5, nan, 2.4e9), "ris_horizontal_offset"),
+                       ((40.0, 1.5, 2.0, nan), "carrier_frequency"),
+                       ((40.0, 1.5, 2.0, inf), "carrier_frequency")):
+        with pytest.raises(ValueError, match=name):
+            Geometry(*args)
 
 
 def test_fading_validation():
@@ -75,6 +87,13 @@ def test_fading_validation():
         FadingConfig(los_phase="fixed")
     with pytest.raises(ValueError, match="direct_loss_scale"):
         FadingConfig(direct_loss_scale=-1.0)
+    for name in ("rician_factor", "noise_variance", "symbol_energy", "direct_loss_scale"):
+        for value in (math.nan, math.inf, -math.inf):
+            if name == "rician_factor" and value == math.inf:
+                continue                      # K = inf is pure LoS
+            with pytest.raises(ValueError, match=name):
+                FadingConfig(**{name: value})
+    assert FadingConfig(rician_factor=math.inf).rician_factor == math.inf
 
 
 def small_scale(geom, seed, samples, k, los_phase="random"):

@@ -81,22 +81,25 @@ def instance_factory():
 def test_measured_equals_predicted(instance_factory, r, n, b, df, t):
     ch = instance_factory(r, n, df)
     alpha = PhaseAlphabet.from_bits(b)
-    assert measured_run("ao", ch, alpha, t) == predicted_ao(r, n, b, df, t)
-    assert measured_run("lc_ao", ch, alpha, t) == predicted_lc_ao(r, n, b, df, t)
+    assert measured_run("ao", ch, alpha, t)[1] == predicted_ao(r, n, b, df, t)
+    assert measured_run("lc_ao", ch, alpha, t)[1] == predicted_lc_ao(r, n, b, df, t)
 
 
 def test_measured_linear_in_iterations(instance_factory):
     ch = instance_factory(2, 4, 3)
     alpha = PhaseAlphabet.from_bits(2)
-    one = measured_run("ao", ch, alpha, 1)
-    three = measured_run("ao", ch, alpha, 3)
+    _, one = measured_run("ao", ch, alpha, 1)
+    _, three = measured_run("ao", ch, alpha, 3)
     assert three.real_additions == 3 * one.real_additions
     assert three.real_multiplications == 3 * one.real_multiplications
 
 
 def test_measured_rejects_unknown_kind(instance_factory):
+    ch, alpha = instance_factory(1, 1, 1), PhaseAlphabet.from_bits(1)
     with pytest.raises(ValueError, match="kind"):
-        measured_run("blind", instance_factory(1, 1, 1), PhaseAlphabet.from_bits(1), 1)
+        measured_run("blind", ch, alpha, 1)
+    with pytest.raises(ValueError, match="iterations"):
+        measured_run("ao", ch, alpha, 0)
 
 
 def test_predicted_exhaustive_counts():

@@ -12,7 +12,7 @@ from conftest import make_channels
 from ris_scma import optimizer
 from ris_scma.channel import (ChannelRealization, FadingConfig, Geometry,
                               draw_link_channels, draw_trial_block)
-from ris_scma.opcount import OpCount
+from ris_scma.opcount import measured_run
 from ris_scma.optimizer import (PhaseAlphabet, PhaseAssignment, SnrReport,
                                 ao_optimize, blind_phases, build_lc_workspace,
                                 composite_channel, db_from_linear,
@@ -310,14 +310,14 @@ def test_ao_and_lc_ao_identical_selections(geom, fading):
         df = int(rng.integers(1, 4))
         draws.append((draw_link_channels(rng, 2, df, geom, no_direct, n), b,
                        int(rng.integers(1, 4))))
-    # Without a counter both names run one kernel, so it is checked against
-    # the two counted scalar paths, which score candidates independently.
+    # Both optimizer names run one kernel, so it is checked against the two
+    # counted scalar paths, which score candidates independently.
     mismatches = 0
     for ch, b, t in draws:
         alpha = PhaseAlphabet.from_bits(b)
         kernel = ao_optimize(ch, alpha, t).indices
-        for optimize in (ao_optimize, lc_ao_optimize):
-            counted = optimize(ch, alpha, t, counter=OpCount()).indices
+        for kind in ("ao", "lc_ao"):
+            counted, _ = measured_run(kind, ch, alpha, t)
             mismatches += not np.array_equal(kernel, counted)
     assert mismatches == 0, f"{mismatches} of {2 * len(draws)} counted runs differ"
 
@@ -338,8 +338,8 @@ def test_kernel_matches_counted_paths_on_wide_interference_sets(geom):
         alpha = PhaseAlphabet.from_bits(b)
         t = int(rng.integers(1, 3))
         kernel = ao_optimize(ch, alpha, t).indices
-        for optimize in (ao_optimize, lc_ao_optimize):
-            counted = optimize(ch, alpha, t, counter=OpCount()).indices
+        for kind in ("ao", "lc_ao"):
+            counted, _ = measured_run(kind, ch, alpha, t)
             mismatches += not np.array_equal(kernel, counted)
             runs += 1
     assert mismatches == 0, f"{mismatches} of {runs} counted runs differ"
@@ -370,10 +370,10 @@ def test_counted_paths_match_vectorized(geom, fading):
     rng = np.random.default_rng(8)
     ch = draw_link_channels(rng, 3, 3, geom, fading, 5)
     alpha = PhaseAlphabet.from_bits(3)
-    for optimize in (ao_optimize, lc_ao_optimize):
-        counted = optimize(ch, alpha, 2, counter=OpCount())
-        plain = optimize(ch, alpha, 2)
-        assert np.array_equal(counted.indices, plain.indices)
+    plain = ao_optimize(ch, alpha, 2).indices
+    for kind in ("ao", "lc_ao"):
+        counted, _ = measured_run(kind, ch, alpha, 2)
+        assert np.array_equal(counted, plain)
 
 
 def test_iterations_must_be_positive(geom, fading):
@@ -394,10 +394,6 @@ def test_snapshots_equal_shorter_runs(geom, fading, optimize):
         assert np.array_equal(snapshots[k].indices, optimize(ch, alphabet, k).indices)
     with pytest.raises(ValueError, match="snapshots"):
         optimize(ch, alphabet, 4, snapshots={5: None})
-    with pytest.raises(ValueError, match="snapshots"):
-        optimize(ch, alphabet, 4, counter=OpCount(), snapshots={4: None})
-    with pytest.raises(ValueError, match="update_log"):
-        optimize(ch, alphabet, 4, counter=OpCount(), update_log=[])
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +524,9 @@ def test_selections_and_snr_do_not_depend_on_layout(geom, monkeypatch, los_phase
         kernel = [ao_optimize(ch, alpha, t, update_log=log).indices
                   for ch, log in zip(layouts, logs)]
         assert np.array_equal(kernel[0], kernel[1]) and logs[0] == logs[1], (n, r, df)
-        for optimize in (ao_optimize, lc_ao_optimize):
+        for kind in ("ao", "lc_ao"):
             for ch in layouts:
-                counted = optimize(ch, alpha, t, counter=OpCount()).indices
+                counted, _ = measured_run(kind, ch, alpha, t)
                 assert np.array_equal(counted, kernel[0]), (n, r, df)
         # Holding one or two elements' cascaded paths at a time runs the
         # chunked sweep sums, which must give every logged objective exactly.
@@ -629,9 +625,9 @@ def test_degenerate_channels_keep_invariants(case, bits, sweeps):
     alpha = PhaseAlphabet.from_bits(bits)
     log = []
     kernel = ao_optimize(ch, alpha, sweeps, update_log=log)
-    for optimize in (ao_optimize, lc_ao_optimize):
-        counted = optimize(ch, alpha, sweeps, counter=OpCount())
-        assert np.array_equal(kernel.indices, counted.indices), optimize.__name__
+    for kind in ("ao", "lc_ao"):
+        counted, _ = measured_run(kind, ch, alpha, sweeps)
+        assert np.array_equal(kernel.indices, counted), kind
     blind = blind_phases(alpha, ch.num_ores, ch.num_elements)
     start = np.abs(composite_channel(ch, blind)) ** 2
     objs = np.array([rec.objective for rec in log]).reshape(-1, ch.num_ores)
@@ -685,6 +681,6 @@ def duplicated_column_channels(draw):
 def test_duplicated_columns_select_identically(ch, bits, sweeps):
     alpha = PhaseAlphabet.from_bits(bits)
     kernel = ao_optimize(ch, alpha, sweeps).indices
-    for optimize in (ao_optimize, lc_ao_optimize):
-        counted = optimize(ch, alpha, sweeps, counter=OpCount()).indices
-        assert np.array_equal(kernel, counted), optimize.__name__
+    for kind in ("ao", "lc_ao"):
+        counted, _ = measured_run(kind, ch, alpha, sweeps)
+        assert np.array_equal(kernel, counted), kind

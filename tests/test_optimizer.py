@@ -382,7 +382,8 @@ def test_iterations_must_be_positive(geom, fading):
         ao_optimize(ch, PhaseAlphabet.from_bits(1), 0)
 
 
-@pytest.mark.parametrize("optimize", [ao_optimize, lc_ao_optimize])
+@pytest.mark.parametrize("optimize", [ao_optimize, lc_ao_optimize],
+                         ids=["ao_optimize", "lc_ao_optimize"])
 def test_snapshots_equal_shorter_runs(geom, fading, optimize):
     ch = draw_link_channels(np.random.default_rng(10), 64, 3, geom, fading, 6)
     alphabet = PhaseAlphabet.from_bits(3)

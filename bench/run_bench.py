@@ -32,10 +32,10 @@ common-phase LoS), at N in {8, 16, 64, 256}.
   sees the same allocator state, and the median of its minor page faults
   (``ru_minflt``) is reported beside its median time.  Each block draw's
   ``tracemalloc`` peak (one untimed run) is given with its output bytes.
-* Ascent kernel: ``optimizer._ascent`` (the kernel behind
-  ``ao_optimize``/``lc_ao_optimize``) on one block's 1024 ORE rows at b=3,
-  T=3, also given per element step (one update of element n on every row),
-  with its ``tracemalloc`` peak (one untimed run).
+* Ascent kernel: ``ao_optimize`` (``lc_ao_optimize`` is the same function)
+  on one block's 1024 ORE rows at b=3, T=3, also given per element step (one
+  update of element n on every row), with its ``tracemalloc`` peak (one
+  untimed run).
 * SNR evaluation: ``received_snr`` on one block with the kernel's
   selections, median time and ``tracemalloc`` peak.
 
@@ -70,10 +70,10 @@ from ris_scma.campaign import (_plan_blocks, _trial_block,            # noqa: E4
 from ris_scma.channel import (FadingConfig, Geometry, _pcg64_states,   # noqa: E402
                               draw_link_channels, draw_trial_block,
                               stack_realizations)
-from ris_scma.cli import FIGURE_PRESETS                                # noqa: E402
 from ris_scma.config import config_from_document, config_hash, parse_config  # noqa: E402
-from ris_scma.optimizer import PhaseAlphabet, _ascent, received_snr   # noqa: E402
-from ris_scma.writers import result_to_csv_text, result_to_json_text  # noqa: E402
+from ris_scma.optimizer import PhaseAlphabet, ao_optimize, received_snr  # noqa: E402
+from ris_scma.writers import (FIGURE_PRESETS, result_to_csv_text,    # noqa: E402
+                              result_to_json_text)
 from workloads import DEFAULT_SEED, WORKLOADS                         # noqa: E402
 
 STARTUP_REPEATS = 25
@@ -333,13 +333,13 @@ def ascent_layer() -> dict:
     for n in ELEMENTS:
         ch = _block(_seeds(n), n)
         kernel_s, _ = _median_calls(
-            lambda r: _ascent(ch, alphabet, ASCENT_SWEEPS, None, None), ASCENT_REPEATS)
-        peak = _traced_peak_bytes(lambda: _ascent(ch, alphabet, ASCENT_SWEEPS, None, None))
+            lambda r: ao_optimize(ch, alphabet, ASCENT_SWEEPS), ASCENT_REPEATS)
+        peak = _traced_peak_bytes(lambda: ao_optimize(ch, alphabet, ASCENT_SWEEPS))
         step_us = kernel_s / (ASCENT_SWEEPS * n) * 1e6
         rows.append({"num_elements": n, "trials": TRIALS,
                      "ore_rows": ch.num_ores, "ascent_s": kernel_s,
                      "element_step_us": step_us, "peak_bytes": peak})
-        print(f"N={n}: _ascent {kernel_s * 1e3:.2f} ms per block, {step_us:.1f} us "
+        print(f"N={n}: ao_optimize {kernel_s * 1e3:.2f} ms per block, {step_us:.1f} us "
               f"per element step on {ch.num_ores} rows, peak {peak / 1e6:.2f} MB, "
               f"median of {ASCENT_REPEATS}", file=sys.stderr)
     return {"repeats": ASCENT_REPEATS, "bits": ASCENT_BITS,
@@ -352,7 +352,7 @@ def snr_layer() -> dict:
     rows = []
     for n in ELEMENTS:
         ch = _block(_seeds(n), n)
-        phases = _ascent(ch, alphabet, ASCENT_SWEEPS, None, None)
+        phases = ao_optimize(ch, alphabet, ASCENT_SWEEPS)
         snr_s, _ = _median_calls(lambda r: received_snr(ch, phases, FADING), SNR_REPEATS)
         peak = _traced_peak_bytes(lambda: received_snr(ch, phases, FADING))
         rows.append({"num_elements": n, "trials": TRIALS, "ore_rows": ch.num_ores,

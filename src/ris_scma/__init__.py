@@ -18,8 +18,8 @@ from .config import (ConfigError, RunConfig, campaign_from_config,
                      config_from_document, config_hash, parse_config,
                      serialize_config)
 from .factor_graph import FactorGraph, ScmaConfig, build_factor_graph
-from .opcount import (OpCount, measured_run, norm_eval_cost, predicted_ao,
-                      predicted_exhaustive, predicted_lc_ao)
+from .opcount import (OpCount, measured_run, predicted_ao, predicted_exhaustive,
+                      predicted_lc_ao)
 from .optimizer import (DEFAULT_EXHAUSTIVE_BUDGET, LcAoWorkspace,
                         PhaseAlphabet, PhaseAssignment, SnrReport,
                         UpdateRecord, ao_optimize, blind_phases,

@@ -34,17 +34,19 @@ from .optimizer import (DEFAULT_EXHAUSTIVE_BUDGET, PhaseAlphabet, ao_optimize,
                         blind_phases, db_from_linear, exhaustive_optimize,
                         lc_ao_optimize, no_ris_snr, received_snr)
 
-SCENARIOS = ("deploy_sweep", "bits_sweep", "n_sweep", "convergence", "complexity_grid")
+# The axes each scenario may sweep, each with its default grid; the first
+# axis is the scenario's default.
+SWEEPS = {
+    "deploy_sweep": {"ris_horizontal_offset": (2.0, 5.0, 10.0, 20.0, 30.0, 35.0, 38.0)},
+    "bits_sweep": {"phase_bits": (1, 2, 3, 4)},
+    "n_sweep": {"num_elements": (16, 64)},
+    "convergence": {"num_iterations": (1, 2, 3, 4, 5, 6)},
+    "complexity_grid": {"num_elements": (4, 8, 16, 32, 64, 128),
+                        "phase_bits": (1, 2, 3, 4, 5, 6)},
+}
+SCENARIOS = tuple(SWEEPS)
 ALGORITHMS = ("blind", "ao", "lc_ao", "exhaustive", "no_ris")
 AVERAGE_MODES = ("db_of_mean", "mean_of_db")
-
-AXIS_BY_SCENARIO = {
-    "deploy_sweep": "ris_horizontal_offset",
-    "bits_sweep": "phase_bits",
-    "n_sweep": "num_elements",
-    "convergence": "num_iterations",
-}
-COMPLEXITY_AXES = ("num_elements", "phase_bits")
 
 # Block sizes for _plan_blocks.  Every size divides the largest, so a group's
 # ranges nest inside 256-aligned ones whatever its N.
@@ -78,19 +80,14 @@ class Campaign:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        if self.sweep_axis not in SWEEPS[self.scenario]:
+            raise ValueError(
+                f"scenario {self.scenario!r} sweeps one of "
+                f"{tuple(SWEEPS[self.scenario])}, got sweep_axis {self.sweep_axis!r}")
         if len(self.sweep_grid) == 0:
             raise ValueError("sweep_grid must be non-empty")
         if any(b >= a for a, b in zip(self.sweep_grid[1:], self.sweep_grid)):
             raise ValueError(f"sweep_grid must be strictly increasing, got {self.sweep_grid}")
-        if self.scenario == "complexity_grid":
-            if self.sweep_axis not in COMPLEXITY_AXES:
-                raise ValueError(
-                    f"complexity_grid sweeps one of {COMPLEXITY_AXES}, "
-                    f"got sweep_axis {self.sweep_axis!r}")
-        elif self.sweep_axis != AXIS_BY_SCENARIO[self.scenario]:
-            raise ValueError(
-                f"scenario {self.scenario!r} sweeps "
-                f"{AXIS_BY_SCENARIO[self.scenario]!r}, got sweep_axis {self.sweep_axis!r}")
         if not self.algorithms:
             raise ValueError("algorithms must be non-empty")
         for alg in self.algorithms:

@@ -18,29 +18,20 @@ import json
 import math
 from dataclasses import dataclass
 
-from .campaign import AXIS_BY_SCENARIO, SCENARIOS, Campaign
+from .campaign import SCENARIOS, SWEEPS, Campaign
 from .channel import FadingConfig, Geometry
 from .factor_graph import ScmaConfig
 from .optimizer import DEFAULT_EXHAUSTIVE_BUDGET
+from .writers import OUTPUT_FORMATS
 
 
 class ConfigError(ValueError):
     """Malformed or out-of-domain configuration."""
 
 
-OUTPUT_FORMATS = ("csv", "json")
-
-DEFAULT_SWEEP_GRIDS = {
-    "deploy_sweep": (2.0, 5.0, 10.0, 20.0, 30.0, 35.0, 38.0),
-    "bits_sweep": (1, 2, 3, 4),
-    "n_sweep": (16, 64),
-    "convergence": (1, 2, 3, 4, 5, 6),
-    "complexity_grid": (4, 8, 16, 32, 64, 128),
-}
-
 DEFAULTS = {
     "scenario": "n_sweep",
-    "sweep": {"axis": None, "grid": None},   # None = scenario defaults
+    "sweep": {"axis": None, "grid": None},   # None = campaign.SWEEPS defaults
     "algorithms": ["blind", "ao", "lc_ao"],
     "num_trials": 10000,
     "master_seed": 12345,
@@ -74,7 +65,7 @@ DEFAULTS = {
         "directory": "results",
         "formats": ["csv", "json"],
     },
-    "verbosity": 0,
+    "verbosity": 0,   # read by nothing, but config_hash covers it
 }
 
 
@@ -86,7 +77,6 @@ class RunConfig:
     campaign: Campaign
     output_directory: str
     output_formats: tuple
-    verbosity: int
     document: dict
 
 
@@ -151,16 +141,13 @@ def config_from_document(doc: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     sweep = merged["sweep"]
     if sweep["axis"] is None:
-        sweep["axis"] = ("num_elements" if scenario == "complexity_grid"
-                         else AXIS_BY_SCENARIO[scenario])
+        sweep["axis"] = next(iter(SWEEPS[scenario]))
     axis = sweep["axis"]
     if not isinstance(axis, str):
         raise ConfigError(f"config key 'sweep.axis' must be a string, got {axis!r}")
     if sweep["grid"] is None:
-        grid = DEFAULT_SWEEP_GRIDS[scenario]
-        if scenario == "complexity_grid" and axis == "phase_bits":
-            grid = (1, 2, 3, 4, 5, 6)
-        sweep["grid"] = list(grid)
+        # An axis the scenario does not sweep gets no grid; Campaign names it.
+        sweep["grid"] = list(SWEEPS[scenario].get(axis, ()))
     real = axis == "ris_horizontal_offset"
     if not (isinstance(sweep["grid"], list)
             and all(_fits(0.0 if real else 0, x) for x in sweep["grid"])):
@@ -191,8 +178,7 @@ def config_from_document(doc: dict, overrides: dict | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(campaign=campaign, output_directory=output["directory"],
-                     output_formats=tuple(output["formats"]),
-                     verbosity=merged["verbosity"], document=merged)
+                     output_formats=tuple(output["formats"]), document=merged)
 
 
 def serialize_config(cfg: RunConfig) -> str:

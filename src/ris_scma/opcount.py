@@ -24,7 +24,7 @@ class OpCount:
     real_multiplications: int = 0
 
 
-def norm_eval_cost(num_elements: int, num_interferers: int) -> tuple:
+def _norm_eval_cost(num_elements: int, num_interferers: int) -> tuple:
     """(adds, mults) for one full evaluation of the composite-row norm."""
     n, df = num_elements, num_interferers
     adds = 2 * n * (2 * df + 1) + 2 * df - 1
@@ -36,7 +36,7 @@ def predicted_ao(num_ores: int, num_elements: int, bits: int,
                  num_interferers: int, iterations: int = 1) -> OpCount:
     """Closed-form count for the full-norm coordinate-ascent optimizer."""
     _check_args(num_ores, num_elements, bits, num_interferers, iterations)
-    adds, mults = norm_eval_cost(num_elements, num_interferers)
+    adds, mults = _norm_eval_cost(num_elements, num_interferers)
     evals = num_ores * num_elements * 2**bits * iterations
     return OpCount(evals * adds, evals * mults)
 
@@ -56,7 +56,7 @@ def predicted_exhaustive(num_ores: int, num_elements: int, bits: int,
     """Full norm per combination, 2^{bN} combinations per ORE. Informational;
     used only to fill campaign rows for the oracle."""
     _check_args(num_ores, num_elements, bits, num_interferers, 1)
-    adds, mults = norm_eval_cost(num_elements, num_interferers)
+    adds, mults = _norm_eval_cost(num_elements, num_interferers)
     evals = num_ores * (2**bits) ** num_elements
     return OpCount(evals * adds, evals * mults)
 

@@ -256,43 +256,25 @@ def term_split(ch: ChannelRealization, phases: PhaseAssignment, element: int) ->
 # Optimizers
 
 
-def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
-                update_log: Optional[list] = None,
-                snapshots: Optional[dict] = None) -> PhaseAssignment:
-    """Cyclic coordinate ascent.
-
-    For each ORE: for t = 1..iterations, for each element, score all 2^b
-    candidate phases by the composite-row norm and keep the first within
-    1e-12 S of the best, S = ||h||^2 + sum_k ||xi_k||^2 being the mean
-    objective over random phases (:func:`_select`).  Runs :func:`_ascent`.
-
-    ``update_log`` gets an :class:`UpdateRecord` per ORE per update, and
-    ``snapshots`` maps sweep counts in 0..iterations to the
-    :class:`PhaseAssignment` after that many sweeps, set in place; the key
-    ``iterations`` gets the returned object.
-    """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if snapshots is not None and any(not 0 <= k <= iterations for k in snapshots):
-        raise ValueError(f"snapshots need sweep counts in 0..{iterations}, "
-                         f"got {sorted(snapshots)}")
-    return _ascent(ch, alphabet, iterations, update_log, snapshots)
-
-
-# LC-AO scores only the phase-dependent part of AO's objective, and so does
-# the kernel, so the two select alike; they differ in operation count only
-# (measured_run).  Both names stay for the campaign's ao/lc_ao rows.
-lc_ao_optimize = ao_optimize
-
-
 # The kernel holds the cascaded paths of at most this many bytes of elements
 # at a time (1 MiB), never a whole (N, d_f, R) copy.
 _XI_CHUNK_BYTES = 2**20
 
 
-def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
-            update_log: Optional[list], snapshots: Optional[dict]) -> PhaseAssignment:
-    """The vectorized coordinate ascent behind both optimizers.
+def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
+                update_log: Optional[list] = None,
+                snapshots: Optional[dict] = None) -> PhaseAssignment:
+    """Cyclic coordinate ascent, vectorized over the OREs.
+
+    For each ORE: for t = 1..iterations, for each element, score all 2^b
+    candidate phases by the composite-row norm and keep the first within
+    1e-12 S of the best, S = ||h||^2 + sum_k ||xi_k||^2 being the mean
+    objective over random phases (:func:`_select`).
+
+    ``update_log`` gets an :class:`UpdateRecord` per ORE per update, and
+    ``snapshots`` maps sweep counts in 0..iterations to the
+    :class:`PhaseAssignment` after that many sweeps, set in place; the key
+    ``iterations`` gets the returned object.
 
     Keeps the composite row w = h + sum_k v_k xi_k, with xi_k = g_k G_k the
     cascaded path of element k.  Updating element n, base = w - v_n xi_n is w
@@ -316,6 +298,11 @@ def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
     addends left to right, which numpy's ``sum(axis=1)`` does only for
     d_f <= 3.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if snapshots is not None and any(not 0 <= k <= iterations for k in snapshots):
+        raise ValueError(f"snapshots need sweep counts in 0..{iterations}, "
+                         f"got {sorted(snapshots)}")
     num_ores, num_elem = ch.num_ores, ch.num_elements
     g, G = _element_major(ch)
     df = G.shape[1]
@@ -382,6 +369,12 @@ def _ascent(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
     if snapshots is not None and iterations in snapshots:
         snapshots[iterations] = phases
     return phases
+
+
+# LC-AO scores only the phase-dependent part of AO's objective, and so does
+# the kernel, so the two select alike; they differ in operation count only
+# (measured_run).  Both names stay for the campaign's ao/lc_ao rows.
+lc_ao_optimize = ao_optimize
 
 
 def exhaustive_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet,

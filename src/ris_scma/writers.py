@@ -57,8 +57,13 @@ def result_from_json_text(text: str) -> CampaignResult:
         "rows": tuple(ResultRow(**row) for row in doc["rows"])})
 
 
+# Each output format and the text it writes to results.<format>.
+OUTPUT_FORMATS = {"csv": result_to_csv_text, "json": result_to_json_text}
+
+
 def write_results(result: CampaignResult, out_dir, formats=("csv", "json")) -> list:
-    """Write results.csv / results.json into ``out_dir``; returns the paths."""
+    """Write results.<format> into ``out_dir`` for each of ``formats``;
+    returns the paths."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -66,14 +71,10 @@ def write_results(result: CampaignResult, out_dir, formats=("csv", "json")) -> l
         raise OSError(f"cannot create output directory {out}: {exc}") from None
     paths = []
     for fmt in formats:
-        if fmt == "csv":
-            path = out / "results.csv"
-            path.write_text(result_to_csv_text(result))
-        elif fmt == "json":
-            path = out / "results.json"
-            path.write_text(result_to_json_text(result))
-        else:
+        if fmt not in OUTPUT_FORMATS:
             raise ValueError(f"unknown output format {fmt!r}")
+        path = out / f"results.{fmt}"
+        path.write_text(OUTPUT_FORMATS[fmt](result))
         paths.append(path)
     return paths
 

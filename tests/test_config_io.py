@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from ris_scma.campaign import run_campaign
+from ris_scma.campaign import SCENARIOS, SWEEPS, run_campaign
 from ris_scma.cli import main
-from ris_scma.config import (ConfigError, campaign_from_config, config_hash,
-                             parse_config, serialize_config)
+from ris_scma.config import (ConfigError, campaign_from_config, config_from_document,
+                             config_hash, parse_config, serialize_config)
 from ris_scma.writers import (emit_plot_data, result_from_json_text,
                               result_to_json_text, write_results)
 
@@ -72,6 +72,36 @@ def test_axis_grid_validation():
     cfg = parse_config('{"scenario": "complexity_grid", '
                        '"sweep": {"axis": "phase_bits", "grid": [1, 2, 3]}}')
     assert cfg.campaign.algorithms == ("ao", "lc_ao")
+
+
+# No golden config leaves its grid out, so these hashes are what pins each
+# scenario's default axis and grid.
+@pytest.mark.parametrize("doc, digest", [
+    ({"scenario": "deploy_sweep"},
+     "88ee4c42d6b762bf7a4b7c7258513ead9d037d1ac9d3c4afbbeb37d492abf4e4"),
+    ({"scenario": "bits_sweep"},
+     "6281596df3e6525b2927033b34c4ca3071ad7e9aab219c9195e0506eb7a9d894"),
+    ({"scenario": "n_sweep"},
+     "cd4781a1115a9e4110155250c656f185c2ea10356e361a8e0ee079d460c12942"),
+    ({"scenario": "convergence"},
+     "ad2b3258f1f4ac8e39d6ab89d3f39567b36fe9c216a831c56ab03b0270154278"),
+    ({"scenario": "complexity_grid"},
+     "ad0ca6a9f52ea04a523c74252ef02bb53d59da6fde988af5780b1cacdd0b3715"),
+    ({"scenario": "complexity_grid", "sweep": {"axis": "phase_bits"}},
+     "8924a06473772cac71edbec99a2bad50d3315ec0fde504b3275e0e973c4f60e8"),
+], ids=[*SCENARIOS, "complexity_grid_phase_bits"])
+def test_default_documents_keep_their_hash(doc, digest):
+    assert config_hash(config_from_document(doc)) == digest
+
+
+@pytest.mark.parametrize("grid", [{}, {"grid": [1, 2]}], ids=["default_grid", "given_grid"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_axis_outside_the_table_is_refused_by_name(scenario, grid):
+    # Another scenario's axis, so only the table can refuse it.
+    axis = next(a for axes in SWEEPS.values() for a in axes
+                if a not in SWEEPS[scenario])
+    with pytest.raises(ConfigError, match=f"got sweep_axis '{axis}'"):
+        config_from_document({"scenario": scenario, "sweep": {"axis": axis, **grid}})
 
 
 @pytest.mark.parametrize("text, key", [

@@ -348,9 +348,8 @@ def test_kernel_matches_counted_paths_on_wide_interference_sets(geom):
 def test_all_zero_channels_select_first_candidate():
     ch = make_channels(direct=[0.0, 0.0], ris_to_bs=[0.0, 0.0, 0.0],
                        user_to_ris=np.zeros((3, 2)))
-    alpha = PhaseAlphabet.from_bits(2)
-    for optimize in (ao_optimize, lc_ao_optimize):
-        assert (optimize(ch, alpha, 2).indices == 0).all()
+    assert lc_ao_optimize is ao_optimize
+    assert (ao_optimize(ch, PhaseAlphabet.from_bits(2), 2).indices == 0).all()
 
 
 def test_lc_ao_selects_closest_alphabet_member(geom, fading):

@@ -32,6 +32,9 @@ from .writers import FIGURE_PRESETS, emit_plot_data, write_results
 
 OUTPUT_DIR_ENV = "RIS_SCMA_OUTPUT_DIR"
 
+GEOMETRY = Geometry(40.0, 1.5, 2.0, 2.4e9)
+
+# Keys in (R, N, b, d_f, T) order: a grid's values give each cell's.
 DEFAULT_COMPLEXITY_GRID = {
     "num_ores": [1, 4],
     "num_elements": [1, 2, 8, 16],
@@ -150,30 +153,31 @@ def _cmd_verify(args) -> int:
                 raise ValueError(f"grid axis {axis!r} must be a non-empty list "
                                  f"of positive integers, got {values!r}")
         grid = {**DEFAULT_COMPLEXITY_GRID, **grid}
-    geom = Geometry(40.0, 1.5, 2.0, 2.4e9)
-    fading = FadingConfig()
     mismatches = 0
-    axes = [grid[k] for k in ("num_ores", "num_elements", "phase_bits",
-                              "num_interferers", "iterations")]
-    for r, n, b, df, t in itertools.product(*axes):
+    for ok, line in _count_checks(itertools.product(*grid.values())):
+        mismatches += not ok
+        print(line)
+    print(f"verify-complexity: {mismatches} mismatches")
+    return 0 if mismatches == 0 else 1
+
+
+def _count_checks(cells):
+    """(ok, line) comparing measured and closed-form ao and lc_ao counts on
+    each (R, N, b, d_f, T) cell; counts do not depend on channel values."""
+    for r, n, b, df, t in cells:
         rng = np.random.default_rng(trial_seed(0, 0, r * 1000 + n))
-        ch = draw_link_channels(rng, r, df, geom, fading, n)
+        ch = draw_link_channels(rng, r, df, GEOMETRY, FadingConfig(), n)
         alphabet = PhaseAlphabet.from_bits(b)
         for kind, predict in (("ao", predicted_ao), ("lc_ao", predicted_lc_ao)):
             _, measured = measured_run(kind, ch, alphabet, t)
             expected = predict(r, n, b, df, t)
             ok = measured == expected
-            mismatches += 0 if ok else 1
-            tag = "ok" if ok else "MISMATCH"
-            print(f"{tag} {kind:5s} R={r} N={n} b={b} d_f={df} T={t} "
-                  f"adds={measured.real_additions}/{expected.real_additions} "
-                  f"mults={measured.real_multiplications}/{expected.real_multiplications}")
-    print(f"verify-complexity: {mismatches} mismatches")
-    return 0 if mismatches == 0 else 1
+            yield ok, (f"{'ok' if ok else 'MISMATCH'} {kind:5s} R={r} N={n} b={b} d_f={df} "
+                       f"T={t} adds={measured.real_additions}/{expected.real_additions} "
+                       f"mults={measured.real_multiplications}/{expected.real_multiplications}")
 
 
 def _cmd_selftest(args) -> int:
-    geom = Geometry(40.0, 1.5, 2.0, 2.4e9)
     fading = FadingConfig()
     failures = 0
 
@@ -187,7 +191,7 @@ def _cmd_selftest(args) -> int:
         df = int(rng.integers(1, 7))
         r = int(rng.integers(1, 5))
         t = int(rng.integers(1, 4))
-        ch = draw_link_channels(rng, r, df, geom, fading, n)
+        ch = draw_link_channels(rng, r, df, GEOMETRY, fading, n)
         mismatch += _counted_mismatches(ch, PhaseAlphabet.from_bits(b), t)
     failures += _report("vectorized and both counted selections identical "
                         "(60 draws, d_f <= 6)", mismatch == 0)
@@ -195,7 +199,7 @@ def _cmd_selftest(args) -> int:
     bad = 0
     alphabet = PhaseAlphabet.from_bits(2)
     for _ in range(40):
-        ch = draw_link_channels(rng, 2, 3, geom, fading, 3)
+        ch = draw_link_channels(rng, 2, 3, GEOMETRY, fading, 3)
         best = received_snr(ch, exhaustive_optimize(ch, alphabet), fading).per_ore_linear
         mid = received_snr(ch, ao_optimize(ch, alphabet, 3), fading).per_ore_linear
         low = received_snr(ch, blind_phases(alphabet, 2, 3), fading).per_ore_linear
@@ -206,7 +210,7 @@ def _cmd_selftest(args) -> int:
 
     bad = 0
     for _ in range(50):
-        ch = draw_link_channels(rng, 4, 3, geom, fading, 4)
+        ch = draw_link_channels(rng, 4, 3, GEOMETRY, fading, 4)
         phases = ao_optimize(ch, PhaseAlphabet.from_bits(3), 1)
         quad, cross, direct = snr_decomposition(ch, phases)
         total = (quad + cross + direct) * fading.symbol_energy / fading.noise_variance
@@ -215,21 +219,16 @@ def _cmd_selftest(args) -> int:
             bad += 1
     failures += _report("objective decomposition identity (50 draws)", bad == 0)
 
-    ok = True
-    for r, n, b, df, t in ((1, 2, 2, 1, 1), (2, 4, 2, 3, 2)):
-        ch = draw_link_channels(rng, r, df, geom, fading, n)
-        alpha = PhaseAlphabet.from_bits(b)
-        for kind, predict in (("ao", predicted_ao), ("lc_ao", predicted_lc_ao)):
-            ok = ok and measured_run(kind, ch, alpha, t)[1] == predict(r, n, b, df, t)
+    ok = all(passed for passed, _ in _count_checks(((1, 2, 2, 1, 1), (2, 4, 2, 3, 2))))
     failures += _report("measured operation counts match closed forms", ok)
 
     seeds = [0, 2**64 - 1] + [trial_seed(0, 1, i) for i in range(62)]
     ok = True
     for mode in ("random", "common"):
         mode_fading = FadingConfig(los_phase=mode)
-        block = draw_trial_block(seeds, 2, 3, geom, mode_fading, 4)
+        block = draw_trial_block(seeds, 2, 3, GEOMETRY, mode_fading, 4)
         ref = stack_realizations([
-            draw_link_channels(np.random.default_rng(s), 2, 3, geom, mode_fading, 4)
+            draw_link_channels(np.random.default_rng(s), 2, 3, GEOMETRY, mode_fading, 4)
             for s in seeds])
         ok = ok and all(getattr(block, name).tobytes() == getattr(ref, name).tobytes()
                         for name in ("direct", "ris_to_bs", "user_to_ris"))
@@ -242,7 +241,7 @@ def _cmd_selftest(args) -> int:
     mismatch = 0
     for k in range(500):
         n, r, df, b, t = (int(x) for x in rng.integers([2, 1, 1, 1, 1], [6, 4, 4, 4, 4]))
-        ch = draw_link_channels(rng, r, df, geom, FadingConfig(
+        ch = draw_link_channels(rng, r, df, GEOMETRY, FadingConfig(
             direct_loss_scale=(0.0025, 0.0)[k % 2]), n)
         src, dst = rng.permutation(n)[:2]
         ch.ris_to_bs[:, dst], ch.user_to_ris[:, dst] = ch.ris_to_bs[:, src], ch.user_to_ris[:, src]

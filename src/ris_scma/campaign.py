@@ -55,6 +55,9 @@ _BLOCK_ELEMENT_ROWS = 2**16
 _MIN_BLOCK_ROWS = 512
 # Blocks go to pool processes in contiguous chunks, about this many per process.
 _CHUNKS_PER_PROCESS = 4
+# Trials keep phase indices in uint8 and score 2^b candidates per ORE row at
+# once, so b stops at 8 there; complexity_grid only counts and takes any b.
+_MAX_TRIAL_PHASE_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,10 @@ class Campaign:
                 if param < 1:
                     raise ValueError(
                         f"{name} must be >= 1, got {param} at grid point {value}")
+            if b > _MAX_TRIAL_PHASE_BITS and self.scenario != "complexity_grid":
+                raise ValueError(
+                    f"phase_bits must be <= {_MAX_TRIAL_PHASE_BITS} for a scenario "
+                    f"that runs trials, got {b} at grid point {value}")
             if "exhaustive" in self.algorithms and (2**b) ** n > self.exhaustive_budget:
                 raise ValueError(
                     f"exhaustive budget exceeded at grid point {value}: "

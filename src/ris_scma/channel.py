@@ -115,7 +115,7 @@ def direct_path_loss(geom: Geometry) -> float:
     return (lam / (4.0 * math.pi * geom.bs_user_distance)) ** 2
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One draw of all per-ORE coefficients, path loss already applied.
 
@@ -123,10 +123,11 @@ class ChannelRealization:
     within each ORE's interference set, ``ris_to_bs`` (R, N), ``user_to_ris``
     (R, N, d_f) with column u holding user u's element coefficients.
 
-    A drawn block stores the element groups element-major, ORE axis last:
+    Every realization stores the element groups element-major, ORE axis last:
     ``ris_to_bs`` and ``user_to_ris`` are transposed views of C-contiguous
-    (N, R) and (N, d_f, R) buffers, which the ascent kernel and
-    ``composite_channel`` read in place; they copy any other layout.
+    (N, R) and (N, d_f, R) arrays, which the ascent kernel and
+    ``composite_channel`` read in place.  Construction copies any other
+    layout once; a drawn block is already stored so.
     """
 
     direct: np.ndarray
@@ -141,6 +142,9 @@ class ChannelRealization:
             raise ValueError(
                 f"inconsistent shapes: direct {self.direct.shape}, "
                 f"ris_to_bs {self.ris_to_bs.shape}, user_to_ris {self.user_to_ris.shape}")
+        object.__setattr__(self, "ris_to_bs", np.ascontiguousarray(self.ris_to_bs.T).T)
+        object.__setattr__(self, "user_to_ris", np.ascontiguousarray(
+            self.user_to_ris.transpose(1, 2, 0)).transpose(2, 0, 1))
         for name in ("direct", "ris_to_bs", "user_to_ris"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} contains non-finite entries")
@@ -288,12 +292,13 @@ def _pcg64_states(seeds) -> list:
     return states
 
 
-# A block draw passes its raw stream values through a scratch buffer of this
-# many float64 (1 MiB), whole trials at a time, so it never holds a raw array
-# as large as its outputs and each chunk is transformed while still in cache.
-# The same buffer stages one chunk's complex coefficients of the element-major
-# groups on their way to the outputs.  A block whose rows fit is one chunk.
-_SCRATCH_FLOATS = 2**17
+# One block's scratch budget in bytes (1 MiB).  A draw passes its raw stream
+# values and its staged element-major groups through one buffer of this size,
+# whole trials at a time (a block whose rows fit is one chunk), so it never
+# holds a raw array as large as its outputs and transforms each chunk while
+# it is in cache.  The ascent kernel holds at most this many bytes of
+# cascaded paths at a time.
+_SCRATCH_BYTES = 2**20
 
 
 def _draw_block(rng: np.random.Generator, states, num_ores: int,
@@ -332,7 +337,7 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
     row_width = width * sum(sizes)
     # The staging area holds one element group at a time, as complex pairs.
     stage_width = 2 * sizes[2]
-    chunk = min(trials, max(1, _SCRATCH_FLOATS // (row_width + stage_width)))
+    chunk = min(trials, max(1, _SCRATCH_BYTES // (8 * (row_width + stage_width))))
     scratch = np.empty(chunk * (stage_width + row_width))
     staged = scratch[:chunk * stage_width].view(np.complex128)
     raw_all = scratch[chunk * stage_width:].reshape(chunk, row_width)

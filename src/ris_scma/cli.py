@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _error_line("config", str(exc))
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         _error_line(type(exc).__name__, str(exc))
         return 1
 

@@ -16,8 +16,9 @@ class ScmaConfig:
     ``num_users`` sparse codebooks share ``num_ores`` orthogonal resource
     elements (OREs).  Each user occupies ``nonzero_per_user`` OREs and each
     ORE carries ``nonzero_per_ore`` interfering users.  ``codebook_size`` is
-    a key of the hashed config document that no output reads (ROADMAP items
-    3 and 4 remove it); the received-SNR objective never looks at codewords.
+    a key of the hashed config document that no output reads (ROADMAP
+    direction 7 removes it); the received-SNR objective never looks at
+    codewords.
     """
 
     num_users: int

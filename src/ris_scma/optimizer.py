@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel import ChannelRealization, FadingConfig
+from .channel import _SCRATCH_BYTES, ChannelRealization, FadingConfig
 from .opcount import _TIE_TOLERANCE, _select
 
 DEFAULT_EXHAUSTIVE_BUDGET = 2**20
@@ -133,14 +133,6 @@ def _rotations(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
     return phases.rotations()
 
 
-def _element_major(ch: ChannelRealization) -> tuple:
-    """The (N, R) element->BS and (N, d_f, R) user->element arrays, ORE axis
-    last and C-contiguous: views of a drawn block's storage, copies of any
-    other layout, so every product below sees the same operand layout."""
-    return (np.ascontiguousarray(ch.ris_to_bs.T),
-            np.ascontiguousarray(ch.user_to_ris.transpose(1, 2, 0)))
-
-
 def _cascaded_paths(ch: ChannelRealization) -> np.ndarray:
     """(R, N, d_f) cascaded path xi_n = ris_to_bs_n * user_to_ris_n of each element."""
     return ch.ris_to_bs[:, :, None] * ch.user_to_ris
@@ -159,17 +151,18 @@ def _re_inner2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def composite_channel(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
     """(R, d_f) composite rows: rotated cascaded paths plus the direct path.
 
-    Runs element-major: u = e^{-j phi} * ris_to_bs as (N, R), its (d_f, R)
-    contraction with user_to_ris, then transposed onto the direct rows.
-    Each float is the same operation as in the ORE-major form.
+    Runs element-major on the channel's own storage: u = e^{-j phi} *
+    ris_to_bs as (N, R), its (d_f, R) contraction with user_to_ris, then
+    transposed onto the direct rows.  Each float is the same operation as in
+    the ORE-major form, whichever layout the indices have.
     """
     _check_shape(ch, phases)
-    g, G = _element_major(ch)
-    u = phases.alphabet.rotations[np.ascontiguousarray(phases.indices.T)]
-    np.multiply(u, g, out=u)
+    u = phases.alphabet.rotations[phases.indices.T]
+    np.multiply(u, ch.ris_to_bs.T, out=u)
     # C-ordered rows, so _sq_norms sums each row's addends as it always has.
     w = np.empty(ch.direct.shape, dtype=np.complex128)
-    return np.add(np.einsum("nr,nir->ir", u, G).T, ch.direct, out=w)
+    return np.add(np.einsum("nr,nir->ir", u, ch.user_to_ris.transpose(1, 2, 0)).T,
+                  ch.direct, out=w)
 
 
 def received_snr(ch: ChannelRealization, phases: PhaseAssignment,
@@ -256,11 +249,6 @@ def term_split(ch: ChannelRealization, phases: PhaseAssignment, element: int) ->
 # Optimizers
 
 
-# The kernel holds the cascaded paths of at most this many bytes of elements
-# at a time (1 MiB), never a whole (N, d_f, R) copy.
-_XI_CHUNK_BYTES = 2**20
-
-
 def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
                 update_log: Optional[list] = None,
                 snapshots: Optional[dict] = None) -> PhaseAssignment:
@@ -285,18 +273,18 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
     Scores are half the phase-dependent part, so the gap is 1e-12 S / 2, S
     summed on the blind-start pass.
 
-    The channel is read in place, element-major (:func:`_element_major`).
-    The state is w, base and a few (R,) rows, the (N, R) indices in the
-    alphabet's compact dtype, and one chunk of elements' xi and v: at most
-    ``_XI_CHUNK_BYTES`` of xi, rebuilt from the channel and the indices every
-    sweep, or built once when all N fit.  The next sweep's w is summed chunk
-    by chunk, and equals one einsum over all N exactly.
+    The channel is read in place, in its element-major storage
+    (:class:`~ris_scma.channel.ChannelRealization`).  The state is w, base
+    and a few (R,) rows, the (N, R) indices in the alphabet's compact dtype,
+    and one chunk of elements' xi and v: at most ``_SCRATCH_BYTES`` of xi,
+    rebuilt from the channel and the indices every sweep, or built once when
+    all N fit.  The next sweep's w is summed chunk by chunk, and equals one
+    einsum over all N exactly.
 
     Each float is the same complex operation, on operands of the same
     broadcast shape and order, as in an ORE-major layout: numpy's complex
     multiply rounds g * G and G * g differently.  The score sums the d_f
-    addends left to right, which numpy's ``sum(axis=1)`` does only for
-    d_f <= 3.
+    addends left to right for every d_f.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -304,11 +292,11 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
         raise ValueError(f"snapshots need sweep counts in 0..{iterations}, "
                          f"got {sorted(snapshots)}")
     num_ores, num_elem = ch.num_ores, ch.num_elements
-    g, G = _element_major(ch)
+    g, G = ch.ris_to_bs.T, ch.user_to_ris.transpose(1, 2, 0)
     df = G.shape[1]
     rot, rot_col = alphabet.rotations, alphabet.rotations[:, None]
     idx = np.full((num_elem, num_ores), alphabet.zero_index, dtype=alphabet.index_dtype)
-    chunks = max(1, -(-num_elem * df * num_ores * 16 // _XI_CHUNK_BYTES))
+    chunks = max(1, -(-num_elem * df * num_ores * 16 // _SCRATCH_BYTES))
     size = -(-num_elem // chunks)
     spans = [(lo, min(lo + size, num_elem)) for lo in range(0, num_elem, size)]
     # Slot 0 holds the composite summed over the elements before the chunk,
@@ -349,10 +337,8 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
                 np.subtract(w, tmp, out=base)
                 np.conjugate(base, out=tmp)
                 np.multiply(xi[j], tmp, out=tmp)
-                term3 = tmp[0]
-                for i in range(1, df):
-                    term3 = np.add(term3, tmp[i], out=sums)
-                np.multiply(rot_col, term3, out=scores)
+                np.add.reduce(tmp, axis=0, out=sums)
+                np.multiply(rot_col, sums, out=scores)
                 sel = _select(scores.real, half_gap)
                 idx[n] = sel
                 v[j] = rot[sel]

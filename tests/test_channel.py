@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import make_channels
 from ris_scma.campaign import trial_seed
-from ris_scma.channel import (SPEED_OF_LIGHT, FadingConfig, Geometry,
-                              _SCRATCH_FLOATS, _pcg64_states, cascaded_path_loss,
-                              direct_path_loss, draw_channels,
-                              draw_link_channels, draw_trial_block)
+from ris_scma.channel import (SPEED_OF_LIGHT, ChannelRealization, FadingConfig,
+                              Geometry, _SCRATCH_BYTES, _pcg64_states,
+                              cascaded_path_loss, direct_path_loss, draw_channels,
+                              draw_link_channels, draw_trial_block,
+                              stack_realizations)
 from ris_scma.factor_graph import ScmaConfig, build_factor_graph
 
 # Frequency chosen so the wavelength is exactly 0.125 m.
@@ -228,10 +230,10 @@ def test_trial_block_matches_per_seed_draws_across_chunks(geom, mode):
     # drawn in several chunks; the bytes must not depend on where they split.
     r, df = 2, 3
     width = 3 if mode == "random" else 2
-    n = _SCRATCH_FLOATS // (4 * width * r * (1 + df))
+    n = _SCRATCH_BYTES // (8 * 4 * width * r * (1 + df))
     # A trial takes its raw row plus the staged complex pairs of its largest
-    # element group.
-    c = _SCRATCH_FLOATS // (width * (r * df + r * n + r * n * df) + 2 * r * n * df)
+    # element group, 8 bytes a float.
+    c = _SCRATCH_BYTES // (8 * (width * (r * df + r * n + r * n * df) + 2 * r * n * df))
     assert 2 <= c < 8
     fading = FadingConfig(rician_factor=1.0, los_phase=mode, direct_loss_scale=0.0025)
     for trials in (1, c - 1, c, c + 1, 2 * c + 1):
@@ -265,12 +267,26 @@ def test_trial_block_draw_holds_no_block_sized_buffer(geom):
 
 def test_trial_block_is_stored_element_major(geom, fading):
     # The public (R, N) and (R, N, d_f) arrays are views of contiguous
-    # (N, R) and (N, d_f, R) buffers, ORE axis last; direct stays (R, d_f).
+    # (N, R) and (N, d_f, R) arrays, ORE axis last; direct stays (R, d_f).
+    # A drawn block is stored so as drawn; every other realization is copied
+    # into that layout when it is built.
     ch = draw_trial_block(range(5), 4, 3, geom, fading, 6)
-    assert ch.ris_to_bs.shape == (20, 6) and ch.user_to_ris.shape == (20, 6, 3)
-    assert ch.ris_to_bs.T.flags.c_contiguous
-    assert ch.user_to_ris.transpose(1, 2, 0).flags.c_contiguous
+    g, G = ch.ris_to_bs, ch.user_to_ris
+    assert g.shape == (20, 6) and G.shape == (20, 6, 3)
     assert ch.direct.flags.c_contiguous
+    rebuilt = ChannelRealization(direct=ch.direct, ris_to_bs=g, user_to_ris=G)
+    assert np.shares_memory(rebuilt.ris_to_bs, g) and np.shares_memory(rebuilt.user_to_ris, G)
+    hand_built = make_channels(ch.direct.tolist(), g.tolist(), G.tolist())
+    stacked = stack_realizations([draw_link_channels(np.random.default_rng(s), 4, 3,
+                                                     geom, fading, 6) for s in range(2)])
+    g, G = g.copy(), G.copy()
+    g[:, 1], G[:, 1] = 0.0, 0.0
+    modified = ChannelRealization(direct=ch.direct, ris_to_bs=g, user_to_ris=G)
+    for case in (ch, hand_built, stacked, modified):
+        assert case.ris_to_bs.T.flags.c_contiguous
+        assert case.user_to_ris.transpose(1, 2, 0).flags.c_contiguous
+    assert modified.ris_to_bs.tobytes() == g.tobytes()
+    assert modified.user_to_ris.tobytes() == G.tobytes()
 
 
 def test_seeded_streams_equal_default_rng(geom, fading):

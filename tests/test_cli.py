@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ris_scma import cli
 from ris_scma.cli import main
 
 TINY = {"scenario": "n_sweep", "sweep": {"grid": [2, 4]}, "num_trials": 25,
@@ -82,16 +83,25 @@ NO_GRAPH_SYSTEM = {"num_users": 8, "num_ores": 4, "nonzero_per_user": 2,
                    "nonzero_per_ore": 4}
 
 
-@pytest.mark.parametrize("doc", [
-    {"scenario": "n_sweep", "sweep": {"grid": [0, 4]}},
-    {"scenario": "n_sweep", "sweep": {"grid": [-3]}},
-    {"scenario": "convergence", "sweep": {"grid": [0, 2]}},
-    {"scenario": "bits_sweep", "sweep": {"grid": [0, 2]}},
-    {"scenario": "deploy_sweep", "sweep": {"grid": [2.0, 50.0]}},
-    {"scenario": "n_sweep", "sweep": {"grid": [2]}, "system": NO_GRAPH_SYSTEM},
-    {"scenario": "complexity_grid", "system": NO_GRAPH_SYSTEM},
-])
-def test_invalid_grid_point_is_a_config_error(doc, tmp_path, capsys):
+REFUSED_DOCS = [
+    ({"scenario": "n_sweep", "sweep": {"grid": [0, 4]}}, "num_elements"),
+    ({"scenario": "n_sweep", "sweep": {"grid": [-3]}}, "num_elements"),
+    ({"scenario": "convergence", "sweep": {"grid": [0, 2]}}, "num_iterations"),
+    ({"scenario": "bits_sweep", "sweep": {"grid": [0, 2]}}, "phase_bits"),
+    ({"scenario": "deploy_sweep", "sweep": {"grid": [2.0, 50.0]}}, "ris_horizontal_offset"),
+    ({"scenario": "n_sweep", "sweep": {"grid": [2]}, "system": NO_GRAPH_SYSTEM}, "num_users"),
+    ({"scenario": "complexity_grid", "system": NO_GRAPH_SYSTEM}, "num_users"),
+    # Above b = 8 a scenario that runs trials would build a 2^b alphabet and
+    # a 2^b-row score table per block: at b = 40 an 8 TiB allocation.
+    ({"phase_bits": 40}, "phase_bits"),
+    ({"scenario": "bits_sweep", "sweep": {"grid": [1, 70]}}, "phase_bits"),
+    ({"scenario": "convergence", "phase_bits": 16}, "phase_bits"),
+]
+
+
+@pytest.mark.parametrize("doc, key", REFUSED_DOCS,
+                         ids=[f"doc{i}" for i in range(len(REFUSED_DOCS))])
+def test_invalid_grid_point_is_a_config_error(doc, key, tmp_path, capsys):
     # Each grid value replaces a base parameter, so each is checked up front
     # rather than failing mid-campaign.  So is the SCMA layout, for every
     # scenario, including complexity_grid, which runs no trials.
@@ -100,7 +110,33 @@ def test_invalid_grid_point_is_a_config_error(doc, tmp_path, capsys):
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert json.loads(err[0])["error"]["type"] == "config"
+    error = json.loads(err[0])["error"]
+    assert error["type"] == "config" and key in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_complexity_grid_counts_any_phase_bits(tmp_path, capsys):
+    # complexity_grid only counts, so b = 40 stays a valid document there.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "complexity_grid", "phase_bits": 40,
+                               "sweep": {"grid": [4, 8]}}))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "results.json").read_text())["rows"]
+    assert len(rows) == 4 and all(row["real_mults"] > 2**40 for row in rows)
+
+
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # A valid document too large for the machine fails like any other run
+    # error, without a traceback.
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+    monkeypatch.setattr(cli, "run_campaign", too_large)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [json.dumps({"error": {"type": "MemoryError",
+                                         "message": "Unable to allocate 8.00 TiB"}})]
     assert not (tmp_path / "out").exists()
 
 

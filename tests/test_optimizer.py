@@ -502,13 +502,15 @@ def test_composite_channel_shape_mismatch(geom, fading):
 
 
 def _both_layouts(ch):
-    """A drawn (element-major) block and the same values rebuilt trial-major
-    from nested lists, as hand-built channels are."""
-    trial_major = make_channels(ch.direct.tolist(), ch.ris_to_bs.tolist(),
-                                ch.user_to_ris.tolist())
-    assert ch.user_to_ris.transpose(1, 2, 0).flags.c_contiguous
-    assert trial_major.user_to_ris.flags.c_contiguous
-    return ch, trial_major
+    """A drawn block and the same values rebuilt from nested lists, as
+    hand-built channels are: built from trial-major arrays, it is stored
+    element-major all the same."""
+    hand_built = make_channels(ch.direct.tolist(), ch.ris_to_bs.tolist(),
+                               ch.user_to_ris.tolist())
+    for case in (ch, hand_built):
+        assert case.user_to_ris.transpose(1, 2, 0).flags.c_contiguous
+        assert case.ris_to_bs.T.flags.c_contiguous
+    return ch, hand_built
 
 
 LAYOUT_SHAPES = list(product((1, 2, 5, 8), (1, 3, 8), (1, 2, 4, 6)))   # (N, R, d_f)
@@ -535,7 +537,7 @@ def test_selections_and_snr_do_not_depend_on_layout(geom, monkeypatch, los_phase
         # chunked sweep sums, which must give every logged objective exactly.
         for chunk_elements in (1, 2):
             with monkeypatch.context() as patch:
-                patch.setattr(optimizer, "_XI_CHUNK_BYTES", 16 * df * r * chunk_elements)
+                patch.setattr(optimizer, "_SCRATCH_BYTES", 16 * df * r * chunk_elements)
                 for ch in layouts:
                     log = []
                     chunked = ao_optimize(ch, alpha, t, update_log=log).indices
@@ -597,6 +599,21 @@ def test_kernel_state_stays_below_one_cascaded_path_copy(geom):
 # Degenerate channels
 
 
+def _degenerate_case(seed, num_ores, df, n, fading, duplicate=None, zero=None):
+    """A one-trial draw in which column ``duplicate[1]`` copies column
+    ``duplicate[0]`` and then column ``zero`` is all zero, with its fading."""
+    ch = draw_trial_block([seed], num_ores, df, Geometry(40.0, 1.5, 2.0, 2.4e9),
+                          fading, n)
+    ris_to_bs, user_to_ris = ch.ris_to_bs.copy(), ch.user_to_ris.copy()
+    if duplicate is not None:
+        src, dst = duplicate
+        ris_to_bs[:, dst], user_to_ris[:, dst] = ris_to_bs[:, src], user_to_ris[:, src]
+    if zero is not None:
+        ris_to_bs[:, zero], user_to_ris[:, zero] = 0.0, 0.0
+    return ChannelRealization(direct=ch.direct, ris_to_bs=ris_to_bs,
+                              user_to_ris=user_to_ris), fading
+
+
 @st.composite
 def degenerate_channels(draw):
     """A one-trial draw with any of: no direct link, pure common LoS (K = inf,
@@ -608,20 +625,31 @@ def degenerate_channels(draw):
         rician_factor=draw(st.sampled_from([1.0, math.inf])),
         los_phase=draw(st.sampled_from(["random", "common"])),
         direct_loss_scale=draw(st.sampled_from([0.0, 0.0025])))
-    ch = draw_trial_block([draw(st.integers(0, 2**64 - 1))], draw(st.integers(1, 3)),
-                          df, Geometry(40.0, 1.5, 2.0, 2.4e9), fading, n)
-    ris_to_bs, user_to_ris = ch.ris_to_bs.copy(), ch.user_to_ris.copy()
-    if n > 1 and draw(st.booleans()):
-        src, dst = draw(st.permutations(range(n)))[:2]
-        ris_to_bs[:, dst], user_to_ris[:, dst] = ris_to_bs[:, src], user_to_ris[:, src]
-    if draw(st.booleans()):
-        zero = draw(st.integers(0, n - 1))
-        ris_to_bs[:, zero], user_to_ris[:, zero] = 0.0, 0.0
-    return ChannelRealization(direct=ch.direct, ris_to_bs=ris_to_bs,
-                              user_to_ris=user_to_ris), fading
+    seed, num_ores = draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 3))
+    duplicate = (draw(st.permutations(range(n)))[:2]
+                 if n > 1 and draw(st.booleans()) else None)
+    zero = draw(st.integers(0, n - 1)) if draw(st.booleans()) else None
+    return _degenerate_case(seed, num_ores, df, n, fading, duplicate, zero)
+
+
+def degenerate_examples(test):
+    """One explicit example of each degenerate kind, in the strategy's order,
+    so that none depends on what Hypothesis happens to draw."""
+    cases = (
+        _degenerate_case(1, 2, 3, 3, FadingConfig(direct_loss_scale=0.0)),
+        _degenerate_case(2, 2, 2, 4, FadingConfig(
+            rician_factor=math.inf, los_phase="common", direct_loss_scale=0.0025)),
+        _degenerate_case(3, 3, 3, 1, FadingConfig(direct_loss_scale=0.0)),
+        _degenerate_case(4, 2, 3, 3, FadingConfig(direct_loss_scale=0.0025), zero=1),
+        _degenerate_case(5, 2, 2, 4, FadingConfig(los_phase="common"), duplicate=(0, 2)),
+    )
+    for i, case in enumerate(cases):
+        test = example(case=case, bits=1 + i % 3, sweeps=2)(test)
+    return test
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@degenerate_examples
 @given(case=degenerate_channels(), bits=st.integers(1, 3), sweeps=st.integers(1, 3))
 def test_degenerate_channels_keep_invariants(case, bits, sweeps):
     ch, fading = case
@@ -644,6 +672,7 @@ def test_degenerate_channels_keep_invariants(case, bits, sweeps):
 # this check has a test of its own: added to the test above, it would give
 # that test 50 other channels in place of the ones it has always checked.
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@degenerate_examples
 @given(case=degenerate_channels(), bits=st.integers(1, 3), sweeps=st.integers(1, 3))
 def test_degenerate_channels_stay_between_blind_and_oracle(case, bits, sweeps):
     # N <= 4 and b <= 3: at most 4096 candidates per ORE for the oracle
@@ -664,14 +693,10 @@ def duplicated_column_channels(draw):
     n = draw(st.integers(2, 5))
     fading = FadingConfig(los_phase=draw(st.sampled_from(["random", "common"])),
                           direct_loss_scale=draw(st.sampled_from([0.0, 0.0025])))
-    ch = draw_trial_block([draw(st.integers(0, 2**64 - 1))], draw(st.integers(1, 3)),
-                          draw(st.integers(1, 3)), Geometry(40.0, 1.5, 2.0, 2.4e9),
-                          fading, n)
-    src, dst = draw(st.permutations(range(n)))[:2]
-    ris_to_bs, user_to_ris = ch.ris_to_bs.copy(), ch.user_to_ris.copy()
-    ris_to_bs[:, dst], user_to_ris[:, dst] = ris_to_bs[:, src], user_to_ris[:, src]
-    return ChannelRealization(direct=ch.direct, ris_to_bs=ris_to_bs,
-                              user_to_ris=user_to_ris)
+    seed, num_ores, df = (draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 3)),
+                          draw(st.integers(1, 3)))
+    duplicate = draw(st.permutations(range(n)))[:2]
+    return _degenerate_case(seed, num_ores, df, n, fading, duplicate)[0]
 
 
 # xi = (1, -2, 1), no direct link: element 0 turns to -pi, and then elements 0

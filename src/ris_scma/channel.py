@@ -149,6 +149,11 @@ class ChannelRealization:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} contains non-finite entries")
 
+    def __reduce__(self):
+        # numpy pickles the transposed views as C-ordered copies; rebuilding
+        # through the constructor stores them element-major again.
+        return type(self), (self.direct, self.ris_to_bs, self.user_to_ris)
+
     @property
     def num_ores(self) -> int:
         return self.direct.shape[0]

@@ -24,7 +24,7 @@ import numpy as np
 from .campaign import run_campaign, trial_seed
 from .channel import (FadingConfig, Geometry, draw_link_channels,
                       draw_trial_block, stack_realizations)
-from .config import ConfigError, config_from_document, config_hash, parse_config
+from .config import DEFAULTS, ConfigError, config_from_document, config_hash, parse_config
 from .opcount import measured_run, predicted_ao, predicted_lc_ao
 from .optimizer import (PhaseAlphabet, ao_optimize, blind_phases,
                         exhaustive_optimize, received_snr, snr_decomposition)
@@ -32,7 +32,7 @@ from .writers import FIGURE_PRESETS, emit_plot_data, write_results
 
 OUTPUT_DIR_ENV = "RIS_SCMA_OUTPUT_DIR"
 
-GEOMETRY = Geometry(40.0, 1.5, 2.0, 2.4e9)
+GEOMETRY = Geometry(**DEFAULTS["geometry"])
 
 # Keys in (R, N, b, d_f, T) order: a grid's values give each cell's.
 DEFAULT_COMPLEXITY_GRID = {

@@ -82,9 +82,6 @@ class PhaseAssignment:
     def num_elements(self) -> int:
         return self.indices.shape[1]
 
-    def rotations(self) -> np.ndarray:
-        return self.alphabet.rotations[self.indices]
-
 
 def db_from_linear(linear) -> float:
     """The one place linear power turns into dB."""
@@ -127,15 +124,12 @@ def _check_shape(ch: ChannelRealization, phases: PhaseAssignment) -> None:
             f"channel dims (R={ch.num_ores}, N={ch.num_elements})")
 
 
-def _rotations(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
-    """(R, N) rotations e^{-j phi} of ``phases``, checked against the channel."""
-    _check_shape(ch, phases)
-    return phases.rotations()
-
-
-def _cascaded_paths(ch: ChannelRealization) -> np.ndarray:
-    """(R, N, d_f) cascaded path xi_n = ris_to_bs_n * user_to_ris_n of each element."""
-    return ch.ris_to_bs[:, :, None] * ch.user_to_ris
+def _cascaded_rows(ch: ChannelRealization, u: np.ndarray) -> np.ndarray:
+    """(R, d_f) cascaded rows sum_n u_n xi_n of the (N, R) rotations ``u``,
+    which it overwrites: u * ris_to_bs, then contracted with user_to_ris, both
+    read in place, element-major.  The bytes do not depend on u's layout."""
+    np.multiply(u, ch.ris_to_bs.T, out=u)
+    return np.einsum("nr,nir->ir", u, ch.user_to_ris.transpose(1, 2, 0)).T
 
 
 def _sq_norms(w: np.ndarray) -> np.ndarray:
@@ -149,20 +143,12 @@ def _re_inner2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def composite_channel(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
-    """(R, d_f) composite rows: rotated cascaded paths plus the direct path.
-
-    Runs element-major on the channel's own storage: u = e^{-j phi} *
-    ris_to_bs as (N, R), its (d_f, R) contraction with user_to_ris, then
-    transposed onto the direct rows.  Each float is the same operation as in
-    the ORE-major form, whichever layout the indices have.
-    """
+    """(R, d_f) composite rows: rotated cascaded paths plus the direct path."""
     _check_shape(ch, phases)
-    u = phases.alphabet.rotations[phases.indices.T]
-    np.multiply(u, ch.ris_to_bs.T, out=u)
+    u = _cascaded_rows(ch, phases.alphabet.rotations[phases.indices.T])
     # C-ordered rows, so _sq_norms sums each row's addends as it always has.
     w = np.empty(ch.direct.shape, dtype=np.complex128)
-    return np.add(np.einsum("nr,nir->ir", u, ch.user_to_ris.transpose(1, 2, 0)).T,
-                  ch.direct, out=w)
+    return np.add(u, ch.direct, out=w)
 
 
 def received_snr(ch: ChannelRealization, phases: PhaseAssignment,
@@ -207,7 +193,7 @@ class LcAoWorkspace:
 
 
 def build_lc_workspace(ch: ChannelRealization) -> LcAoWorkspace:
-    xi = _cascaded_paths(ch)                                  # (R, N, d_f)
+    xi = ch.ris_to_bs[:, :, None] * ch.user_to_ris            # (R, N, d_f)
     coupling = np.einsum("rki,rni->rkn", xi, np.conj(xi))   # xi @ xi^H
     direct = np.einsum("rki,ri->rk", xi, np.conj(ch.direct))
     return LcAoWorkspace(element_coupling=coupling, direct_coupling=direct)
@@ -220,7 +206,8 @@ def snr_decomposition(ch: ChannelRealization, phases: PhaseAssignment) -> tuple:
     From the cascaded row u = sum_k v_k xi_k in O(N d_f) per ORE these are
     ||u||^2, 2 Re<u, h> and ||h||^2 (D, dbar: the :class:`LcAoWorkspace` form).
     """
-    u = np.einsum("rn,rni->ri", _rotations(ch, phases), _cascaded_paths(ch))
+    _check_shape(ch, phases)
+    u = _cascaded_rows(ch, phases.alphabet.rotations[phases.indices.T])
     return _sq_norms(u), _re_inner2(u, ch.direct), _sq_norms(ch.direct)
 
 
@@ -230,18 +217,21 @@ def term_split(ch: ChannelRealization, phases: PhaseAssignment, element: int) ->
 
     Returns (a1_phi, a1_rest, a2_phi, a2_rest), each (R,); a1_phi + a1_rest
     reproduces the quadratic addend and a2_phi + a2_rest the cross addend.
-    With own = v_n xi_n and base = sum_{k != n} v_k xi_k (summed, not u - own,
-    so the rest parts are exactly phi_n-free) these are 2 Re<own, base>,
-    ||base||^2 + ||xi_n||^2, 2 Re<own, h> and 2 Re<base, h>, in O(N d_f).
+    With own = v_n xi_n and base = sum_{k != n} v_k xi_k (summed with v_n set
+    to 0, not as u - own, so the rest parts are exactly phi_n-free) these are
+    2 Re<own, base>, ||base||^2 + ||xi_n||^2, 2 Re<own, h> and 2 Re<base, h>,
+    in O(N d_f).
     """
     n = element
     if not 0 <= n < ch.num_elements:
         raise ValueError(f"element must be in [0, {ch.num_elements}), got {n}")
-    v = _rotations(ch, phases)                               # e^{-j phi}
-    xi = _cascaded_paths(ch)
-    base = np.einsum("rk,rki->ri", np.delete(v, n, axis=1), np.delete(xi, n, axis=1))
-    own = v[:, n, None] * xi[:, n]
-    return (_re_inner2(own, base), _sq_norms(base) + _sq_norms(xi[:, n]),
+    _check_shape(ch, phases)
+    u = phases.alphabet.rotations[phases.indices.T]          # e^{-j phi}, (N, R)
+    xi_n = ch.ris_to_bs[:, n, None] * ch.user_to_ris[:, n]
+    own = u[n, :, None] * xi_n
+    u[n] = 0.0
+    base = _cascaded_rows(ch, u)
+    return (_re_inner2(own, base), _sq_norms(base) + _sq_norms(xi_n),
             _re_inner2(own, ch.direct), _re_inner2(base, ch.direct))
 
 

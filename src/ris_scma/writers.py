@@ -63,7 +63,10 @@ OUTPUT_FORMATS = {"csv": result_to_csv_text, "json": result_to_json_text}
 
 def write_results(result: CampaignResult, out_dir, formats=("csv", "json")) -> list:
     """Write results.<format> into ``out_dir`` for each of ``formats``;
-    returns the paths."""
+    returns the paths.  Checks every format before writing anything."""
+    for fmt in formats:
+        if fmt not in OUTPUT_FORMATS:
+            raise ValueError(f"unknown output format {fmt!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -71,8 +74,6 @@ def write_results(result: CampaignResult, out_dir, formats=("csv", "json")) -> l
         raise OSError(f"cannot create output directory {out}: {exc}") from None
     paths = []
     for fmt in formats:
-        if fmt not in OUTPUT_FORMATS:
-            raise ValueError(f"unknown output format {fmt!r}")
         path = out / f"results.{fmt}"
         path.write_text(OUTPUT_FORMATS[fmt](result))
         paths.append(path)

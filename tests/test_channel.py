@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -13,6 +14,7 @@ from ris_scma.channel import (SPEED_OF_LIGHT, ChannelRealization, FadingConfig,
                               draw_link_channels, draw_trial_block,
                               stack_realizations)
 from ris_scma.factor_graph import ScmaConfig, build_factor_graph
+from ris_scma.optimizer import PhaseAlphabet, ao_optimize
 
 # Frequency chosen so the wavelength is exactly 0.125 m.
 FREQ_LAMBDA_EIGHTH = SPEED_OF_LIGHT / 0.125
@@ -287,6 +289,18 @@ def test_trial_block_is_stored_element_major(geom, fading):
         assert case.user_to_ris.transpose(1, 2, 0).flags.c_contiguous
     assert modified.ris_to_bs.tobytes() == g.tobytes()
     assert modified.user_to_ris.tobytes() == G.tobytes()
+
+
+def test_pickled_realization_stays_element_major(geom, fading):
+    ch = draw_trial_block(range(5), 4, 3, geom, fading, 6)
+    back = pickle.loads(pickle.dumps(ch))
+    assert back.ris_to_bs.T.flags.c_contiguous
+    assert back.user_to_ris.transpose(1, 2, 0).flags.c_contiguous
+    for name in ("direct", "ris_to_bs", "user_to_ris"):
+        assert getattr(back, name).tobytes() == getattr(ch, name).tobytes()
+    alpha = PhaseAlphabet.from_bits(3)
+    assert np.array_equal(ao_optimize(back, alpha, 3).indices,
+                          ao_optimize(ch, alpha, 3).indices)
 
 
 def test_seeded_streams_equal_default_rng(geom, fading):

@@ -166,6 +166,14 @@ def test_write_results_byte_stable(small_result, tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("formats", [("xml",), ("csv", "xml")])
+def test_refused_format_writes_nothing(small_result, tmp_path, formats):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="'xml'"):
+        write_results(small_result, out, formats)
+    assert not out.exists()
+
+
 def test_csv_axis_ascending(small_result, tmp_path):
     (csv_path, _) = write_results(small_result, tmp_path)
     lines = csv_path.read_text().strip().splitlines()

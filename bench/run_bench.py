@@ -42,7 +42,8 @@ common-phase LoS), at N in {8, 16, 64, 256}.
   ``draw_link_channels(np.random.default_rng(seed), ...)`` per seed; both
   start from the seeds, and are equal when their bytes are.
 * ascent: ``ao_optimize`` (``lc_ao_optimize`` is the same function) on one
-  block's 1024 ORE rows at b=3, T=3.
+  block's 1024 ORE rows at b=3, T=3, plain and with an ``update_log``; equal
+  when both select the same phases.
 * snr: ``received_snr`` on one block with the kernel's selections.
 
 The JSON report (the layers' rows plus Python, numpy, BLAS, core count and
@@ -303,8 +304,12 @@ def ascent_layer() -> list:
             "ascent",
             {**BLOCK, "num_elements": n, "ore_rows": ch.num_ores,
              "bits": ASCENT_BITS, "iterations": ASCENT_SWEEPS},
-            {"ao_optimize": lambda: ao_optimize(ch, alphabet, ASCENT_SWEEPS)},
-            ASCENT_REPEATS))
+            {"ao_optimize": lambda: ao_optimize(ch, alphabet, ASCENT_SWEEPS),
+             "ao_optimize_logged": lambda: ao_optimize(ch, alphabet, ASCENT_SWEEPS,
+                                                       update_log=[])},
+            ASCENT_REPEATS,
+            check=lambda r: np.array_equal(r["ao_optimize"].indices,
+                                           r["ao_optimize_logged"].indices)))
     return rows
 
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from ris_scma import (FadingConfig, Geometry, PhaseAlphabet, ScmaConfig,
                       ao_optimize, blind_phases, build_factor_graph,
-                      draw_channels, exhaustive_optimize, lc_ao_optimize,
-                      received_snr, snr_decomposition)
+                      db_from_linear, draw_channels, exhaustive_optimize,
+                      lc_ao_optimize, received_snr, snr_decomposition)
 
 geom = Geometry(40.0, 1.5, 2.0, 2.4e9)
 fading = FadingConfig()   # random LoS phases: every element has work to do
@@ -35,18 +35,19 @@ oracle = exhaustive_optimize(ch, alphabet)
 print(f"\naverage SNR over {graph.num_ores} OREs (dB):")
 for name, phases in (("blind", blind), ("ascent", ascent),
                      ("cached", cached), ("oracle", oracle)):
-    print(f"  {name:7s} {received_snr(ch, phases, fading).average_db:8.3f}")
+    snr_db = db_from_linear(received_snr(ch, phases, fading).mean())
+    print(f"  {name:7s} {snr_db:8.3f}")
 print("ascent and cached picked identical phases:",
       bool(np.array_equal(ascent.indices, cached.indices)))
 
 print("\nascent trace, ORE 0 (objective after each coordinate update):")
-trace = [rec.objective for rec in log if rec.ore == 0]
+trace = [objs[0] for objs in log]
 for t in range(SWEEPS):
     row = trace[t * N:(t + 1) * N]
     print(f"  sweep {t + 1}: " + "  ".join(f"{x:.3e}" for x in row))
 
 quad, cross, direct = snr_decomposition(ch, ascent)
 total = (quad + cross + direct) * fading.symbol_energy / fading.noise_variance
-ref = received_snr(ch, ascent, fading).per_ore_linear
+ref = received_snr(ch, ascent, fading)
 print(f"\ndecomposition residual: {np.abs(total - ref).max() / ref.max():.2e} "
       f"(quadratic + cross + direct vs the plain norm)")

@@ -21,11 +21,11 @@ from .factor_graph import FactorGraph, ScmaConfig, build_factor_graph
 from .opcount import (OpCount, measured_run, predicted_ao, predicted_exhaustive,
                       predicted_lc_ao)
 from .optimizer import (DEFAULT_EXHAUSTIVE_BUDGET, LcAoWorkspace,
-                        PhaseAlphabet, PhaseAssignment, SnrReport,
-                        UpdateRecord, ao_optimize, blind_phases,
-                        build_lc_workspace, composite_channel, db_from_linear,
-                        exhaustive_optimize, lc_ao_optimize, no_ris_snr,
-                        received_snr, snr_decomposition, term_split)
+                        PhaseAlphabet, PhaseAssignment, ao_optimize,
+                        blind_phases, build_lc_workspace, composite_channel,
+                        db_from_linear, exhaustive_optimize, lc_ao_optimize,
+                        no_ris_snr, received_snr, snr_decomposition,
+                        term_split)
 from .writers import (emit_plot_data, result_from_json_text,
                       result_to_csv_text, result_to_json_text, write_results)
 

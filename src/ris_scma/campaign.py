@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -56,8 +57,11 @@ _MIN_BLOCK_ROWS = 512
 # Blocks go to pool processes in contiguous chunks, about this many per process.
 _CHUNKS_PER_PROCESS = 4
 # Trials keep phase indices in uint8 and score 2^b candidates per ORE row at
-# once, so b stops at 8 there; complexity_grid only counts and takes any b.
+# once, so b stops at 8 there.  complexity_grid only counts, but its counts
+# grow as 2^b; up to this b each stays well inside the 4300 digits Python
+# writes an integer with by default.
 _MAX_TRIAL_PHASE_BITS = 8
+_MAX_COUNT_PHASE_BITS = 10_000
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,13 @@ class Campaign:
                 f"{tuple(SWEEPS[self.scenario])}, got sweep_axis {self.sweep_axis!r}")
         if len(self.sweep_grid) == 0:
             raise ValueError("sweep_grid must be non-empty")
+        real = self.sweep_axis == "ris_horizontal_offset"
+        for value in self.sweep_grid:
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Real if real else numbers.Integral):
+                raise ValueError(
+                    f"sweep_grid on axis {self.sweep_axis!r} takes "
+                    f"{'real numbers' if real else 'integers'}, got {value!r}")
         if any(b >= a for a, b in zip(self.sweep_grid[1:], self.sweep_grid)):
             raise ValueError(f"sweep_grid must be strictly increasing, got {self.sweep_grid}")
         if not self.algorithms:
@@ -132,10 +143,12 @@ class Campaign:
                 if param < 1:
                     raise ValueError(
                         f"{name} must be >= 1, got {param} at grid point {value}")
-            if b > _MAX_TRIAL_PHASE_BITS and self.scenario != "complexity_grid":
+            limit = (_MAX_COUNT_PHASE_BITS if self.scenario == "complexity_grid"
+                     else _MAX_TRIAL_PHASE_BITS)
+            if b > limit:
                 raise ValueError(
-                    f"phase_bits must be <= {_MAX_TRIAL_PHASE_BITS} for a scenario "
-                    f"that runs trials, got {b} at grid point {value}")
+                    f"phase_bits must be <= {limit} for scenario {self.scenario!r}, "
+                    f"got {b} at grid point {value}")
             if "exhaustive" in self.algorithms and (2**b) ** n > self.exhaustive_budget:
                 raise ValueError(
                     f"exhaustive budget exceeded at grid point {value}: "
@@ -216,8 +229,8 @@ def _trial_block(campaign: Campaign, grid_indices: tuple, trial_lo: int,
          for i in range(trial_lo, trial_hi)],
         scma.num_ores, scma.nonzero_per_ore, geom, fading, n)
 
-    def trial_means(report):
-        return report.per_ore_linear.reshape(trial_hi - trial_lo, scma.num_ores).mean(axis=1)
+    def trial_means(snr):
+        return snr.reshape(trial_hi - trial_lo, scma.num_ores).mean(axis=1)
 
     out = {}
     ascent = None
@@ -234,14 +247,14 @@ def _trial_block(campaign: Campaign, grid_indices: tuple, trial_lo: int,
             by_sweeps = ascent
         else:
             if alg == "blind":
-                report = received_snr(
+                snr = received_snr(
                     ch, blind_phases(alphabet, ch.num_ores, ch.num_elements), fading)
             elif alg == "no_ris":
-                report = no_ris_snr(ch, fading)
+                snr = no_ris_snr(ch, fading)
             else:
-                report = received_snr(ch, exhaustive_optimize(
+                snr = received_snr(ch, exhaustive_optimize(
                     ch, alphabet, campaign.exhaustive_budget), fading)
-            by_sweeps = dict.fromkeys(sweeps.values(), trial_means(report))
+            by_sweeps = dict.fromkeys(sweeps.values(), trial_means(snr))
         for gi, t in sweeps.items():
             out[gi, alg] = by_sweeps[t]
     return out

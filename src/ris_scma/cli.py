@@ -200,9 +200,9 @@ def _cmd_selftest(args) -> int:
     alphabet = PhaseAlphabet.from_bits(2)
     for _ in range(40):
         ch = draw_link_channels(rng, 2, 3, GEOMETRY, fading, 3)
-        best = received_snr(ch, exhaustive_optimize(ch, alphabet), fading).per_ore_linear
-        mid = received_snr(ch, ao_optimize(ch, alphabet, 3), fading).per_ore_linear
-        low = received_snr(ch, blind_phases(alphabet, 2, 3), fading).per_ore_linear
+        best = received_snr(ch, exhaustive_optimize(ch, alphabet), fading)
+        mid = received_snr(ch, ao_optimize(ch, alphabet, 3), fading)
+        low = received_snr(ch, blind_phases(alphabet, 2, 3), fading)
         tol = 1e-12 * best
         if not ((best >= mid - tol).all() and (mid >= low - tol).all()):
             bad += 1
@@ -214,7 +214,7 @@ def _cmd_selftest(args) -> int:
         phases = ao_optimize(ch, PhaseAlphabet.from_bits(3), 1)
         quad, cross, direct = snr_decomposition(ch, phases)
         total = (quad + cross + direct) * fading.symbol_energy / fading.noise_variance
-        ref = received_snr(ch, phases, fading).per_ore_linear
+        ref = received_snr(ch, phases, fading)
         if (np.abs(total - ref) > 1e-10 * np.abs(ref)).any():
             bad += 1
     failures += _report("objective decomposition identity (50 draws)", bad == 0)

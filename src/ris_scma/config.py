@@ -90,7 +90,10 @@ def _fits(default, value) -> bool:
     if isinstance(default, int):
         return isinstance(value, int)
     if isinstance(default, float):
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:       # an integer literal past the float range
+            return False
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 

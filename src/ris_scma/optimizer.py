@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -89,30 +89,6 @@ def db_from_linear(linear) -> float:
         return float(10.0 * np.log10(linear))
 
 
-@dataclass(eq=False)
-class SnrReport:
-    """Per-ORE linear SNRs plus their dB-of-mean average."""
-
-    per_ore_linear: np.ndarray
-    average_db: float
-
-    @classmethod
-    def from_linear(cls, per_ore_linear: np.ndarray) -> "SnrReport":
-        per_ore_linear = np.asarray(per_ore_linear, dtype=float)
-        return cls(per_ore_linear=per_ore_linear,
-                   average_db=db_from_linear(per_ore_linear.mean()))
-
-
-class UpdateRecord(NamedTuple):
-    """One logged coordinate update: objective is the squared norm of the
-    composite row (no energy/noise scaling)."""
-
-    ore: int
-    iteration: int
-    element: int
-    objective: float
-
-
 # ---------------------------------------------------------------------------
 # Objective
 
@@ -152,16 +128,17 @@ def composite_channel(ch: ChannelRealization, phases: PhaseAssignment) -> np.nda
 
 
 def received_snr(ch: ChannelRealization, phases: PhaseAssignment,
-                 fading: FadingConfig) -> SnrReport:
-    """Per-ORE received SNR: (E / sigma^2) * ||composite row||^2."""
+                 fading: FadingConfig) -> np.ndarray:
+    """(R,) per-ORE linear received SNR: (E / sigma^2) * ||composite row||^2."""
     scale = fading.symbol_energy / fading.noise_variance
-    return SnrReport.from_linear(scale * _sq_norms(composite_channel(ch, phases)))
+    return scale * _sq_norms(composite_channel(ch, phases))
 
 
-def no_ris_snr(ch: ChannelRealization, fading: FadingConfig) -> SnrReport:
-    """Direct link only: the cascaded term removed entirely."""
+def no_ris_snr(ch: ChannelRealization, fading: FadingConfig) -> np.ndarray:
+    """(R,) per-ORE linear SNR of the direct link only: the cascaded term
+    removed entirely."""
     scale = fading.symbol_energy / fading.noise_variance
-    return SnrReport.from_linear(scale * _sq_norms(ch.direct))
+    return scale * _sq_norms(ch.direct)
 
 
 def blind_phases(alphabet: PhaseAlphabet, num_ores: int,
@@ -249,10 +226,12 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
     1e-12 S of the best, S = ||h||^2 + sum_k ||xi_k||^2 being the mean
     objective over random phases (:func:`_select`).
 
-    ``update_log`` gets an :class:`UpdateRecord` per ORE per update, and
-    ``snapshots`` maps sweep counts in 0..iterations to the
-    :class:`PhaseAssignment` after that many sweeps, set in place; the key
-    ``iterations`` gets the returned object.
+    ``update_log`` gets one (R,) float64 array per coordinate update, in
+    update order (sweep, then element): each ORE's squared composite-row
+    norm after the update, with no energy/noise scaling.  ``snapshots`` maps
+    sweep counts in 0..iterations to the :class:`PhaseAssignment` after that
+    many sweeps, set in place; the key ``iterations`` gets the returned
+    object.
 
     Keeps the composite row w = h + sum_k v_k xi_k, with xi_k = g_k G_k the
     cascaded path of element k.  Updating element n, base = w - v_n xi_n is w
@@ -336,9 +315,7 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
                 np.add(base, tmp, out=w)
                 if update_log is not None:
                     # An (R, d_f) copy: summed in the order _sq_norms uses elsewhere.
-                    norms = _sq_norms(np.ascontiguousarray(w.T))
-                    update_log.extend(
-                        UpdateRecord(r, t, n, float(norms[r])) for r in range(num_ores))
+                    update_log.append(_sq_norms(np.ascontiguousarray(w.T)))
             if t + 1 < iterations:
                 total = summed(total, hi - lo)
     phases = PhaseAssignment(alphabet=alphabet, indices=idx.T)

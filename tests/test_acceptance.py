@@ -13,20 +13,23 @@ and a 1-bit gain over blind beyond two paired standard errors.
 """
 
 import json
+import math
 from itertools import product
 
 import numpy as np
 import pytest
 
 from ris_scma.campaign import (deploy_sweep_profile, run_campaign, trial_seed)
-from ris_scma.channel import (FadingConfig, Geometry, draw_link_channels,
+from ris_scma.channel import (FadingConfig, Geometry, cascaded_path_loss,
+                              direct_path_loss, draw_link_channels,
                               draw_trial_block, stack_realizations)
 from ris_scma.config import campaign_from_config, config_hash, parse_config
 from ris_scma.opcount import measured_run, predicted_ao, predicted_lc_ao
 from ris_scma.optimizer import (PhaseAlphabet, PhaseAssignment, ao_optimize,
                                 blind_phases, db_from_linear,
                                 exhaustive_optimize, lc_ao_optimize,
-                                received_snr, snr_decomposition, term_split)
+                                no_ris_snr, received_snr, snr_decomposition,
+                                term_split)
 
 GEOM = Geometry(40.0, 1.5, 2.0, 2.4e9)
 LIBRARY_FADING = FadingConfig()                       # random LoS, free-space direct
@@ -70,8 +73,7 @@ def equivalence_runs():
         if not all(np.array_equal(ao.indices, sel) for sel in selections[1:]):
             mismatched_combos.append((n, b, df, r, t))
         for log in (log_ao, log_lc):
-            objs = np.array([rec.objective for rec in log])
-            sequences.append(objs.reshape(t * n, ch.num_ores).T)
+            sequences.append(np.array(log).T)
     return {"instances": instances, "mismatched": mismatched_combos,
             "counted_combos": counted_combos, "sequences": sequences}
 
@@ -124,9 +126,9 @@ def test_criterion_02_oracle_bound():
                 np.random.default_rng(trial_seed(77, n * 10 + b, rng_seed)),
                 r, df, GEOM, fad, n)
             instances += 1
-            best = received_snr(ch, exhaustive_optimize(ch, alpha), fad).per_ore_linear
-            mid = received_snr(ch, ao_optimize(ch, alpha, 3), fad).per_ore_linear
-            low = received_snr(ch, blind_phases(alpha, r, n), fad).per_ore_linear
+            best = received_snr(ch, exhaustive_optimize(ch, alpha), fad)
+            mid = received_snr(ch, ao_optimize(ch, alpha, 3), fad)
+            low = received_snr(ch, blind_phases(alpha, r, n), fad)
             tol = 1e-12 * best
             if not ((best >= mid - tol).all() and (mid >= low - tol).all()):
                 violations += 1
@@ -155,7 +157,7 @@ def test_criterion_04_decomposition_identities():
         total_instances += 2500
         quad, cross, direct = snr_decomposition(ch, phases)
         scale = LIBRARY_FADING.symbol_energy / LIBRARY_FADING.noise_variance
-        ref = received_snr(ch, phases, LIBRARY_FADING).per_ore_linear
+        ref = received_snr(ch, phases, LIBRARY_FADING)
         total_err = np.abs(scale * (quad + cross + direct) - ref) / np.abs(ref)
         worst_total = max(worst_total, float(total_err.max()))
         element = int(rng.integers(0, n))
@@ -239,10 +241,10 @@ def bits_sweep_paired():
         ch = draw(start, stop)
         num = stop - start
         for b, alpha in alphas.items():
-            lin = received_snr(ch, ao_optimize(ch, alpha, t), fad).per_ore_linear
+            lin = received_snr(ch, ao_optimize(ch, alpha, t), fad)
             acc[b].append(lin.reshape(num, 4))
         blind = blind_phases(alphas[1], ch.num_ores, n)
-        lin = received_snr(ch, blind, fad).per_ore_linear
+        lin = received_snr(ch, blind, fad)
         acc["blind"].append(lin.reshape(num, 4))
     out = {k: np.concatenate(v) for k, v in acc.items()}
     out["head"] = draw(0, ORACLE_TRIALS)
@@ -282,7 +284,7 @@ def test_criterion_07_one_bit_matches_blind(bits_sweep_paired):
     head = bits_sweep_paired["head"]
     alpha = PhaseAlphabet.from_bits(1)
     oracle = received_snr(head, exhaustive_optimize(head, alpha),
-                          CALIBRATED_FADING).per_ore_linear
+                          CALIBRATED_FADING)
     oracle = oracle.reshape(ORACLE_TRIALS, 4)
     head_bit, head_blind = one_bit[:ORACLE_TRIALS], blind[:ORACLE_TRIALS]
 
@@ -359,3 +361,64 @@ def test_criterion_10_byte_determinism(tmp_path):
     _line(10, ok, f"rerun bytes identical: {same_rerun}; "
                   f"1-vs-3 workers identical: {same_workers}")
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# Closed-form second moments of the channel model
+#
+# Every small-scale coefficient is unit power with LoS amplitude
+# l = sqrt(K / (K + 1)); its mean is l under common LoS and 0 under random
+# LoS.  With P_d = direct_path_loss, P_c = cascaded_path_loss and s =
+# direct_loss_scale, the blind composite row (all phases 0) has
+#   E||w||^2 = d_f [P_d s + N P_c + N(N-1) P_c l^4 + 2 N sqrt(P_d s P_c) l^3]
+# under common LoS and d_f (P_d s + N P_c) under random LoS, and the direct
+# link alone E||h||^2 = d_f P_d s.  Each cell's tolerance is |z| < 4 from the
+# standard error of its ORE rows, which are i.i.d.
+
+MOMENT_CELLS = list(product(("common", "random"), (1.0, 4.0), (0.0025, 1.0), (16, 64)))
+MOMENT_TRIALS, MOMENT_ORES, MOMENT_DF = 256, 4, 3
+
+
+def _blind_moment(los_phase, k, s, n):
+    pd, pc = direct_path_loss(GEOM) * s, cascaded_path_loss(GEOM)
+    if los_phase == "random":
+        return MOMENT_DF * (pd + n * pc)
+    los = math.sqrt(k / (k + 1.0))
+    return MOMENT_DF * (pd + n * pc + n * (n - 1) * pc * los**4
+                        + 2 * n * math.sqrt(pd * pc) * los**3)
+
+
+def _z(samples, expected):
+    se = samples.std(ddof=1) / math.sqrt(samples.size)
+    return float((samples.mean() - expected) / se)
+
+
+@pytest.fixture(scope="module")
+def moment_samples():
+    """Per cell, the blind and the no-RIS squared norms of every ORE row."""
+    alpha = PhaseAlphabet.from_bits(1)
+    out = {}
+    for index, (los_phase, k, s, n) in enumerate(MOMENT_CELLS):
+        fad = FadingConfig(rician_factor=k, los_phase=los_phase, direct_loss_scale=s)
+        seeds = [trial_seed(20261019, index, i) for i in range(MOMENT_TRIALS)]
+        ch = draw_trial_block(seeds, MOMENT_ORES, MOMENT_DF, GEOM, fad, n)
+        scale = fad.symbol_energy / fad.noise_variance
+        blind = received_snr(ch, blind_phases(alpha, ch.num_ores, n), fad) / scale
+        out[los_phase, k, s, n] = blind, no_ris_snr(ch, fad) / scale
+    return out
+
+
+def test_blind_second_moment_matches_closed_form(moment_samples):
+    z = {cell: _z(blind, _blind_moment(*cell))
+         for cell, (blind, _) in moment_samples.items()}
+    print(f"blind E||w||^2: max |z| = {max(map(abs, z.values())):.2f} "
+          f"over {len(z)} cells")
+    assert all(abs(v) < 4.0 for v in z.values()), z
+
+
+def test_no_ris_second_moment_matches_closed_form(moment_samples):
+    z = {cell: _z(direct, MOMENT_DF * direct_path_loss(GEOM) * cell[2])
+         for cell, (_, direct) in moment_samples.items()}
+    print(f"no-RIS E||h||^2: max |z| = {max(map(abs, z.values())):.2f} "
+          f"over {len(z)} cells")
+    assert all(abs(v) < 4.0 for v in z.values()), z

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -202,13 +203,13 @@ def test_per_trial_ore_dominance(geom):
     rng_seeds = [trial_seed(7, 0, t) for t in range(25)]
     for seed in rng_seeds:
         ch = draw_link_channels(np.random.default_rng(seed), 4, 3, geom, fading, 3)
-        ex = received_snr(ch, exhaustive_optimize(ch, alpha), fading).per_ore_linear
+        ex = received_snr(ch, exhaustive_optimize(ch, alpha), fading)
         ao_idx = ao_optimize(ch, alpha, 3).indices
         lc_idx = lc_ao_optimize(ch, alpha, 3).indices
         assert np.array_equal(ao_idx, lc_idx)
         from ris_scma.optimizer import PhaseAssignment
-        ao = received_snr(ch, PhaseAssignment(alpha, ao_idx), fading).per_ore_linear
-        bl = received_snr(ch, blind_phases(alpha, 4, 3), fading).per_ore_linear
+        ao = received_snr(ch, PhaseAssignment(alpha, ao_idx), fading)
+        bl = received_snr(ch, blind_phases(alpha, 4, 3), fading)
         assert (ex >= ao * (1 - 1e-12)).all()
         assert (ao >= bl * (1 - 1e-12)).all()
 
@@ -303,6 +304,29 @@ def test_campaign_validation():
                  fading=FadingConfig(), num_elements=4, phase_bits=2,
                  num_iterations=1, sweep_axis="phase_bits", sweep_grid=(2, 4),
                  num_trials=5, master_seed=0, algorithms=("ao",))
+
+
+@pytest.mark.parametrize("scenario, grid", [
+    ("n_sweep", (16.5, 64)),        # int() would run N = 16 under the label 16.5
+    ("n_sweep", (True, 64)),        # ... and N = 1 here
+    ("n_sweep", (np.float64(16.0), 64)),
+    ("bits_sweep", (1, "2")),
+    ("convergence", (1, 2.0)),
+    ("deploy_sweep", (2.0, "5")),
+    ("deploy_sweep", (False, 5.0)),
+    ("deploy_sweep", (2.0, 5 + 0j)),
+])
+def test_mistyped_sweep_value_is_refused(scenario, grid):
+    base = small_campaign(scenario=scenario)
+    with pytest.raises(ValueError, match=f"sweep_grid on axis '{base.sweep_axis}'"):
+        replace(base, sweep_grid=grid)
+
+
+def test_typed_sweep_values_are_accepted():
+    base = small_campaign()
+    assert replace(base, sweep_grid=(np.int64(2), 4)).point_params(np.int64(2))[1] == 2
+    deploy = small_campaign(scenario="deploy_sweep")
+    assert replace(deploy, sweep_grid=(2, np.float32(5.5))).sweep_grid == (2, 5.5)
 
 
 def test_deploy_profile_shape():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -96,6 +97,13 @@ REFUSED_DOCS = [
     ({"phase_bits": 40}, "phase_bits"),
     ({"scenario": "bits_sweep", "sweep": {"grid": [1, 70]}}, "phase_bits"),
     ({"scenario": "convergence", "phase_bits": 16}, "phase_bits"),
+    # An integer literal past the float range for a float key.
+    ({"geometry": {"carrier_frequency": 10**400}}, "geometry.carrier_frequency"),
+    ({"fading": {"rician_factor": 10**400}}, "fading.rician_factor"),
+    # complexity_grid's 2^b counts past Python's 4300-digit integer-to-string
+    # limit could not be written; at b = 10^11 building 2^b does not finish.
+    ({"scenario": "complexity_grid", "phase_bits": 20000}, "phase_bits"),
+    ({"scenario": "complexity_grid", "phase_bits": 10**11}, "phase_bits"),
 ]
 
 
@@ -107,7 +115,9 @@ def test_invalid_grid_point_is_a_config_error(doc, key, tmp_path, capsys):
     # scenario, including complexity_grid, which runs no trials.
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
+    start = time.perf_counter()
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     error = json.loads(err[0])["error"]

@@ -195,7 +195,7 @@ def _campaign_bytes(cfg, workers: int) -> tuple:
 
 
 def fan_out_layer() -> list:
-    # One worker runs the campaign in this process; two start a pool.
+    # One worker runs the campaign in this process; two fork two children.
     return [_row("fan_out", {"campaign": name, "blocks": len(_plan_blocks(cfg.campaign))},
                  {"one_worker": lambda cfg=cfg: _campaign_bytes(cfg, 1),
                   "two_workers": lambda cfg=cfg: _campaign_bytes(cfg, 2)},
@@ -340,7 +340,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, help="also write the report here")
     args = parser.parse_args(argv)
-    # Fan-out runs before the big draws, so the pool forks a small process.
+    # Fan-out runs before the big draws, so its children fork from a small
+    # process.
     layers = {"startup": startup_layer(), "fan_out": fan_out_layer(),
               "grid_point": grid_point_layer(), "seeding": seeding_layer(),
               "channel_draw": draw_layer(), "ascent": ascent_layer(),

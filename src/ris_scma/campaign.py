@@ -19,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import os
+import pickle
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -54,14 +56,13 @@ AVERAGE_MODES = ("db_of_mean", "mean_of_db")
 _MAX_BLOCK_TRIALS = 256
 _BLOCK_ELEMENT_ROWS = 2**16
 _MIN_BLOCK_ROWS = 512
-# Blocks go to pool processes in contiguous chunks, about this many per process.
-_CHUNKS_PER_PROCESS = 4
 # Trials keep phase indices in uint8 and score 2^b candidates per ORE row at
 # once, so b stops at 8 there.  complexity_grid only counts, but its counts
-# grow as 2^b; up to this b each stays well inside the 4300 digits Python
-# writes an integer with by default.
+# grow as 2^b; this b bounds the 2^b built before the counts are checked
+# against the 4300 digits Python writes an integer with by default.
 _MAX_TRIAL_PHASE_BITS = 8
 _MAX_COUNT_PHASE_BITS = 10_000
+_MAX_COUNT_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,16 @@ class Campaign:
                 raise ValueError(
                     f"phase_bits must be <= {limit} for scenario {self.scenario!r}, "
                     f"got {b} at grid point {value}")
+            if self.scenario == "complexity_grid":
+                counts = [_predicted_ops(alg, self.scma.num_ores, n, b,
+                                         self.scma.nonzero_per_ore, t)
+                          for alg in self.algorithms]
+                if any(max(ops.real_additions, ops.real_multiplications)
+                       >= 10**_MAX_COUNT_DIGITS for ops in counts):
+                    raise ValueError(
+                        f"the operation counts at grid point {value} would have "
+                        f"more than {_MAX_COUNT_DIGITS} digits; lower num_elements, "
+                        f"phase_bits or num_iterations")
             if "exhaustive" in self.algorithms and (2**b) ** n > self.exhaustive_budget:
                 raise ValueError(
                     f"exhaustive budget exceeded at grid point {value}: "
@@ -304,22 +315,17 @@ def run_campaign(campaign: Campaign, config_hash: str = "") -> CampaignResult:
     so the worker count never changes the numbers.  ``complexity_grid`` runs
     no trials and reports only the operation counts.
 
-    A process pool starts only when ``workers > 1`` and the plan has at least
-    two blocks; it gets ``min(workers, blocks)`` processes and takes the blocks
-    in contiguous chunks, about ``_CHUNKS_PER_PROCESS`` per process.  Any other
-    run works in this process and never imports the pool.
+    With W = ``min(workers, blocks)`` > 1 the blocks go to W forked child
+    processes (:func:`_fan_out`); any other run, and any run on a platform
+    without ``os.fork``, works in this process.
     """
     counts_only = campaign.scenario == "complexity_grid"
     blocks = [] if counts_only else _plan_blocks(campaign)
-    args = ([campaign] * len(blocks), *zip(*blocks))
     processes = min(campaign.workers, len(blocks))
-    if processes > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        chunksize = -(-len(blocks) // (_CHUNKS_PER_PROCESS * processes))
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            partials = list(pool.map(_trial_block, *args, chunksize=chunksize))
+    if processes > 1 and hasattr(os, "fork"):
+        partials = _fan_out(campaign, blocks, processes)
     else:
-        partials = list(map(_trial_block, *args))
+        partials = [_trial_block(campaign, *block) for block in blocks]
     per_cell = {}
     for part in partials:               # a group's blocks come in trial order
         for key, per_trial in part.items():
@@ -335,6 +341,73 @@ def run_campaign(campaign: Campaign, config_hash: str = "") -> CampaignResult:
         num_trials=0 if counts_only else campaign.num_trials,
         master_seed=campaign.master_seed, average_mode=campaign.average_mode,
         config_hash=config_hash, rows=rows)
+
+
+def _fan_out(campaign: Campaign, blocks: list, processes: int) -> list:
+    """``_trial_block`` of every block, in block order, computed by
+    ``processes`` forked children: child k takes blocks k, k + processes, ...
+    and sends back one pickled list of results, or the exception it raised,
+    over its own pipe.  This process takes no block; it reads the pipes in
+    fork order, each to its end before reaping that child, so no child waits
+    on a full pipe.  A child's exception is raised again here, and a child
+    that ends without a result is a ``ChildProcessError``.  Whatever happens,
+    every child still running is killed and every child is reaped."""
+    read_fds, pids, reaped = [], [], 0
+    try:
+        for k in range(processes):
+            read_fd, write_fd = os.pipe()
+            read_fds.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(campaign, blocks[k::processes], read_fds, write_fd)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        partials = [None] * len(blocks)
+        for k, (pid, read_fd) in enumerate(zip(pids, read_fds)):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if code != 0:
+                how = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                raise ChildProcessError(
+                    f"campaign worker process {pid} {how} without a result")
+            result = pickle.loads(payload)
+            if isinstance(result, Exception):
+                raise result
+            partials[k::processes] = result
+        return partials
+    finally:
+        for fd in read_fds:
+            os.close(fd)
+        if reaped < len(pids):
+            from signal import SIGKILL      # 1 ms of import no clean run needs
+            for pid in pids[reaped:]:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(campaign: Campaign, blocks: list, read_fds: list, write_fd: int) -> None:
+    """A forked child's whole life: close the read ends it inherited (so a
+    write to a pipe nobody reads fails instead of blocking), compute, write,
+    and leave by ``os._exit``, exit code 0 only once the whole result is in
+    the pipe."""
+    code = 1
+    try:
+        for fd in read_fds:
+            os.close(fd)
+        try:
+            result = [_trial_block(campaign, *block) for block in blocks]
+        except Exception as exc:
+            result = exc
+        payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _plan_blocks(campaign: Campaign) -> list:

@@ -130,6 +130,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(
                 f"config parse error at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}") from None
+        except (ValueError, RecursionError) as exc:
+            # An integer literal past Python's int-to-string digit limit, or
+            # arrays and objects nested past the recursion limit.
+            raise ConfigError(f"config parse error: {exc}") from None
     return config_from_document(doc, overrides)
 
 

@@ -1,10 +1,11 @@
-import concurrent.futures
 import hashlib
 import importlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -51,51 +52,44 @@ def chunked_campaign(workers):
                           algorithms=["blind", "ao"], workers=workers)
 
 
-def recording_pool(monkeypatch):
-    """Swap in an executor that runs its tasks in this process and records
-    each pool's process count, chunk size and task count."""
-    pools = []
+def recording_forks(monkeypatch):
+    """Record the pid of every child forked while the test runs; the forks
+    and the children's work stay real."""
+    pids = []
+    real_fork = os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append({"processes": max_workers})
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            tasks = list(zip(*iterables))
-            pools[-1].update(chunksize=chunksize, tasks=len(tasks))
-            return [fn(*task) for task in tasks]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return pools
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_worker_count_does_not_change_results():
     # 90 trials are two blocks, one per process; the deploy plan's 15 blocks
-    # go out in chunks of several, the last chunk short.
-    for campaign in (lambda w: small_campaign(num_trials=90, workers=w),
-                     chunked_campaign):
-        assert run_campaign(campaign(2)).rows == run_campaign(campaign(1)).rows
+    # go out round-robin, 8 and 7 to two processes and 5 to each of three.
+    for campaign, workers in ((lambda w: small_campaign(num_trials=90, workers=w), (2,)),
+                              (chunked_campaign, (2, 3))):
+        one_worker = run_campaign(campaign(1)).rows
+        for w in workers:
+            assert run_campaign(campaign(w)).rows == one_worker
 
 
 @pytest.mark.parametrize("workers", [2, 3, 64])
 def test_pool_gets_one_process_per_block_at_most(monkeypatch, workers):
-    pools = recording_pool(monkeypatch)
-    run_campaign(chunked_campaign(workers))
-    assert len(pools) == 1
-    pool = pools[0]
-    assert pool["processes"] == min(workers, 15) and pool["tasks"] == 15
-    chunks = -(-pool["tasks"] // pool["chunksize"])
-    assert chunks >= pool["processes"]      # no process is left without work
-    if workers == 2:
-        # what test_worker_count_does_not_change_results runs in real
-        # processes: chunks of several blocks, the last one short
-        assert pool["chunksize"] > 1 and pool["tasks"] % pool["chunksize"]
+    one_worker = run_campaign(chunked_campaign(1)).rows
+    forks = recording_forks(monkeypatch)
+    assert run_campaign(chunked_campaign(workers)).rows == one_worker
+    assert len(forks) == min(workers, 15)
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -103,30 +97,90 @@ def test_pool_gets_one_process_per_block_at_most(monkeypatch, workers):
     {"scenario": "complexity_grid", "sweep": {"grid": [4, 8]}, "algorithms": ["ao"]},
 ], ids=["one_block", "complexity_grid"])
 def test_no_pool_without_two_blocks(monkeypatch, overrides):
-    pools = recording_pool(monkeypatch)
+    forks = recording_forks(monkeypatch)
     run_campaign(small_campaign(**overrides, workers=2))
-    assert pools == []
+    assert forks == []
+
+
+def test_platform_without_fork_runs_in_one_process(monkeypatch):
+    one_worker = run_campaign(small_campaign(num_trials=90, workers=1)).rows
+    monkeypatch.delattr(os, "fork")
+    assert run_campaign(small_campaign(num_trials=90, workers=2)).rows == one_worker
+
+
+def failing_block(campaign, grid_indices, lo, hi):
+    """Grid point 0's block raises at once; every other block outlives the
+    test unless its process is killed."""
+    if grid_indices == (0,):
+        raise ValueError(f"no channel for trials {lo}..{hi}")
+    time.sleep(120)
+
+
+def killed_block(campaign, grid_indices, lo, hi):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("block, error, message", [
+    (failing_block, ValueError, "no channel for trials 0..40"),
+    (killed_block, ChildProcessError, f"killed by signal {int(signal.SIGKILL)}"),
+], ids=["exception", "sigkill"])
+def test_failed_child_is_raised_and_every_child_reaped(monkeypatch, block, error,
+                                                        message):
+    monkeypatch.setattr(ris_scma.campaign, "_trial_block", block)
+    forks = recording_forks(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(error, match=message):
+        run_campaign(small_campaign(workers=2))
+    assert len(forks) == 2 and time.perf_counter() - start < 60
+    assert_no_child_left()
+
+
+def test_large_results_do_not_block_the_pipes(monkeypatch):
+    # Every child sends 5 x 128 KiB, two pipes' worth each time, while this
+    # process reads one pipe at a time.  Reaping a child before draining its
+    # pipe would hang; the alarm turns that into a failure.
+    one_worker = run_campaign(chunked_campaign(1)).rows
+    trial_block = ris_scma.campaign._trial_block
+
+    def padded_block(*args):
+        return {**trial_block(*args), "padding": np.zeros(2**14)}
+
+    def timed_out(signum, frame):
+        raise TimeoutError("the fan-out did not finish in 60 s")
+
+    monkeypatch.setattr(ris_scma.campaign, "_trial_block", padded_block)
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        rows = run_campaign(chunked_campaign(3)).rows
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rows == one_worker
+    assert_no_child_left()
 
 
 POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
-ONE_PROCESS_RUNS = {
+CAMPAIGN_AT_TWO_WORKERS = (
+    "from ris_scma.campaign import run_campaign\n"
+    "from ris_scma.config import campaign_from_config, config_from_document\n"
+    "run_campaign(campaign_from_config(config_from_document(\n"
+    "    {{'scenario': 'n_sweep', 'sweep': {{'grid': {grid}}}, 'num_elements': 4,\n"
+    "     'num_trials': 40, 'workers': 2}})))")
+POOL_FREE_RUNS = {
     "import_cli": "import ris_scma.cli",
-    "one_block_campaign_at_two_workers": (
-        "from ris_scma.campaign import run_campaign\n"
-        "from ris_scma.config import campaign_from_config, config_from_document\n"
-        "run_campaign(campaign_from_config(config_from_document(\n"
-        "    {'scenario': 'n_sweep', 'sweep': {'grid': [4]}, 'num_elements': 4,\n"
-        "     'num_trials': 40, 'workers': 2})))"),
+    "one_block_campaign_at_two_workers": CAMPAIGN_AT_TWO_WORKERS.format(grid=[4]),
+    "two_block_campaign_at_two_workers": CAMPAIGN_AT_TWO_WORKERS.format(grid=[2, 4]),
 }
 
 
-@pytest.mark.parametrize("case", sorted(ONE_PROCESS_RUNS))
+@pytest.mark.parametrize("case", sorted(POOL_FREE_RUNS))
 def test_one_process_runs_never_import_the_pool(case):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    code = (ONE_PROCESS_RUNS[case] + "\nimport sys\n"
+    code = (POOL_FREE_RUNS[case] + "\nimport sys\n"
             f"loaded = [m for m in {POOL_MODULES!r} if m in sys.modules]\n"
             "assert not loaded, loaded\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -180,10 +234,9 @@ def test_one_large_n_point_fans_out(monkeypatch):
         return small_campaign(sweep={"grid": [128]}, num_trials=256,
                               algorithms=["blind", "lc_ao"], workers=workers)
     one_worker = run_campaign(campaign(1)).rows
-    assert run_campaign(campaign(2)).rows == one_worker     # real processes
-    pools = recording_pool(monkeypatch)
-    run_campaign(campaign(2))
-    assert [(p["processes"], p["tasks"]) for p in pools] == [(2, 2)]
+    forks = recording_forks(monkeypatch)
+    assert run_campaign(campaign(2)).rows == one_worker
+    assert len(forks) == 2
 
 
 def test_paired_gain_nonnegative_everywhere():

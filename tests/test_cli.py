@@ -104,6 +104,14 @@ REFUSED_DOCS = [
     # limit could not be written; at b = 10^11 building 2^b does not finish.
     ({"scenario": "complexity_grid", "phase_bits": 20000}, "phase_bits"),
     ({"scenario": "complexity_grid", "phase_bits": 10**11}, "phase_bits"),
+    # Counts past the digit limit at a small b: N^2 alone has 4401 digits.
+    ({"scenario": "complexity_grid", "sweep": {"axis": "phase_bits", "grid": [4]},
+      "num_elements": 10**2200}, "num_elements"),
+    # Raw document text: json.loads refuses an integer literal past the
+    # digit limit (json.dumps could not write one) and nesting past the
+    # recursion limit.
+    ('{"num_trials": 1' + "0" * 5000 + "}", "4300 digits"),
+    ("[" * 100_000, "recursion"),
 ]
 
 
@@ -114,7 +122,7 @@ def test_invalid_grid_point_is_a_config_error(doc, key, tmp_path, capsys):
     # rather than failing mid-campaign.  So is the SCMA layout, for every
     # scenario, including complexity_grid, which runs no trials.
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     start = time.perf_counter()
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0

@@ -3,15 +3,17 @@ channel draw, ascent, SNR evaluation.
 
 Run from the root of a source checkout (``src`` is put on the path here):
 
-    python3 bench/run_bench.py --output report.json
+    python3 bench/run_bench.py --output report.json [--against OTHER_CHECKOUT]
 
 Every timing comes from one runner, ``_measure``.  A row of a layer is a dict
 of named zero-argument calls; each repeat runs every call once, the order
 rotated by one each repeat so no call always runs first, and each result is
 dropped before the next call starts so every call sees the same allocator
-state.  Then every call runs once more, untimed: that result feeds the row's
-equality check, and for a call that runs in this process ``tracemalloc``
-gives its peak bytes.  Every row has one shape and prints as one line::
+state.  A call named in ``split`` returns the seconds of its own phases,
+and each phase gets quartiles as ``<call>.<phase>``.  Then every call runs
+once more, untimed: that result feeds the row's equality check, and for a
+call that runs in this process ``tracemalloc`` gives its peak bytes.  Every
+row has one shape and prints as one line::
 
     {"params": {...}, "runs": {name: {"median_s", "q1_s", "q3_s"[, "peak_bytes"]}},
      "equal": true | false | null}
@@ -20,7 +22,15 @@ with ``null`` for a row that has nothing to compare.
 
 * startup: fresh interpreters running ``pass``, ``import numpy`` and
   ``import ris_scma.cli``; the parameters list the standard-library modules
-  the package imports beyond numpy.
+  the package imports beyond numpy.  A second row runs a whole
+  ``python -m ris_scma.cli run`` of a tiny config (``cli_run``), split into
+  import (to the open of the config file), work (to the first ``atexit``
+  call) and exit (to the process's end), and reads the ``-X importtime``
+  cumulative microseconds of ``ris_scma.cli`` imported after numpy
+  (``importtime``); equal when every tree wrote the same result bytes.
+  With ``--against DIR`` every startup call also runs on the source tree at
+  DIR, named ``against:<call>``, in the same rotation as this tree's, so
+  that both see the same stretch of machine load.
 * fan_out: whole campaigns at 1 and 2 workers, equal when their result bytes
   are: the benchmark's ``draw_bound_deploy`` workload (112 blocks) and the
   ``fig5b`` preset at 2000 trials (32 blocks).
@@ -66,7 +76,8 @@ from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np                                                    # noqa: E402
@@ -93,6 +104,24 @@ ADDED_MODULES_CODE = (
     "added = sorted(m for m in set(sys.modules) - before\n"
     "               if m.partition('.')[0] not in ('ris_scma', 'numpy'))\n"
     "print(' '.join(added))\n")
+# `python -m ris_scma.cli run CONFIG --output-dir OUT` as runpy runs it, with
+# two perf_counter stamps on stderr: when the command opens its config file
+# (every import and the argument parsing done) and at the first atexit call
+# (the command returned; the interpreter's finalization follows).
+CLI_RUN_CODE = (
+    "import atexit, runpy, sys, time\n"
+    "config, out = sys.argv[1:]\n"
+    "def opened(event, args):\n"
+    "    if event == 'open' and args[0] == config and not stamps:\n"
+    "        stamps.append(time.perf_counter())\n"
+    "        atexit.register(lambda: print(*stamps, time.perf_counter(), file=sys.stderr))\n"
+    "stamps = []\n"
+    "sys.addaudithook(opened)\n"
+    "sys.argv = ['ris-scma', 'run', config, '--output-dir', out]\n"
+    "runpy.run_module('ris_scma.cli', run_name='__main__', alter_sys=True)\n")
+CLI_RUN_CONFIG = {"scenario": "n_sweep", "sweep": {"grid": [4, 8]}, "num_trials": 64,
+                  "algorithms": ["blind", "ao", "lc_ao", "no_ris"]}
+IMPORTTIME_CODE = "import numpy\nimport ris_scma.cli"
 FAN_OUT_REPEATS = 7
 GRID_POINT_ELEMENTS = (64, 128, 256)
 GRID_POINT_REPEATS = 15
@@ -112,12 +141,14 @@ BLOCK = {"trials": TRIALS, "num_ores": NUM_ORES, "num_interferers": NUM_INTERFER
                     "rician_factor": FADING.rician_factor}}
 
 
-def _measure(runs: dict, repeats: int, out_of_process=()) -> tuple:
+def _measure(runs: dict, repeats: int, out_of_process=(), split=()) -> tuple:
     """Run every named zero-argument call of ``runs`` once per repeat, the
     order rotated by one each repeat and each result dropped before the next
     call, then once more untimed: ({name: {"median_s", "q1_s", "q3_s"[,
-    "peak_bytes"]}}, {name: result of the untimed run}).  The untimed run is
-    traced by ``tracemalloc`` unless the call is named in ``out_of_process``."""
+    "peak_bytes"]}}, {name: result of the untimed run}).  A call named in
+    ``split`` returns {phase: seconds}, and each phase gets the same
+    statistics as ``name.phase``.  The untimed run is traced by
+    ``tracemalloc`` unless the call is named in ``out_of_process``."""
     names = list(runs)
     times = {name: [] for name in names}
     for repeat in range(repeats):
@@ -126,12 +157,16 @@ def _measure(runs: dict, repeats: int, out_of_process=()) -> tuple:
             start = time.perf_counter()
             result = runs[name]()
             times[name].append(time.perf_counter() - start)
+            if name in split:
+                for phase, seconds in result.items():
+                    times.setdefault(f"{name}.{phase}", []).append(seconds)
             del result
     stats, results = {}, {}
-    for name in names:
+    for name, samples in times.items():
         # With the inclusive method the middle quartile is the median.
-        q1, median, q3 = statistics.quantiles(times[name], n=4, method="inclusive")
+        q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
         stats[name] = {"median_s": median, "q1_s": q1, "q3_s": q3}
+    for name in names:
         if name in out_of_process:
             results[name] = runs[name]()
             continue
@@ -145,10 +180,10 @@ def _measure(runs: dict, repeats: int, out_of_process=()) -> tuple:
 
 
 def _row(layer: str, params: dict, runs: dict, repeats: int, check=None,
-         out_of_process=()) -> dict:
+         out_of_process=(), split=()) -> dict:
     """Measure one row and print it as one line.  ``check(results)`` compares
     the results of the untimed runs; ``equal`` is None without one."""
-    stats, results = _measure(runs, repeats, out_of_process)
+    stats, results = _measure(runs, repeats, out_of_process, split)
     row = {"params": {**params, "repeats": repeats}, "runs": stats,
            "equal": None if check is None else bool(check(results))}
     scalars = ", ".join(f"{key}={value}" for key, value in row["params"].items()
@@ -167,19 +202,56 @@ def _seeds(block: int) -> list:
     return [trial_seed(block, 0, i) for i in range(TRIALS)]
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
+def _python(args: list, src: Path = SRC) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``src`` first on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, check=True,
                           capture_output=True, text=True)
 
 
-def startup_layer() -> list:
-    added = _python(ADDED_MODULES_CODE).stdout.split()
-    runs = {name: lambda code=code: _python(code) for name, code in STARTUP_CODE.items()}
-    return [_row("startup", {"stdlib_modules_added_beyond_numpy": added}, runs,
+def _cli_run(src: Path, config: Path, out: Path) -> dict:
+    """One ``CLI_RUN_CODE`` process: {"import", "work", "exit"} seconds."""
+    start = time.perf_counter()
+    proc = _python(["-c", CLI_RUN_CODE, str(config), str(out)], src)
+    end = time.perf_counter()
+    opened, exiting = map(float, proc.stderr.split())
+    return {"import": opened - start, "work": exiting - opened, "exit": end - exiting}
+
+
+def _importtime(src: Path) -> dict:
+    """{"ris_scma.cli": seconds}: the cumulative ``-X importtime`` entry."""
+    lines = _python(["-X", "importtime", "-c", IMPORTTIME_CODE], src).stderr.splitlines()
+    [line] = [x for x in lines if x.rstrip().endswith("| ris_scma.cli")]
+    return {"ris_scma.cli": int(line.split("|")[1]) * 1e-6}
+
+
+def _result_bytes(out: Path) -> tuple:
+    return tuple((out / f"results.{fmt}").read_bytes() for fmt in ("csv", "json"))
+
+
+def startup_layer(trees: dict, work: Path) -> list:
+    """Both startup rows, every call run on each source tree of ``trees``
+    ({name prefix: src directory}) in one rotation."""
+    added = {prefix or "this": _python(["-c", ADDED_MODULES_CODE], src).stdout.split()
+             for prefix, src in trees.items()}
+    runs = {prefix + name: lambda code=code, src=src: _python(["-c", code], src)
+            for prefix, src in trees.items() for name, code in STARTUP_CODE.items()}
+    rows = [_row("startup", {"stdlib_modules_added_beyond_numpy": added}, runs,
                  STARTUP_REPEATS, out_of_process=tuple(runs))]
+    config = work / "cli_run.json"
+    config.write_text(json.dumps(CLI_RUN_CONFIG))
+    outs = {prefix: work / f"{prefix.rstrip(':') or 'this'}_out" for prefix in trees}
+    runs = {}
+    for prefix, src in trees.items():
+        runs[prefix + "cli_run"] = lambda src=src, out=outs[prefix]: _cli_run(src, config, out)
+        runs[prefix + "importtime"] = lambda src=src: _importtime(src)
+    rows.append(_row(
+        "startup", {"cli_run_config": CLI_RUN_CONFIG}, runs, STARTUP_REPEATS,
+        check=lambda _: len({_result_bytes(out) for out in outs.values()}) == 1,
+        out_of_process=tuple(runs), split=tuple(runs)))
+    return rows
 
 
 def _fan_out_campaigns() -> dict:
@@ -339,14 +411,24 @@ def environment() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, help="also write the report here")
+    parser.add_argument("--against", type=Path,
+                        help="another source checkout whose startup calls run "
+                             "interleaved with this one's")
     args = parser.parse_args(argv)
+    trees = {"": SRC}
+    if args.against is not None:
+        trees["against:"] = args.against.resolve() / "src"
+    work = ROOT / ".bench_work" / "run_bench"
+    work.mkdir(parents=True, exist_ok=True)
     # Fan-out runs before the big draws, so its children fork from a small
     # process.
-    layers = {"startup": startup_layer(), "fan_out": fan_out_layer(),
+    layers = {"startup": startup_layer(trees, work), "fan_out": fan_out_layer(),
               "grid_point": grid_point_layer(), "seeding": seeding_layer(),
               "channel_draw": draw_layer(), "ascent": ascent_layer(),
               "snr": snr_layer()}
-    text = json.dumps({"layers": layers, "environment": environment()}, indent=2) + "\n"
+    report = {"layers": layers, "environment": environment(),
+              "against": None if args.against is None else str(trees["against:"].parent)}
+    text = json.dumps(report, indent=2) + "\n"
     if args.output is not None:
         args.output.write_text(text)
     sys.stdout.write(text)

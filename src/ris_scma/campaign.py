@@ -34,8 +34,8 @@ from .factor_graph import ScmaConfig, build_factor_graph
 from .opcount import (OpCount, predicted_ao, predicted_exhaustive,
                       predicted_lc_ao)
 from .optimizer import (DEFAULT_EXHAUSTIVE_BUDGET, PhaseAlphabet, ao_optimize,
-                        blind_phases, db_from_linear, exhaustive_optimize,
-                        lc_ao_optimize, no_ris_snr, received_snr)
+                        blind_phases, db_from_linear, lc_ao_optimize,
+                        no_ris_snr, received_snr)
 
 # The axes each scenario may sweep, each with its default grid; the first
 # axis is the scenario's default.
@@ -65,7 +65,7 @@ _MAX_COUNT_PHASE_BITS = 10_000
 _MAX_COUNT_DIGITS = 4300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Campaign:
     """One experiment: a scenario, its sweep grid, and the shared parameters."""
 
@@ -160,10 +160,14 @@ class Campaign:
                         f"the operation counts at grid point {value} would have "
                         f"more than {_MAX_COUNT_DIGITS} digits; lower num_elements, "
                         f"phase_bits or num_iterations")
-            if "exhaustive" in self.algorithms and (2**b) ** n > self.exhaustive_budget:
+            # 2^(b*N) > budget exactly when b*N reaches the budget's bit
+            # length; 2^(b*N) itself is never built, so a huge N is refused
+            # at once.
+            if ("exhaustive" in self.algorithms
+                    and b * n >= max(self.exhaustive_budget, 0).bit_length()):
                 raise ValueError(
                     f"exhaustive budget exceeded at grid point {value}: "
-                    f"2^(b*N) = {(2**b) ** n} > {self.exhaustive_budget}")
+                    f"2^(b*N) = 2^{b * n} > {self.exhaustive_budget}")
 
     def point_params(self, axis_value) -> tuple:
         """(geometry, num_elements, phase_bits, num_iterations) at a grid point."""
@@ -180,7 +184,7 @@ class Campaign:
         return geom, n, b, t
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class ResultRow:
     """One (grid point, algorithm) aggregate."""
 
@@ -194,7 +198,7 @@ class ResultRow:
     real_mults: int
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class CampaignResult:
     scenario: str
     sweep_axis: str
@@ -263,6 +267,7 @@ def _trial_block(campaign: Campaign, grid_indices: tuple, trial_lo: int,
             elif alg == "no_ris":
                 snr = no_ris_snr(ch, fading)
             else:
+                from .reference import exhaustive_optimize
                 snr = received_snr(ch, exhaustive_optimize(
                     ch, alphabet, campaign.exhaustive_budget), fading)
             by_sweeps = dict.fromkeys(sweeps.values(), trial_means(snr))
@@ -432,36 +437,3 @@ def _plan_blocks(campaign: Campaign) -> list:
         blocks += [(tuple(group), lo, min(lo + size, campaign.num_trials))
                    for lo in range(0, campaign.num_trials, size)]
     return blocks
-
-
-@dataclass(frozen=True)
-class DeploymentProfile:
-    """Shape summary of a deployment sweep curve."""
-
-    argmax_offsets: tuple
-    interior_min_offset: float
-    is_endpoint_high: bool
-
-
-def deploy_sweep_profile(result: CampaignResult,
-                         algorithm: str = "ao") -> DeploymentProfile:
-    """Locate the best offsets and check the endpoint-high, middle-low shape."""
-    if result.scenario != "deploy_sweep":
-        raise ValueError(f"expected a deploy_sweep result, got {result.scenario!r}")
-    if algorithm not in result.algorithms:
-        raise ValueError(f"the result has no {algorithm!r} rows; it has {result.algorithms}")
-    curve = [(row.axis_value, row.mean_snr_db) for row in result.rows
-             if row.algorithm == algorithm]
-    if len(curve) < 3:
-        raise ValueError(f"degenerate grid: need >= 3 points, got {len(curve)}")
-    xs = [p[0] for p in curve]
-    ys = [p[1] for p in curve]
-    top = max(ys)
-    argmax = tuple(x for x, y in curve if y == top)
-    k = int(np.argmin(ys))
-    interior = 0 < k < len(ys) - 1
-    endpoint_high = min(ys[0], ys[-1]) > ys[k]
-    return DeploymentProfile(argmax_offsets=argmax,
-                             interior_min_offset=xs[k],
-                             is_endpoint_high=interior and endpoint_high)
-

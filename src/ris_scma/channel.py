@@ -25,7 +25,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 LOS_PHASE_MODES = ("random", "common")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Geometry:
     """Linear deployment: BS at 0, users at ``bs_user_distance``, panel offset
     ``ris_perpendicular_offset`` from the axis at ``ris_horizontal_offset``
@@ -66,7 +66,7 @@ class Geometry:
                           self.bs_user_distance - self.ris_horizontal_offset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FadingConfig:
     """Fading and link-budget constants shared by all OREs.
 
@@ -115,7 +115,7 @@ def direct_path_loss(geom: Geometry) -> float:
     return (lam / (4.0 * math.pi * geom.bs_user_distance)) ** 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class ChannelRealization:
     """One draw of all per-ORE coefficients, path loss already applied.
 

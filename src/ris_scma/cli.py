@@ -8,40 +8,26 @@ JSON error line goes to stderr and the exit code is nonzero.
 
 The environment variable ``RIS_SCMA_OUTPUT_DIR`` overrides the output
 directory; ``--seed`` overrides the master seed.
+
+``run`` and ``sweep`` import only what a campaign runs; the bodies of
+``verify-complexity`` and ``selftest`` live in :mod:`~ris_scma.reference`,
+which only those two commands load.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
+import gc
 import json
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .campaign import run_campaign, trial_seed
-from .channel import (FadingConfig, Geometry, draw_link_channels,
-                      draw_trial_block, stack_realizations)
-from .config import DEFAULTS, ConfigError, config_from_document, config_hash, parse_config
-from .opcount import measured_run, predicted_ao, predicted_lc_ao
-from .optimizer import (PhaseAlphabet, ao_optimize, blind_phases,
-                        exhaustive_optimize, received_snr, snr_decomposition)
+from .campaign import run_campaign
+from .config import ConfigError, config_from_document, config_hash, parse_config
 from .writers import FIGURE_PRESETS, emit_plot_data, write_results
 
 OUTPUT_DIR_ENV = "RIS_SCMA_OUTPUT_DIR"
-
-GEOMETRY = Geometry(**DEFAULTS["geometry"])
-
-# Keys in (R, N, b, d_f, T) order: a grid's values give each cell's.
-DEFAULT_COMPLEXITY_GRID = {
-    "num_ores": [1, 4],
-    "num_elements": [1, 2, 8, 16],
-    "phase_bits": [1, 2, 3],
-    "num_interferers": [1, 3],
-    "iterations": [1, 3],
-}
 
 
 def main(argv=None) -> int:
@@ -138,133 +124,27 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.grid == "default":
-        grid = DEFAULT_COMPLEXITY_GRID
-    else:
-        grid = json.loads(Path(args.grid).read_text())
-        if not isinstance(grid, dict):
-            raise ValueError(f"complexity grid must be a JSON object, got {grid!r}")
-        unknown = set(grid) - set(DEFAULT_COMPLEXITY_GRID)
-        if unknown:
-            raise ValueError(f"unknown grid axes: {sorted(unknown)}")
-        for axis, values in grid.items():
-            if not (isinstance(values, list) and values and all(
-                    type(v) is int and v >= 1 for v in values)):
-                raise ValueError(f"grid axis {axis!r} must be a non-empty list "
-                                 f"of positive integers, got {values!r}")
-        grid = {**DEFAULT_COMPLEXITY_GRID, **grid}
-    mismatches = 0
-    for ok, line in _count_checks(itertools.product(*grid.values())):
-        mismatches += not ok
-        print(line)
-    print(f"verify-complexity: {mismatches} mismatches")
-    return 0 if mismatches == 0 else 1
-
-
-def _count_checks(cells):
-    """(ok, line) comparing measured and closed-form ao and lc_ao counts on
-    each (R, N, b, d_f, T) cell; counts do not depend on channel values."""
-    for r, n, b, df, t in cells:
-        rng = np.random.default_rng(trial_seed(0, 0, r * 1000 + n))
-        ch = draw_link_channels(rng, r, df, GEOMETRY, FadingConfig(), n)
-        alphabet = PhaseAlphabet.from_bits(b)
-        for kind, predict in (("ao", predicted_ao), ("lc_ao", predicted_lc_ao)):
-            _, measured = measured_run(kind, ch, alphabet, t)
-            expected = predict(r, n, b, df, t)
-            ok = measured == expected
-            yield ok, (f"{'ok' if ok else 'MISMATCH'} {kind:5s} R={r} N={n} b={b} d_f={df} "
-                       f"T={t} adds={measured.real_additions}/{expected.real_additions} "
-                       f"mults={measured.real_multiplications}/{expected.real_multiplications}")
+    from .reference import verify_complexity
+    return verify_complexity(args.grid)
 
 
 def _cmd_selftest(args) -> int:
-    fading = FadingConfig()
-    failures = 0
-
-    # d_f up to 6 and mostly R != N: shapes past the calibrated d_f = 3, on
-    # which the kernel's element-major layout and its sum over d_f are checked.
-    rng = np.random.default_rng(20240601)
-    mismatch = 0
-    for _ in range(60):
-        n = int(rng.integers(1, 9))
-        b = int(rng.integers(1, 4))
-        df = int(rng.integers(1, 7))
-        r = int(rng.integers(1, 5))
-        t = int(rng.integers(1, 4))
-        ch = draw_link_channels(rng, r, df, GEOMETRY, fading, n)
-        mismatch += _counted_mismatches(ch, PhaseAlphabet.from_bits(b), t)
-    failures += _report("vectorized and both counted selections identical "
-                        "(60 draws, d_f <= 6)", mismatch == 0)
-
-    bad = 0
-    alphabet = PhaseAlphabet.from_bits(2)
-    for _ in range(40):
-        ch = draw_link_channels(rng, 2, 3, GEOMETRY, fading, 3)
-        best = received_snr(ch, exhaustive_optimize(ch, alphabet), fading)
-        mid = received_snr(ch, ao_optimize(ch, alphabet, 3), fading)
-        low = received_snr(ch, blind_phases(alphabet, 2, 3), fading)
-        tol = 1e-12 * best
-        if not ((best >= mid - tol).all() and (mid >= low - tol).all()):
-            bad += 1
-    failures += _report("oracle >= ascent >= blind on every ORE (40 draws)", bad == 0)
-
-    bad = 0
-    for _ in range(50):
-        ch = draw_link_channels(rng, 4, 3, GEOMETRY, fading, 4)
-        phases = ao_optimize(ch, PhaseAlphabet.from_bits(3), 1)
-        quad, cross, direct = snr_decomposition(ch, phases)
-        total = (quad + cross + direct) * fading.symbol_energy / fading.noise_variance
-        ref = received_snr(ch, phases, fading)
-        if (np.abs(total - ref) > 1e-10 * np.abs(ref)).any():
-            bad += 1
-    failures += _report("objective decomposition identity (50 draws)", bad == 0)
-
-    ok = all(passed for passed, _ in _count_checks(((1, 2, 2, 1, 1), (2, 4, 2, 3, 2))))
-    failures += _report("measured operation counts match closed forms", ok)
-
-    seeds = [0, 2**64 - 1] + [trial_seed(0, 1, i) for i in range(62)]
-    ok = True
-    for mode in ("random", "common"):
-        mode_fading = FadingConfig(los_phase=mode)
-        block = draw_trial_block(seeds, 2, 3, GEOMETRY, mode_fading, 4)
-        ref = stack_realizations([
-            draw_link_channels(np.random.default_rng(s), 2, 3, GEOMETRY, mode_fading, 4)
-            for s in seeds])
-        ok = ok and all(getattr(block, name).tobytes() == getattr(ref, name).tobytes()
-                        for name in ("direct", "ris_to_bs", "user_to_ris"))
-    failures += _report("seeded block draw equals per-seed default_rng draws "
-                        "(64 seeds, both LoS modes)", ok)
-
-    # One element's column duplicates another's, so candidates can tie in
-    # exact arithmetic and differ only by rounding; half have no direct link.
-    rng = np.random.default_rng(20240602)
-    mismatch = 0
-    for k in range(500):
-        n, r, df, b, t = (int(x) for x in rng.integers([2, 1, 1, 1, 1], [6, 4, 4, 4, 4]))
-        ch = draw_link_channels(rng, r, df, GEOMETRY, FadingConfig(
-            direct_loss_scale=(0.0025, 0.0)[k % 2]), n)
-        src, dst = rng.permutation(n)[:2]
-        ch.ris_to_bs[:, dst], ch.user_to_ris[:, dst] = ch.ris_to_bs[:, src], ch.user_to_ris[:, src]
-        mismatch += _counted_mismatches(ch, PhaseAlphabet.from_bits(b), t)
-    failures += _report("kernel and both counted selections identical on "
-                        "duplicated-column channels (500 draws)", mismatch == 0)
-
-    print(f"selftest: {'PASS' if failures == 0 else 'FAIL'}")
-    return 0 if failures == 0 else 1
+    from .reference import selftest
+    return selftest()
 
 
-def _counted_mismatches(ch, alphabet, iterations) -> int:
-    """How many of the counted ao and lc_ao runs select other phases than
-    the kernel."""
-    kernel = ao_optimize(ch, alphabet, iterations).indices
-    return sum(not np.array_equal(kernel, measured_run(kind, ch, alphabet, iterations)[0])
-               for kind in ("ao", "lc_ao"))
-
-
-def _report(name: str, ok: bool) -> int:
-    print(f"[{'ok' if ok else 'FAIL'}] {name}")
-    return 0 if ok else 1
+def entry() -> int:
+    """The process entry of the ``ris-scma`` script and of ``python -m
+    ris_scma.cli``: :func:`main`, then :func:`gc.freeze`.  The collections
+    the interpreter runs at exit then skip every object alive at that point
+    (numpy, the package, the results) instead of walking a heap the OS is
+    about to reclaim, which takes longer than a small campaign's draws.
+    Every file is closed by then, and stdout is still flushed at shutdown.
+    In-process callers of :func:`main` keep their collector as it is."""
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -69,7 +69,7 @@ DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class RunConfig:
     """A validated campaign, where its results go, and the fully defaulted
     ``document`` that :func:`config_hash` covers."""

@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ScmaConfig:
     """Dimensions of a regular sparse-code multiple-access layout.
 
@@ -50,7 +50,7 @@ class ScmaConfig:
                 f"overloaded access requires num_users > num_ores, got U={u}, R={r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(repr=False, eq=False)
 class FactorGraph:
     """Binary incidence structure between OREs (rows) and users (columns)."""
 

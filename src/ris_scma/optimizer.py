@@ -11,8 +11,10 @@ exact ties stay ties after rounding.
 keeps each ORE's composite row up to date and scores a candidate in O(d_f).
 The paper's AO and LC-AO differ only in what a candidate costs, so that
 difference lives in the counted scalar reference,
-:func:`~ris_scma.opcount.measured_run`, which the kernel's selections and
-the closed-form counts are checked against.
+:func:`~ris_scma.reference.measured_run`, which the kernel's selections and
+the closed-form counts are checked against.  The exhaustive oracle and the
+objective's decomposition live in :mod:`~ris_scma.reference` too, off the
+path of a campaign run.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .opcount import _TIE_TOLERANCE, _select
 DEFAULT_EXHAUSTIVE_BUDGET = 2**20
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class PhaseAlphabet:
     """The 2^b quantized phase values -pi + l * (2 pi / 2^b), l = 0..2^b-1."""
 
@@ -61,7 +63,7 @@ class PhaseAlphabet:
         return np.min_scalar_type(self.size - 1)
 
 
-@dataclass(eq=False)
+@dataclass(repr=False, eq=False)
 class PhaseAssignment:
     """Per-ORE vector of N indices into a :class:`PhaseAlphabet`."""
 
@@ -113,11 +115,6 @@ def _sq_norms(w: np.ndarray) -> np.ndarray:
     return (w.real**2 + w.imag**2).sum(axis=1)
 
 
-def _re_inner2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2 Re<a, b> = 2 Re sum_i a_i conj(b_i), per row."""
-    return 2.0 * (a * np.conj(b)).sum(axis=1).real
-
-
 def composite_channel(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
     """(R, d_f) composite rows: rotated cascaded paths plus the direct path."""
     _check_shape(ch, phases)
@@ -151,10 +148,10 @@ def blind_phases(alphabet: PhaseAlphabet, num_ores: int,
 
 
 # ---------------------------------------------------------------------------
-# Cached coefficients and the objective decomposition
+# Cached coefficients
 
 
-@dataclass(eq=False)
+@dataclass(repr=False, eq=False)
 class LcAoWorkspace:
     """Per-ORE coupling coefficients: the paper's cached-coefficient form of
     the objective, kept as the tests' reference formula and as a name the
@@ -174,42 +171,6 @@ def build_lc_workspace(ch: ChannelRealization) -> LcAoWorkspace:
     coupling = np.einsum("rki,rni->rkn", xi, np.conj(xi))   # xi @ xi^H
     direct = np.einsum("rki,ri->rk", xi, np.conj(ch.direct))
     return LcAoWorkspace(element_coupling=coupling, direct_coupling=direct)
-
-
-def snr_decomposition(ch: ChannelRealization, phases: PhaseAssignment) -> tuple:
-    """Split the squared norm into quadratic, cross, and direct addends
-    (each (R,), no energy/noise scaling): v D v^H + 2 Re{v dbar} + ||h||^2.
-
-    From the cascaded row u = sum_k v_k xi_k in O(N d_f) per ORE these are
-    ||u||^2, 2 Re<u, h> and ||h||^2 (D, dbar: the :class:`LcAoWorkspace` form).
-    """
-    _check_shape(ch, phases)
-    u = _cascaded_rows(ch, phases.alphabet.rotations[phases.indices.T])
-    return _sq_norms(u), _re_inner2(u, ch.direct), _sq_norms(ch.direct)
-
-
-def term_split(ch: ChannelRealization, phases: PhaseAssignment, element: int) -> tuple:
-    """Split each decomposition addend into its phi_n-dependent and
-    phi_n-independent parts for element ``element`` (0-based).
-
-    Returns (a1_phi, a1_rest, a2_phi, a2_rest), each (R,); a1_phi + a1_rest
-    reproduces the quadratic addend and a2_phi + a2_rest the cross addend.
-    With own = v_n xi_n and base = sum_{k != n} v_k xi_k (summed with v_n set
-    to 0, not as u - own, so the rest parts are exactly phi_n-free) these are
-    2 Re<own, base>, ||base||^2 + ||xi_n||^2, 2 Re<own, h> and 2 Re<base, h>,
-    in O(N d_f).
-    """
-    n = element
-    if not 0 <= n < ch.num_elements:
-        raise ValueError(f"element must be in [0, {ch.num_elements}), got {n}")
-    _check_shape(ch, phases)
-    u = phases.alphabet.rotations[phases.indices.T]          # e^{-j phi}, (N, R)
-    xi_n = ch.ris_to_bs[:, n, None] * ch.user_to_ris[:, n]
-    own = u[n, :, None] * xi_n
-    u[n] = 0.0
-    base = _cascaded_rows(ch, u)
-    return (_re_inner2(own, base), _sq_norms(base) + _sq_norms(xi_n),
-            _re_inner2(own, ch.direct), _re_inner2(base, ch.direct))
 
 
 # ---------------------------------------------------------------------------
@@ -328,39 +289,3 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
 # the kernel, so the two select alike; they differ in operation count only
 # (measured_run).  Both names stay for the campaign's ao/lc_ao rows.
 lc_ao_optimize = ao_optimize
-
-
-def exhaustive_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet,
-                        eval_budget: int = DEFAULT_EXHAUSTIVE_BUDGET) -> PhaseAssignment:
-    """Global maximizer per ORE over all 2^{bN} assignments; ties go to the
-    lexicographically smallest index vector.  It keeps the exact first
-    maximum, not the ascent's gap rule, so compare the two by objective
-    value, not by index."""
-    num_ores, num_elem = ch.num_ores, ch.num_elements
-    size = alphabet.size
-    total = size**num_elem
-    if total > eval_budget:
-        raise ValueError(
-            f"exhaustive budget exceeded: 2^(b*N) = {total} > {eval_budget} "
-            f"evaluations per ORE")
-    rot = alphabet.rotations
-    # ORE-major copies of element-major storage: each ORE's (N, d_f) matrix
-    # must be contiguous for matmul to take the BLAS path.
-    ris_to_bs = np.ascontiguousarray(ch.ris_to_bs)
-    user_to_ris = np.ascontiguousarray(ch.user_to_ris)
-    best_idx = np.zeros((num_ores, num_elem), dtype=alphabet.index_dtype)
-    best_val = np.full(num_ores, -np.inf)
-    chunk = 4096
-    shape = (size,) * num_elem
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
-        cand = np.stack(np.unravel_index(flat, shape), axis=1)       # lexicographic
-        cand_rot = rot[cand]                                         # same for every ORE
-        for r in range(num_ores):
-            w = (cand_rot * ris_to_bs[r]) @ user_to_ris[r] + ch.direct[r]
-            obj = _sq_norms(w)
-            k = int(obj.argmax())
-            if obj[k] > best_val[r]:                                 # strict: keeps first
-                best_val[r] = obj[k]
-                best_idx[r] = cand[k]
-    return PhaseAssignment(alphabet=alphabet, indices=best_idx)

@@ -19,17 +19,17 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ris_scma.campaign import (deploy_sweep_profile, run_campaign, trial_seed)
+from ris_scma.campaign import run_campaign, trial_seed
 from ris_scma.channel import (FadingConfig, Geometry, cascaded_path_loss,
                               direct_path_loss, draw_link_channels,
                               draw_trial_block, stack_realizations)
 from ris_scma.config import campaign_from_config, config_hash, parse_config
-from ris_scma.opcount import measured_run, predicted_ao, predicted_lc_ao
+from ris_scma.opcount import predicted_ao, predicted_lc_ao
 from ris_scma.optimizer import (PhaseAlphabet, PhaseAssignment, ao_optimize,
-                                blind_phases, db_from_linear,
-                                exhaustive_optimize, lc_ao_optimize,
-                                no_ris_snr, received_snr, snr_decomposition,
-                                term_split)
+                                blind_phases, db_from_linear, lc_ao_optimize,
+                                no_ris_snr, received_snr)
+from ris_scma.reference import (deploy_sweep_profile, exhaustive_optimize,
+                                measured_run, snr_decomposition, term_split)
 
 GEOM = Geometry(40.0, 1.5, 2.0, 2.4e9)
 LIBRARY_FADING = FadingConfig()                       # random LoS, free-space direct

@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 import ris_scma.campaign
-from ris_scma.campaign import (Campaign, _plan_blocks, deploy_sweep_profile,
-                               run_campaign, trial_seed)
+from ris_scma.campaign import Campaign, _plan_blocks, run_campaign, trial_seed
 from ris_scma.channel import FadingConfig, Geometry, draw_link_channels
 from ris_scma.config import campaign_from_config, parse_config
 from ris_scma.factor_graph import ScmaConfig
 from ris_scma.optimizer import (PhaseAlphabet, ao_optimize, blind_phases,
-                                exhaustive_optimize, lc_ao_optimize,
-                                received_snr)
+                                lc_ao_optimize, received_snr)
+from ris_scma.reference import deploy_sweep_profile, exhaustive_optimize
 
 
 def small_campaign(**overrides):

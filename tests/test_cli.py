@@ -112,6 +112,9 @@ REFUSED_DOCS = [
     # recursion limit.
     ('{"num_trials": 1' + "0" * 5000 + "}", "4300 digits"),
     ("[" * 100_000, "recursion"),
+    # Checked by bit length: 2^(b*N) at N = 10^30 is never built.
+    ({"algorithms": ["blind", "exhaustive"], "sweep": {"grid": [10**30]}},
+     "exhaustive budget"),
 ]
 
 

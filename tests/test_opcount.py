@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ris_scma.channel import FadingConfig, Geometry, draw_link_channels
-from ris_scma.opcount import (OpCount, _select, measured_run, predicted_ao,
+from ris_scma.opcount import (OpCount, _select, predicted_ao,
                               predicted_exhaustive, predicted_lc_ao)
 from ris_scma.optimizer import PhaseAlphabet
+from ris_scma.reference import measured_run
 
 
 def test_predicted_ao_spot_values():

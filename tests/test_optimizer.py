@@ -12,13 +12,12 @@ from conftest import make_channels
 from ris_scma import optimizer
 from ris_scma.channel import (ChannelRealization, FadingConfig, Geometry,
                               draw_link_channels, draw_trial_block)
-from ris_scma.opcount import measured_run
 from ris_scma.optimizer import (PhaseAlphabet, PhaseAssignment, ao_optimize,
                                 blind_phases, build_lc_workspace,
                                 composite_channel, db_from_linear,
-                                exhaustive_optimize, lc_ao_optimize,
-                                no_ris_snr, received_snr, snr_decomposition,
-                                term_split)
+                                lc_ao_optimize, no_ris_snr, received_snr)
+from ris_scma.reference import (exhaustive_optimize, measured_run,
+                                snr_decomposition, term_split)
 
 
 # ---------------------------------------------------------------------------

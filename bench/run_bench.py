@@ -231,10 +231,14 @@ def _result_bytes(out: Path) -> tuple:
     return tuple((out / f"results.{fmt}").read_bytes() for fmt in ("csv", "json"))
 
 
+def _label(prefix: str) -> str:
+    return prefix.rstrip(":") or "this"
+
+
 def startup_layer(trees: dict, work: Path) -> list:
     """Both startup rows, every call run on each source tree of ``trees``
     ({name prefix: src directory}) in one rotation."""
-    added = {prefix or "this": _python(["-c", ADDED_MODULES_CODE], src).stdout.split()
+    added = {_label(prefix): _python(["-c", ADDED_MODULES_CODE], src).stdout.split()
              for prefix, src in trees.items()}
     runs = {prefix + name: lambda code=code, src=src: _python(["-c", code], src)
             for prefix, src in trees.items() for name, code in STARTUP_CODE.items()}
@@ -242,7 +246,7 @@ def startup_layer(trees: dict, work: Path) -> list:
                  STARTUP_REPEATS, out_of_process=tuple(runs))]
     config = work / "cli_run.json"
     config.write_text(json.dumps(CLI_RUN_CONFIG))
-    outs = {prefix: work / f"{prefix.rstrip(':') or 'this'}_out" for prefix in trees}
+    outs = {prefix: work / f"{_label(prefix)}_out" for prefix in trees}
     runs = {}
     for prefix, src in trees.items():
         runs[prefix + "cli_run"] = lambda src=src, out=outs[prefix]: _cli_run(src, config, out)

@@ -36,9 +36,10 @@ with ``null`` for a row that has nothing to compare.
   ``fig5b`` preset at 2000 trials (32 blocks).
 * grid_point: one grid point of the benchmark's ``large_n_cached`` workload
   (``n_sweep``, 256 trials, blind and lc_ao: draw, ascent and two SNR
-  evaluations) at N in {64, 128, 256}, run through ``_trial_block`` as the
-  blocks ``_plan_blocks`` gives and as one 256-trial block; equal when the
-  per-trial bytes are.
+  evaluations) at N in {64, 128, 256}, run as the campaign runs the blocks
+  ``_plan_blocks`` gives (``_run_blocks``: one channel store per group) and
+  through ``_trial_block`` as one 256-trial block of fresh arrays; equal
+  when the per-trial bytes are.
 
 The seeding, channel-draw, ascent and SNR layers use 256-trial blocks of
 campaign child seeds (``trial_seed``) and calibrated fading (R=4, d_f=3,
@@ -82,8 +83,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np                                                    # noqa: E402
 
-from ris_scma.campaign import (_plan_blocks, _trial_block,            # noqa: E402
-                               run_campaign, trial_seed)
+from ris_scma.campaign import (_plan_blocks, _run_blocks,             # noqa: E402
+                               _trial_block, run_campaign, trial_seed)
 from ris_scma.channel import (FadingConfig, Geometry, _pcg64_states,   # noqa: E402
                               draw_link_channels, draw_trial_block,
                               stack_realizations)
@@ -281,7 +282,7 @@ def fan_out_layer() -> list:
 
 
 def _planned_blocks(campaign) -> dict:
-    parts = [_trial_block(campaign, *block) for block in _plan_blocks(campaign)]
+    parts = _run_blocks(campaign, _plan_blocks(campaign))
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 

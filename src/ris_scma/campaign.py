@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import FadingConfig, Geometry, draw_trial_block
+from .channel import (ChannelStore, FadingConfig, Geometry, cascaded_path_loss,
+                      direct_path_loss, draw_trial_block)
 # Not called here any more; the benchmark's tracer swaps these two names on
 # this module by name, so they must stay importable from it.
 from .channel import draw_link_channels, stack_realizations  # noqa: F401
@@ -138,12 +139,24 @@ class Campaign:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         for value in self.sweep_grid:
             # point_params also builds the Geometry, which checks the offset.
-            _, n, b, t = self.point_params(value)
+            geom, n, b, t = self.point_params(value)
             for name, param in (("num_elements", n), ("phase_bits", b),
                                 ("num_iterations", t)):
                 if param < 1:
                     raise ValueError(
                         f"{name} must be >= 1, got {param} at grid point {value}")
+            # A zero direct gain is a removed direct link only when the
+            # scale removes it.
+            free_space, cascaded = _path_gains(geom)
+            direct = free_space * self.fading.direct_loss_scale
+            if not (0 < cascaded < math.inf and direct < math.inf
+                    and (direct > 0 or self.fading.direct_loss_scale == 0)):
+                raise ValueError(
+                    f"geometry.carrier_frequency = {geom.carrier_frequency:g} gives "
+                    f"path gains out of range at grid point {value}: direct "
+                    f"{free_space:g} x fading.direct_loss_scale "
+                    f"{self.fading.direct_loss_scale:g}, cascaded {cascaded:g}; "
+                    f"each must be finite and > 0")
             limit = (_MAX_COUNT_PHASE_BITS if self.scenario == "complexity_grid"
                      else _MAX_TRIAL_PHASE_BITS)
             if b > limit:
@@ -211,6 +224,18 @@ class CampaignResult:
     rows: tuple
 
 
+def _path_gains(geom: Geometry) -> tuple:
+    """(free-space direct, cascaded) power gains, inf where a power of the
+    wavelength overflows."""
+    gains = []
+    for gain in (direct_path_loss, cascaded_path_loss):
+        try:
+            gains.append(gain(geom))
+        except OverflowError:
+            gains.append(math.inf)
+    return tuple(gains)
+
+
 def trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
     """Stable, language-agnostic child seed for one (grid point, trial)."""
     msg = f"{master_seed}:{grid_index}:{trial_index}".encode("ascii")
@@ -230,10 +255,11 @@ def _predicted_ops(algorithm: str, num_ores: int, n: int, b: int, df: int,
 
 
 def _trial_block(campaign: Campaign, grid_indices: tuple, trial_lo: int,
-                 trial_hi: int) -> dict:
+                 trial_hi: int, store: Optional[ChannelStore] = None) -> dict:
     """Per-trial ORE-mean linear SNRs, keyed by (grid index, algorithm), for
     one batch [trial_lo, trial_hi) of a grid group from :func:`_plan_blocks`:
-    one draw, and one ascent to the group's largest T read at each point's T."""
+    one draw, into ``store`` if one is given, and one ascent to the group's
+    largest T read at each point's T."""
     geom, n, b, _ = campaign.point_params(campaign.sweep_grid[grid_indices[0]])
     sweeps = {gi: campaign.point_params(campaign.sweep_grid[gi])[3]
               for gi in grid_indices}
@@ -242,7 +268,7 @@ def _trial_block(campaign: Campaign, grid_indices: tuple, trial_lo: int,
     ch = draw_trial_block(
         [trial_seed(campaign.master_seed, grid_indices[0], i)
          for i in range(trial_lo, trial_hi)],
-        scma.num_ores, scma.nonzero_per_ore, geom, fading, n)
+        scma.num_ores, scma.nonzero_per_ore, geom, fading, n, out=store)
 
     def trial_means(snr):
         return snr.reshape(trial_hi - trial_lo, scma.num_ores).mean(axis=1)
@@ -279,7 +305,7 @@ def _trial_block(campaign: Campaign, grid_indices: tuple, trial_lo: int,
 def _aggregate(campaign: Campaign, axis_value, algorithm: str,
                per_trial: Optional[np.ndarray]) -> ResultRow:
     """One row; with no per-trial values (complexity_grid) only the counts."""
-    _, n, b, t = campaign.point_params(axis_value)
+    geom, n, b, t = campaign.point_params(axis_value)
     ops = _predicted_ops(algorithm, campaign.scma.num_ores, n, b,
                          campaign.scma.nonzero_per_ore, t)
     trials, mean_lin, mean_db, stderr_db = 0, None, None, None
@@ -301,12 +327,15 @@ def _aggregate(campaign: Campaign, axis_value, algorithm: str,
                 stderr_db = float(per_db.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
         if not all(map(math.isfinite, (mean_lin, mean_db, stderr_db))):
             fading = campaign.fading
+            free_space, cascaded = _path_gains(geom)
             raise ValueError(
                 f"{algorithm} at {campaign.sweep_axis} = {axis_value}: the "
                 f"{campaign.average_mode} SNR mean or standard error is not finite "
-                f"(linear mean {mean_lin:g}); the link budget symbol_energy / "
-                f"noise_variance = {fading.symbol_energy:g} / "
-                f"{fading.noise_variance:g} is out of range")
+                f"(linear mean {mean_lin:g}); the link budget is out of range: "
+                f"symbol_energy / noise_variance = {fading.symbol_energy:g} / "
+                f"{fading.noise_variance:g}, direct path gain {free_space:g} x "
+                f"fading.direct_loss_scale {fading.direct_loss_scale:g}, "
+                f"cascaded path gain {cascaded:g}")
     return ResultRow(axis_value=float(axis_value), algorithm=algorithm,
                      trials=trials, mean_linear=mean_lin, mean_snr_db=mean_db,
                      stderr_db=stderr_db, real_adds=ops.real_additions,
@@ -330,7 +359,7 @@ def run_campaign(campaign: Campaign, config_hash: str = "") -> CampaignResult:
     if processes > 1 and hasattr(os, "fork"):
         partials = _fan_out(campaign, blocks, processes)
     else:
-        partials = [_trial_block(campaign, *block) for block in blocks]
+        partials = _run_blocks(campaign, blocks)
     per_cell = {}
     for part in partials:               # a group's blocks come in trial order
         for key, per_trial in part.items():
@@ -346,6 +375,28 @@ def run_campaign(campaign: Campaign, config_hash: str = "") -> CampaignResult:
         num_trials=0 if counts_only else campaign.num_trials,
         master_seed=campaign.master_seed, average_mode=campaign.average_mode,
         config_hash=config_hash, rows=rows)
+
+
+def _run_blocks(campaign: Campaign, blocks: list) -> list:
+    """``_trial_block`` of each block, in order, in this process.  Each grid
+    group's blocks are drawn into one :class:`~ris_scma.channel.ChannelStore`
+    sized for its largest block, made when its first block comes; the last
+    group's store is dropped first.  An SNR past the float range is refused,
+    with the link budget, by :func:`_aggregate`, so numpy need not warn
+    about it."""
+    rows = {}
+    for grid_indices, lo, hi in blocks:
+        rows[grid_indices] = max(rows.get(grid_indices, 0),
+                                 (hi - lo) * campaign.scma.num_ores)
+    results, group, store = [], None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for grid_indices, lo, hi in blocks:
+            if grid_indices != group:
+                group, store = grid_indices, None
+                n = campaign.point_params(campaign.sweep_grid[group[0]])[1]
+                store = ChannelStore(rows[group], campaign.scma.nonzero_per_ore, n)
+            results.append(_trial_block(campaign, grid_indices, lo, hi, store))
+    return results
 
 
 def _fan_out(campaign: Campaign, blocks: list, processes: int) -> list:
@@ -404,7 +455,7 @@ def _child(campaign: Campaign, blocks: list, read_fds: list, write_fd: int) -> N
         for fd in read_fds:
             os.close(fd)
         try:
-            result = [_trial_block(campaign, *block) for block in blocks]
+            result = _run_blocks(campaign, blocks)
         except Exception as exc:
             result = exc
         payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)

@@ -306,9 +306,34 @@ def _pcg64_states(seeds) -> list:
 _SCRATCH_BYTES = 2**20
 
 
+class ChannelStore:
+    """Flat complex buffers that :func:`draw_trial_block` draws blocks into,
+    so that the blocks of one grid group reuse one allocation: room for
+    ``rows`` ORE rows of ``num_interferers`` users and ``num_elements``
+    elements.  A block takes a contiguous prefix of each buffer, so a shorter
+    block fits too.  A realization drawn into a store holds views of it and
+    is overwritten by the next draw into it."""
+
+    __slots__ = ("direct", "ris_to_bs", "user_to_ris")
+
+    def __init__(self, rows: int, num_interferers: int, num_elements: int):
+        self.direct = np.empty(rows * num_interferers, dtype=np.complex128)
+        self.ris_to_bs = np.empty(num_elements * rows, dtype=np.complex128)
+        self.user_to_ris = np.empty(num_elements * num_interferers * rows,
+                                    dtype=np.complex128)
+
+
+def _prefix(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    size = math.prod(shape)
+    if size > buffer.size:
+        raise ValueError(f"a block of shape {shape} does not fit a channel store "
+                         f"buffer of {buffer.size} entries")
+    return buffer[:size].reshape(shape)
+
+
 def _draw_block(rng: np.random.Generator, states, num_ores: int,
                 num_interferers: int, geom: Geometry, fading: FadingConfig,
-                num_elements: int) -> ChannelRealization:
+                num_elements: int, out: ChannelStore | None = None) -> ChannelRealization:
     """One realization per trial, stacked along the ORE axis.
 
     ``states`` holds one PCG64 state per trial, each set on ``rng`` before
@@ -319,8 +344,9 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
     scratch buffer.  Each chunk of trial rows goes through the Rician
     transform: the direct rows straight into their output rows, the element
     groups into a staging area of the scratch and from there, transposed,
-    into element-major outputs.  The path-loss scaling runs once over the
-    whole block, in place.
+    into element-major outputs: new arrays, or prefixes of ``out``'s
+    buffers.  The path-loss scaling runs once over the whole block, in
+    place.
     """
     if num_elements < 1:
         raise ValueError(f"num_elements must be >= 1, got {num_elements}")
@@ -332,10 +358,16 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
     width = 3 if mode == "random" else 2
     sizes = (num_ores * num_interferers, num_ores * num_elements,
              num_ores * num_elements * num_interferers)
-    direct = np.empty((rows, num_interferers), dtype=np.complex128)
     # Element-major storage, ORE axis last: (N, rows) and (N, d_f, rows).
-    ris_to_bs = np.empty((num_elements, rows), dtype=np.complex128)
-    user_to_ris = np.empty((num_elements, num_interferers, rows), dtype=np.complex128)
+    shapes = ((rows, num_interferers), (num_elements, rows),
+              (num_elements, num_interferers, rows))
+    if out is None:
+        direct, ris_to_bs, user_to_ris = (np.empty(shape, dtype=np.complex128)
+                                          for shape in shapes)
+    else:
+        direct, ris_to_bs, user_to_ris = (
+            _prefix(buffer, shape) for buffer, shape in
+            zip((out.direct, out.ris_to_bs, out.user_to_ris), shapes))
     # Each element group's storage as (N or N * d_f, rows): a chunk's staged
     # (trial * R, N[ * d_f]) rows land in it transposed.
     element_major = (ris_to_bs, user_to_ris.reshape(-1, rows))
@@ -373,7 +405,8 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
 
 
 def draw_trial_block(seeds, num_ores: int, num_interferers: int, geom: Geometry,
-                     fading: FadingConfig, num_elements: int) -> ChannelRealization:
+                     fading: FadingConfig, num_elements: int,
+                     out: ChannelStore | None = None) -> ChannelRealization:
     """Draw one realization per seed, stacked along the ORE axis.
 
     Each seed is an integer in [0, 2^64), and its stream is exactly that of
@@ -381,10 +414,11 @@ def draw_trial_block(seeds, num_ores: int, num_interferers: int, geom: Geometry,
     ``stack_realizations([draw_link_channels(np.random.default_rng(s), ...)
     for s in seeds])``.  The seeds are mixed into PCG64 states in one
     vectorized pass, and one reused generator is set to each state in turn.
+    The realization is stored in new arrays, or in ``out``'s buffers.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     return _draw_block(rng, _pcg64_states(seeds), num_ores, num_interferers,
-                       geom, fading, num_elements)
+                       geom, fading, num_elements, out)
 
 
 def draw_link_channels(rng: np.random.Generator, num_ores: int, num_interferers: int,

@@ -102,12 +102,56 @@ def _check_shape(ch: ChannelRealization, phases: PhaseAssignment) -> None:
             f"channel dims (R={ch.num_ores}, N={ch.num_elements})")
 
 
-def _cascaded_rows(ch: ChannelRealization, u: np.ndarray) -> np.ndarray:
-    """(R, d_f) cascaded rows sum_n u_n xi_n of the (N, R) rotations ``u``,
-    which it overwrites: u * ris_to_bs, then contracted with user_to_ris, both
-    read in place, element-major.  The bytes do not depend on u's layout."""
-    np.multiply(u, ch.ris_to_bs.T, out=u)
-    return np.einsum("nr,nir->ir", u, ch.user_to_ris.transpose(1, 2, 0)).T
+def _element_spans(num_elem: int, element_bytes: int) -> tuple:
+    """The chunk size and the [lo, hi) spans of equal chunks of elements that
+    hold at most ``_SCRATCH_BYTES`` of ``element_bytes`` each (one element
+    per chunk at least)."""
+    chunks = max(1, -(-num_elem * element_bytes // _SCRATCH_BYTES))
+    size = -(-num_elem // chunks)
+    return size, [(lo, min(lo + size, num_elem)) for lo in range(0, num_elem, size)]
+
+
+def _continued_sum(total: np.ndarray, v: np.ndarray, xi: np.ndarray,
+                   k: int) -> np.ndarray:
+    """One einsum over slots 0..k of ``v`` (N, R) and ``xi`` (N, d_f, R), slot
+    0 of ``xi`` set to ``total`` and of ``v`` holding 1: it continues the
+    running sum over the elements of earlier chunks, so summing N elements
+    chunk by chunk gives every byte of one einsum over all of them."""
+    xi[0] = total
+    return np.einsum("nr,nir->ir", v[:k + 1], xi[:k + 1])
+
+
+def _cascaded_rows(ch: ChannelRealization, phases: PhaseAssignment,
+                   skip: Optional[int] = None) -> np.ndarray:
+    """(R, d_f) cascaded rows sum_n u_n xi_n, u_n the phases' rotations with
+    element ``skip``'s set to 0: u * ris_to_bs, contracted with user_to_ris,
+    element-major, one einsum's bytes whatever the indices' layout.
+
+    The elements go in chunks whose rotations and paths fit
+    ``_SCRATCH_BYTES``.  The first chunk reads user_to_ris in place, so a
+    block that fits in one chunk copies none of it; each later chunk copies
+    its paths behind the running sum (:func:`_continued_sum`).
+    """
+    g, G = ch.ris_to_bs.T, ch.user_to_ris.transpose(1, 2, 0)
+    num_elem, df, num_ores = G.shape
+    idx = phases.indices.T
+    size, spans = _element_spans(num_elem, 16 * (df + 1) * num_ores)
+    u = np.empty((size + 1, num_ores), dtype=np.complex128)
+    u[0] = 1.0
+    paths = np.empty((size + 1, df, num_ores), dtype=np.complex128) if len(spans) > 1 else None
+    total = None
+    for lo, hi in spans:
+        k = hi - lo
+        np.take(phases.alphabet.rotations, idx[lo:hi], out=u[1:k + 1], mode="clip")
+        if skip is not None and lo <= skip < hi:
+            u[1 + skip - lo] = 0.0
+        np.multiply(u[1:k + 1], g[lo:hi], out=u[1:k + 1])
+        if total is None:
+            total = np.einsum("nr,nir->ir", u[1:k + 1], G[lo:hi])
+        else:
+            paths[1:k + 1] = G[lo:hi]
+            total = _continued_sum(total, u, paths, k)
+    return total.T
 
 
 def _sq_norms(w: np.ndarray) -> np.ndarray:
@@ -118,7 +162,7 @@ def _sq_norms(w: np.ndarray) -> np.ndarray:
 def composite_channel(ch: ChannelRealization, phases: PhaseAssignment) -> np.ndarray:
     """(R, d_f) composite rows: rotated cascaded paths plus the direct path."""
     _check_shape(ch, phases)
-    u = _cascaded_rows(ch, phases.alphabet.rotations[phases.indices.T])
+    u = _cascaded_rows(ch, phases)
     # C-ordered rows, so _sq_norms sums each row's addends as it always has.
     w = np.empty(ch.direct.shape, dtype=np.complex128)
     return np.add(u, ch.direct, out=w)
@@ -226,11 +270,9 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
     df = G.shape[1]
     rot, rot_col = alphabet.rotations, alphabet.rotations[:, None]
     idx = np.full((num_elem, num_ores), alphabet.zero_index, dtype=alphabet.index_dtype)
-    chunks = max(1, -(-num_elem * df * num_ores * 16 // _SCRATCH_BYTES))
-    size = -(-num_elem // chunks)
-    spans = [(lo, min(lo + size, num_elem)) for lo in range(0, num_elem, size)]
-    # Slot 0 holds the composite summed over the elements before the chunk,
-    # with weight 1, so that einsum continues that running sum.
+    size, spans = _element_spans(num_elem, 16 * df * num_ores)
+    # Slot 0 holds the composite summed over the elements before the chunk
+    # (_continued_sum).
     xi = np.empty((size + 1, df, num_ores), dtype=np.complex128)
     v = np.empty((size + 1, num_ores), dtype=np.complex128)
     v[0] = 1.0
@@ -239,15 +281,11 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
         np.multiply(g[lo:hi, None, :], G[lo:hi], out=xi[1:hi - lo + 1])
         v[1:hi - lo + 1] = rot[idx[lo:hi]]
 
-    def summed(partial, k):
-        xi[0] = partial
-        return np.einsum("nr,nir->ir", v[:k + 1], xi[:k + 1])
-
     total = np.zeros((df, num_ores), dtype=np.complex128)
     energy = np.zeros(2 * num_ores)               # sum |xi|^2: re, im per ORE
     for lo, hi in spans:                          # the blind start's composite
         load(lo, hi)
-        total = summed(total, hi - lo)
+        total = _continued_sum(total, v, xi, hi - lo)
         part = xi[1:hi - lo + 1].view(np.float64)
         energy += np.einsum("nir,nir->r", part, part)
     half_gap = 0.5 * _TIE_TOLERANCE * (_sq_norms(ch.direct) + energy[0::2] + energy[1::2])
@@ -278,7 +316,7 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
                     # An (R, d_f) copy: summed in the order _sq_norms uses elsewhere.
                     update_log.append(_sq_norms(np.ascontiguousarray(w.T)))
             if t + 1 < iterations:
-                total = summed(total, hi - lo)
+                total = _continued_sum(total, v, xi, hi - lo)
     phases = PhaseAssignment(alphabet=alphabet, indices=idx.T)
     if snapshots is not None and iterations in snapshots:
         snapshots[iterations] = phases

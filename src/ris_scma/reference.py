@@ -174,7 +174,7 @@ def snr_decomposition(ch: ChannelRealization, phases: PhaseAssignment) -> tuple:
     form).
     """
     _check_shape(ch, phases)
-    u = _cascaded_rows(ch, phases.alphabet.rotations[phases.indices.T])
+    u = _cascaded_rows(ch, phases)
     return _sq_norms(u), _re_inner2(u, ch.direct), _sq_norms(ch.direct)
 
 
@@ -193,11 +193,9 @@ def term_split(ch: ChannelRealization, phases: PhaseAssignment, element: int) ->
     if not 0 <= n < ch.num_elements:
         raise ValueError(f"element must be in [0, {ch.num_elements}), got {n}")
     _check_shape(ch, phases)
-    u = phases.alphabet.rotations[phases.indices.T]          # e^{-j phi}, (N, R)
     xi_n = ch.ris_to_bs[:, n, None] * ch.user_to_ris[:, n]
-    own = u[n, :, None] * xi_n
-    u[n] = 0.0
-    base = _cascaded_rows(ch, u)
+    own = phases.alphabet.rotations[phases.indices[:, n], None] * xi_n
+    base = _cascaded_rows(ch, phases, skip=n)
     return (_re_inner2(own, base), _sq_norms(base) + _sq_norms(xi_n),
             _re_inner2(own, ch.direct), _re_inner2(base, ch.direct))
 

@@ -14,7 +14,8 @@ import pytest
 
 import ris_scma.campaign
 from ris_scma.campaign import Campaign, _plan_blocks, run_campaign, trial_seed
-from ris_scma.channel import FadingConfig, Geometry, draw_link_channels
+from ris_scma.channel import (FadingConfig, Geometry, draw_link_channels,
+                              draw_trial_block)
 from ris_scma.config import campaign_from_config, parse_config
 from ris_scma.factor_graph import ScmaConfig
 from ris_scma.optimizer import (PhaseAlphabet, ao_optimize, blind_phases,
@@ -107,7 +108,7 @@ def test_platform_without_fork_runs_in_one_process(monkeypatch):
     assert run_campaign(small_campaign(num_trials=90, workers=2)).rows == one_worker
 
 
-def failing_block(campaign, grid_indices, lo, hi):
+def failing_block(campaign, grid_indices, lo, hi, store=None):
     """Grid point 0's block raises at once; every other block outlives the
     test unless its process is killed."""
     if grid_indices == (0,):
@@ -115,7 +116,7 @@ def failing_block(campaign, grid_indices, lo, hi):
     time.sleep(120)
 
 
-def killed_block(campaign, grid_indices, lo, hi):
+def killed_block(campaign, grid_indices, lo, hi, store=None):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -308,6 +309,38 @@ def test_convergence_draws_and_climbs_once_per_batch(monkeypatch):
                                 num_trials=300, num_elements=4,
                                 algorithms=["blind", "ao", "lc_ao"]))
     assert calls == {"draw": 2, "ascent": 2}
+
+
+def _address(array):
+    return array.__array_interface__["data"][0]
+
+
+def test_blocks_of_a_group_share_one_channel_store(monkeypatch, geom, fading):
+    # Two groups of three blocks (256, 256 and 88 trials): each group's blocks
+    # are drawn into one store, the short block into its prefix, and the
+    # next group gets a store of its own.
+    drawn = []
+    draw = ris_scma.campaign.draw_trial_block
+
+    def recording(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(ris_scma.campaign, "draw_trial_block", recording)
+    run_campaign(small_campaign(num_trials=600, algorithms=["blind"]))
+    names = ("direct", "ris_to_bs", "user_to_ris")
+    assert len(drawn) == 6
+    for group in (drawn[:3], drawn[3:]):
+        for first, later in zip(group, group[1:]):
+            for name in names:
+                assert _address(getattr(later, name)) == _address(getattr(first, name))
+    for name in names:
+        assert not np.shares_memory(getattr(drawn[2], name), getattr(drawn[3], name))
+    # Without a store every draw has arrays of its own.
+    plain = [draw_trial_block(range(4), 4, 3, geom, fading, 8)
+             for _ in range(2)]
+    for name in names:
+        assert not np.shares_memory(getattr(plain[0], name), getattr(plain[1], name))
 
 
 def test_benchmark_tracer_names_resolve_and_observe(monkeypatch):

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import make_channels
 from ris_scma.campaign import trial_seed
-from ris_scma.channel import (SPEED_OF_LIGHT, ChannelRealization, FadingConfig,
-                              Geometry, _SCRATCH_BYTES, _pcg64_states,
+from ris_scma.channel import (SPEED_OF_LIGHT, ChannelRealization, ChannelStore,
+                              FadingConfig, Geometry, _SCRATCH_BYTES, _pcg64_states,
                               cascaded_path_loss, direct_path_loss, draw_channels,
                               draw_link_channels, draw_trial_block,
                               stack_realizations)
@@ -289,6 +289,25 @@ def test_trial_block_is_stored_element_major(geom, fading):
         assert case.user_to_ris.transpose(1, 2, 0).flags.c_contiguous
     assert modified.ris_to_bs.tobytes() == g.tobytes()
     assert modified.user_to_ris.tobytes() == G.tobytes()
+
+
+@pytest.mark.parametrize("los_phase", ["random", "common"])
+def test_draw_into_a_store_gives_the_same_bytes(geom, los_phase):
+    # A block drawn into a store, and a shorter one into its prefix, equal
+    # fresh draws, stored element-major in the store's memory; a block that
+    # does not fit is refused.
+    fading = FadingConfig(los_phase=los_phase)
+    store = ChannelStore(5 * 4, 3, 6)
+    for seeds in (range(5), range(7, 10)):
+        fresh = draw_trial_block(seeds, 4, 3, geom, fading, 6)
+        stored = draw_trial_block(seeds, 4, 3, geom, fading, 6, out=store)
+        for name in ("direct", "ris_to_bs", "user_to_ris"):
+            assert getattr(stored, name).tobytes() == getattr(fresh, name).tobytes()
+            assert np.shares_memory(getattr(stored, name), getattr(store, name))
+        assert stored.ris_to_bs.T.flags.c_contiguous
+        assert stored.user_to_ris.transpose(1, 2, 0).flags.c_contiguous
+    with pytest.raises(ValueError, match="does not fit"):
+        draw_trial_block(range(6), 4, 3, geom, fading, 6, out=store)
 
 
 def test_pickled_realization_stays_element_major(geom, fading):

@@ -115,6 +115,12 @@ REFUSED_DOCS = [
     # Checked by bit length: 2^(b*N) at N = 10^30 is never built.
     ({"algorithms": ["blind", "exhaustive"], "sweep": {"grid": [10**30]}},
      "exhaustive budget"),
+    # The wavelength's fourth power overflows, or both path gains underflow
+    # to 0; either is refused before any trial runs.
+    ({"geometry": {"carrier_frequency": 1e-80}, "num_trials": 4, "sweep": {"grid": [4]}},
+     "geometry.carrier_frequency"),
+    ({"geometry": {"carrier_frequency": 1e300}, "num_trials": 4, "sweep": {"grid": [4]}},
+     "geometry.carrier_frequency"),
 ]
 
 
@@ -186,10 +192,12 @@ def test_infinite_link_budget_is_a_config_error(doc, tmp_path, capsys):
     {"fading": {"symbol_energy": 1e-300, "noise_variance": 1e20},
      "average_mode": "mean_of_db"},                   # every SNR is exactly 0
     {"fading": {"symbol_energy": 1e-300, "noise_variance": 1e20}},
-], ids=["std_overflow", "zero_mean_of_db", "zero_db_of_mean"])
+    {"fading": {"direct_loss_scale": 1e308}},         # every SNR overflows
+], ids=["std_overflow", "zero_mean_of_db", "zero_db_of_mean", "direct_overflow"])
 def test_out_of_range_link_budget_writes_nothing(doc, tmp_path, capsys):
     # A valid config whose SNR statistics are not finite fails with one error
-    # line naming the row and the budget, before any results file is written.
+    # line naming the row and the whole budget, before any results file is
+    # written; no numpy warning reaches stderr before it.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"num_trials": 4, "num_elements": 4,
                                "sweep": {"grid": [4]}, **doc}))
@@ -199,7 +207,9 @@ def test_out_of_range_link_budget_writes_nothing(doc, tmp_path, capsys):
     error = json.loads(err[0])["error"]
     assert error["type"] == "ValueError"
     assert error["message"].startswith("blind at num_elements = 4: ")
-    assert "symbol_energy / noise_variance" in error["message"]
+    for part in ("symbol_energy / noise_variance", "direct path gain",
+                 "fading.direct_loss_scale", "cascaded path gain"):
+        assert part in error["message"]
     assert not (tmp_path / "out").exists()
 
 

@@ -556,6 +556,41 @@ def test_selections_and_snr_do_not_depend_on_layout(geom, monkeypatch, los_phase
             assert np.array_equal(best[0], best[1]), (n, r, df)
 
 
+def _one_piece_rows(ch, phases):
+    """The composite rows as one einsum over all N elements: the contraction
+    before it was chunked, kept here as the reference."""
+    u = phases.alphabet.rotations[phases.indices.T]
+    np.multiply(u, ch.ris_to_bs.T, out=u)
+    cascaded = np.einsum("nr,nir->ir", u, ch.user_to_ris.transpose(1, 2, 0)).T
+    return np.add(cascaded, ch.direct, out=np.empty(ch.direct.shape, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("los_phase", ["random", "common"])
+@pytest.mark.parametrize("df", [1, 3, 4])
+def test_chunked_contraction_matches_one_einsum(geom, monkeypatch, los_phase, df):
+    # 1, 2 and many chunks of elements; the elements of a chunk never span
+    # the whole block unless there is one chunk.
+    n, r = 13, 8
+    fading = FadingConfig(los_phase=los_phase)
+    ch = draw_trial_block(range(4), r // 4, df, geom, fading, n)
+    alpha = PhaseAlphabet.from_bits(3)
+    rng = np.random.default_rng(df)
+    ore_major = rng.integers(0, alpha.size, size=(4 * r // 4, n)).astype(np.uint8)
+    phase_sets = [ao_optimize(ch, alpha, 2), blind_phases(alpha, ch.num_ores, n),
+                  PhaseAssignment(alpha, ore_major)]
+    element_bytes = 16 * (df + 1) * ch.num_ores
+    for per_chunk, chunks in ((n, 1), (7, 2), (2, 7), (1, 13)):
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "_SCRATCH_BYTES", element_bytes * per_chunk)
+            assert len(optimizer._element_spans(n, element_bytes)[1]) == chunks
+            for phases in phase_sets:
+                want = _one_piece_rows(ch, phases)
+                assert composite_channel(ch, phases).tobytes() == want.tobytes(), chunks
+                scale = fading.symbol_energy / fading.noise_variance
+                assert (received_snr(ch, phases, fading).tobytes()
+                        == (scale * ((want.real**2 + want.imag**2).sum(axis=1))).tobytes())
+
+
 # sha256 of the objectives the kernel logs and the indices it returns on the
 # channels below, recorded with numpy 2.4.6 on x86-64 before the kernel read
 # element-major storage.  The golden files see the kernel only through its
@@ -582,7 +617,7 @@ def test_kernel_state_stays_below_one_cascaded_path_copy(geom):
     # On a drawn 256-trial block at N=256 (1024 ORE rows, d_f=3; a campaign
     # draws 128 trials there) one (N, d_f, R) complex array of cascaded paths
     # is 12.6 MB; the kernel reads the channel in place and holds at most
-    # 1 MiB of them at a time.  The decomposition and the term split read it
+    # 1 MiB of them at a time, and so does the SNR evaluation.  The decomposition and the term split read it
     # in place too, holding one (N, R) array of rotations.
     fading = FadingConfig(los_phase="common", direct_loss_scale=0.0025)
     ch = draw_trial_block(range(256), 4, 3, geom, fading, 256)
@@ -598,6 +633,10 @@ def test_kernel_state_stays_below_one_cascaded_path_copy(geom):
 
     phases, peak = peak_of(lambda: lc_ao_optimize(ch, alpha, 3))
     assert peak < 4e6, peak
+    # The SNR contracts the elements in chunks of the same budget; in one
+    # piece its (N, R) rotations alone were 4.2 MB.
+    _, peak = peak_of(lambda: received_snr(ch, phases, fading))
+    assert peak <= optimizer._SCRATCH_BYTES + 2**19, peak
     path_copy = 256 * 3 * 1024 * 16
     for call in (lambda: snr_decomposition(ch, phases),
                  lambda: term_split(ch, phases, 100)):

@@ -389,7 +389,7 @@ def _run_blocks(campaign: Campaign, blocks: list) -> list:
         rows[grid_indices] = max(rows.get(grid_indices, 0),
                                  (hi - lo) * campaign.scma.num_ores)
     results, group, store = [], None, None
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         for grid_indices, lo, hi in blocks:
             if grid_indices != group:
                 group, store = grid_indices, None

@@ -138,10 +138,13 @@ def _cascaded_rows(ch: ChannelRealization, phases: PhaseAssignment,
     size, spans = _element_spans(num_elem, 16 * (df + 1) * num_ores)
     u = np.empty((size + 1, num_ores), dtype=np.complex128)
     u[0] = 1.0
-    paths = np.empty((size + 1, df, num_ores), dtype=np.complex128) if len(spans) > 1 else None
+    paths = (np.empty((size + 1, df, num_ores), dtype=np.complex128)
+             if len(spans) > 1 else None)
     total = None
     for lo, hi in spans:
         k = hi - lo
+        # The indices are in range (PhaseAssignment checks them); "clip"
+        # writes straight into u, where the default mode buffers.
         np.take(phases.alphabet.rotations, idx[lo:hi], out=u[1:k + 1], mode="clip")
         if skip is not None and lo <= skip < hi:
             u[1 + skip - lo] = 0.0

@@ -568,22 +568,25 @@ def _one_piece_rows(ch, phases):
 @pytest.mark.parametrize("los_phase", ["random", "common"])
 @pytest.mark.parametrize("df", [1, 3, 4])
 def test_chunked_contraction_matches_one_einsum(geom, monkeypatch, los_phase, df):
-    # 1, 2 and many chunks of elements; the elements of a chunk never span
-    # the whole block unless there is one chunk.
-    n, r = 13, 8
+    # One chunk, two, and many, on 13 elements of 8 ORE rows.
+    n = 13
     fading = FadingConfig(los_phase=los_phase)
-    ch = draw_trial_block(range(4), r // 4, df, geom, fading, n)
+    ch = draw_trial_block(range(4), 2, df, geom, fading, n)
     alpha = PhaseAlphabet.from_bits(3)
     rng = np.random.default_rng(df)
-    ore_major = rng.integers(0, alpha.size, size=(4 * r // 4, n)).astype(np.uint8)
+    ore_major = rng.integers(0, alpha.size, size=(ch.num_ores, n)).astype(np.uint8)
     phase_sets = [ao_optimize(ch, alpha, 2), blind_phases(alpha, ch.num_ores, n),
                   PhaseAssignment(alpha, ore_major)]
     element_bytes = 16 * (df + 1) * ch.num_ores
+    # term_split sums the rows with one element's rotation set to 0.
+    splits = [b"".join(a.tobytes() for a in term_split(ch, phases_, 5))
+              for phases_ in phase_sets]
     for per_chunk, chunks in ((n, 1), (7, 2), (2, 7), (1, 13)):
         with monkeypatch.context() as patch:
             patch.setattr(optimizer, "_SCRATCH_BYTES", element_bytes * per_chunk)
             assert len(optimizer._element_spans(n, element_bytes)[1]) == chunks
-            for phases in phase_sets:
+            for phases, split in zip(phase_sets, splits):
+                assert b"".join(a.tobytes() for a in term_split(ch, phases, 5)) == split
                 want = _one_piece_rows(ch, phases)
                 assert composite_channel(ch, phases).tobytes() == want.tobytes(), chunks
                 scale = fading.symbol_energy / fading.noise_variance

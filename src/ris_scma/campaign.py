@@ -28,10 +28,11 @@ import numpy as np
 
 from .channel import (ChannelStore, FadingConfig, Geometry, cascaded_path_loss,
                       direct_path_loss, draw_trial_block)
-# Not called here any more; the benchmark's tracer swaps these two names on
+# Not called here any more; the benchmark's tracer swaps these three names on
 # this module by name, so they must stay importable from it.
 from .channel import draw_link_channels, stack_realizations  # noqa: F401
-from .factor_graph import ScmaConfig, build_factor_graph
+from .factor_graph import build_factor_graph  # noqa: F401
+from .factor_graph import ScmaConfig
 from .opcount import (OpCount, predicted_ao, predicted_exhaustive,
                       predicted_lc_ao)
 from .optimizer import (DEFAULT_EXHAUSTIVE_BUDGET, PhaseAlphabet, ao_optimize,
@@ -58,11 +59,12 @@ _MAX_BLOCK_TRIALS = 256
 _BLOCK_ELEMENT_ROWS = 2**16
 _MIN_BLOCK_ROWS = 512
 # Trials keep phase indices in uint8 and score 2^b candidates per ORE row at
-# once, so b stops at 8 there.  complexity_grid only counts, but its counts
-# grow as 2^b; this b bounds the 2^b built before the counts are checked
-# against the 4300 digits Python writes an integer with by default.
+# once, so b stops at 8 there.  complexity_grid only counts, and each ao or
+# lc_ao count is below R T N^2 (d_f + 1) 2^(b+4), so the bit lengths of those
+# factors bound it before any 2^b is built.  Counts below
+# 2^floor(4300 log2 10) = 2^14284 have at most the 4300 digits Python writes
+# an integer with by default.
 _MAX_TRIAL_PHASE_BITS = 8
-_MAX_COUNT_PHASE_BITS = 10_000
 _MAX_COUNT_DIGITS = 4300
 
 
@@ -121,58 +123,53 @@ class Campaign:
                 f"average_mode must be one of {AVERAGE_MODES}, got {self.average_mode!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        build_factor_graph(self.scma)   # refuse a layout with no graph up front
-        if "no_ris" in self.algorithms and self.fading.direct_loss_scale == 0:
+        fading = self.fading
+        if "no_ris" in self.algorithms and fading.direct_loss_scale == 0:
             raise ValueError(
                 "no_ris needs a direct link: with fading.direct_loss_scale = 0 "
                 "its SNR is identically 0")
-        budget = self.fading.symbol_energy / self.fading.noise_variance
+        budget = fading.symbol_energy / fading.noise_variance
+        link = (f"the link budget symbol_energy / noise_variance = "
+                f"{fading.symbol_energy:g} / {fading.noise_variance:g}")
         if not math.isfinite(budget):
-            raise ValueError(
-                f"the link budget symbol_energy / noise_variance = "
-                f"{self.fading.symbol_energy:g} / {self.fading.noise_variance:g} "
-                f"is not finite")
-        for name, value in (("num_elements", self.num_elements),
-                            ("phase_bits", self.phase_bits),
-                            ("num_iterations", self.num_iterations)):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            raise ValueError(f"{link} is not finite")
+        names = ("num_elements", "phase_bits", "num_iterations")
+        for name in names:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for value in self.sweep_grid:
             # point_params also builds the Geometry, which checks the offset.
             geom, n, b, t = self.point_params(value)
-            for name, param in (("num_elements", n), ("phase_bits", b),
-                                ("num_iterations", t)):
+            for name, param in zip(names, (n, b, t)):
                 if param < 1:
                     raise ValueError(
                         f"{name} must be >= 1, got {param} at grid point {value}")
-            # A zero direct gain is a removed direct link only when the
-            # scale removes it.
+            # Every SNR is the link budget times a path gain; a zero direct
+            # gain is a removed direct link only when the scale removes it.
             free_space, cascaded = _path_gains(geom)
-            direct = free_space * self.fading.direct_loss_scale
-            if not (0 < cascaded < math.inf and direct < math.inf
-                    and (direct > 0 or self.fading.direct_loss_scale == 0)):
+            direct = free_space * fading.direct_loss_scale
+            if not (0 < cascaded and budget * cascaded < math.inf
+                    and budget * direct < math.inf
+                    and (direct > 0 or fading.direct_loss_scale == 0)):
                 raise ValueError(
+                    f"path gains out of range at grid point {value}: "
                     f"geometry.carrier_frequency = {geom.carrier_frequency:g} gives "
-                    f"path gains out of range at grid point {value}: direct "
-                    f"{free_space:g} x fading.direct_loss_scale "
-                    f"{self.fading.direct_loss_scale:g}, cascaded {cascaded:g}; "
-                    f"each must be finite and > 0")
-            limit = (_MAX_COUNT_PHASE_BITS if self.scenario == "complexity_grid"
-                     else _MAX_TRIAL_PHASE_BITS)
-            if b > limit:
+                    f"direct {free_space:g} x fading.direct_loss_scale "
+                    f"{fading.direct_loss_scale:g} and cascaded {cascaded:g}; each "
+                    f"must be > 0 and finite times {link}")
+            if self.scenario != "complexity_grid" and b > _MAX_TRIAL_PHASE_BITS:
                 raise ValueError(
-                    f"phase_bits must be <= {limit} for scenario {self.scenario!r}, "
-                    f"got {b} at grid point {value}")
-            if self.scenario == "complexity_grid":
-                counts = [_predicted_ops(alg, self.scma.num_ores, n, b,
-                                         self.scma.nonzero_per_ore, t)
-                          for alg in self.algorithms]
-                if any(max(ops.real_additions, ops.real_multiplications)
-                       >= 10**_MAX_COUNT_DIGITS for ops in counts):
-                    raise ValueError(
-                        f"the operation counts at grid point {value} would have "
-                        f"more than {_MAX_COUNT_DIGITS} digits; lower num_elements, "
-                        f"phase_bits or num_iterations")
+                    f"phase_bits must be <= {_MAX_TRIAL_PHASE_BITS} for scenario "
+                    f"{self.scenario!r}, got {b} at grid point {value}")
+            bits = b + 4 + sum(int(x).bit_length() for x in (
+                self.scma.num_ores, t, n, n, self.scma.nonzero_per_ore + 1))
+            limit = int(_MAX_COUNT_DIGITS * math.log2(10))
+            if self.scenario == "complexity_grid" and bits > limit:
+                raise ValueError(
+                    f"the operation counts at grid point {value} could have more "
+                    f"than {_MAX_COUNT_DIGITS} digits: phase_bits + 4 + the bit "
+                    f"lengths of system.num_ores, num_iterations, num_elements "
+                    f"(twice) and system.nonzero_per_ore + 1 is {bits} > {limit}")
             # 2^(b*N) > budget exactly when b*N reaches the budget's bit
             # length; 2^(b*N) itself is never built, so a huge N is refused
             # at once.

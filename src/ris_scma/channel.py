@@ -344,9 +344,9 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
     scratch buffer.  Each chunk of trial rows goes through the Rician
     transform: the direct rows straight into their output rows, the element
     groups into a staging area of the scratch and from there, transposed,
-    into element-major outputs: new arrays, or prefixes of ``out``'s
-    buffers.  The path-loss scaling runs once over the whole block, in
-    place.
+    into element-major outputs: prefixes of ``out``'s buffers, or of a new
+    :class:`ChannelStore` sized to the block.  The path-loss scaling runs
+    once over the whole block, in place.
     """
     if num_elements < 1:
         raise ValueError(f"num_elements must be >= 1, got {num_elements}")
@@ -362,12 +362,10 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
     shapes = ((rows, num_interferers), (num_elements, rows),
               (num_elements, num_interferers, rows))
     if out is None:
-        direct, ris_to_bs, user_to_ris = (np.empty(shape, dtype=np.complex128)
-                                          for shape in shapes)
-    else:
-        direct, ris_to_bs, user_to_ris = (
-            _prefix(buffer, shape) for buffer, shape in
-            zip((out.direct, out.ris_to_bs, out.user_to_ris), shapes))
+        out = ChannelStore(rows, num_interferers, num_elements)
+    direct, ris_to_bs, user_to_ris = (
+        _prefix(buffer, shape) for buffer, shape in
+        zip((out.direct, out.ris_to_bs, out.user_to_ris), shapes))
     # Each element group's storage as (N or N * d_f, rows): a chunk's staged
     # (trial * R, N[ * d_f]) rows land in it transposed.
     element_major = (ris_to_bs, user_to_ris.reshape(-1, rows))
@@ -389,11 +387,11 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
                           direct.reshape(trials, sizes[0])[lo:hi],
                           fading.rician_factor, mode)
         pos = width * sizes[0]
-        for m, out in zip(sizes[1:], element_major):
+        for m, dest in zip(sizes[1:], element_major):
             stage = staged[:(hi - lo) * m].reshape(hi - lo, m)
             _rician_transform(raw[:, pos:pos + width * m], stage,
                               fading.rician_factor, mode)
-            out[:, lo * num_ores:hi * num_ores] = stage.reshape(-1, len(out)).T
+            dest[:, lo * num_ores:hi * num_ores] = stage.reshape(-1, len(dest)).T
             pos += width * m
     # Complex products, as the per-trial scaling was: with direct_loss_scale
     # = 0 the signs of the zeros depend on both parts.

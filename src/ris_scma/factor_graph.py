@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -18,7 +17,10 @@ class ScmaConfig:
     ORE carries ``nonzero_per_ore`` interfering users.  ``codebook_size`` is
     a key of the hashed config document that no output reads (ROADMAP
     direction 7 removes it); the received-SNR objective never looks at
-    codewords.
+    codewords.  The users are all ``nonzero_per_user``-subsets of the OREs
+    (:func:`build_factor_graph`), so ``num_users`` must be
+    C(``num_ores``, ``nonzero_per_user``); with the edge count that makes
+    ``nonzero_per_ore`` = C(``num_ores`` - 1, ``nonzero_per_user`` - 1).
     """
 
     num_users: int
@@ -33,8 +35,8 @@ class ScmaConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        u, r = self.num_users, self.num_ores
-        dv, df = self.nonzero_per_user, self.nonzero_per_ore
+        u, r, dv, df = (int(self.num_users), int(self.num_ores),
+                        int(self.nonzero_per_user), int(self.nonzero_per_ore))
         if u * dv != r * df:
             raise ValueError(
                 f"edge-count mismatch: num_users*nonzero_per_user = {u * dv} "
@@ -48,6 +50,19 @@ class ScmaConfig:
         if u <= r and not (u == 1 and r == 1):
             raise ValueError(
                 f"overloaded access requires num_users > num_ores, got U={u}, R={r}")
+        # C(R, d_v) = C(R, k), k = min(d_v, R - d_v), as the running product
+        # C(R - k + i, i), which at least doubles at each step i <= k: it
+        # stops once it passes U, so a huge C(R, d_v) is never built.
+        k, users = min(dv, r - dv), 1
+        for i in range(1, k + 1):
+            users = users * (r - k + i) // i
+            if users > u:
+                break
+        if users != u:
+            raise ValueError(
+                f"no regular graph under the all-combinations construction: "
+                f"num_users = {u} but C({r}, {dv}) "
+                + (f"= {users}" if users < u else "> num_users"))
 
 
 @dataclass(repr=False, eq=False)
@@ -70,24 +85,11 @@ def build_factor_graph(cfg: ScmaConfig) -> FactorGraph:
     """Build the canonical regular factor graph for ``cfg``.
 
     Columns are all ``nonzero_per_user``-element subsets of the ORE index set,
-    enumerated in lexicographic order, so the construction is deterministic
-    and requires ``num_users == C(num_ores, nonzero_per_user)``.
+    enumerated in lexicographic order, so the construction is deterministic;
+    :class:`ScmaConfig` has checked that there are ``num_users`` of them.
     """
-    u, r = cfg.num_users, cfg.num_ores
-    dv, df = cfg.nonzero_per_user, cfg.nonzero_per_ore
-    if u != comb(r, dv):
-        raise ValueError(
-            f"no regular graph under the all-combinations construction: "
-            f"num_users = {u} but C({r}, {dv}) = {comb(r, dv)}")
-    incidence = np.zeros((r, u), dtype=np.int8)
-    for col, rows in enumerate(combinations(range(r), dv)):
+    incidence = np.zeros((cfg.num_ores, cfg.num_users), dtype=np.int8)
+    for col, rows in enumerate(combinations(range(cfg.num_ores), cfg.nonzero_per_user)):
         incidence[list(rows), col] = 1
-    row_weights = incidence.sum(axis=1)
-    if not (row_weights == df).all():
-        # U = C(R, dv) plus the edge-count invariant force df = C(R-1, dv-1);
-        # reaching here means cfg was inconsistent with the construction.
-        raise ValueError(
-            f"all-combinations columns give ORE weight {int(row_weights[0])}, "
-            f"not nonzero_per_ore = {df}")
     sets = tuple(tuple(int(user) for user in np.flatnonzero(row)) for row in incidence)
     return FactorGraph(incidence=incidence, interference_sets=sets)

@@ -121,6 +121,16 @@ REFUSED_DOCS = [
      "geometry.carrier_frequency"),
     ({"geometry": {"carrier_frequency": 1e300}, "num_trials": 4, "sweep": {"grid": [4]}},
      "geometry.carrier_frequency"),
+    # Layouts whose C(R, d_v) has about 282,000 and 602,000 digits: refused
+    # once the running binomial passes num_users, without computing either.
+    ({"system": {"num_users": 10_000_000, "num_ores": 2_000_000,
+                 "nonzero_per_user": 200_000, "nonzero_per_ore": 1_000_000}}, "num_users"),
+    ({"system": {"num_users": 4_000_000, "num_ores": 2_000_000,
+                 "nonzero_per_user": 1_000_000, "nonzero_per_ore": 2_000_000}}, "num_users"),
+    # E/sigma^2 x direct gain x scale overflows, so every SNR would: refused
+    # before any draw.
+    ({"fading": {"direct_loss_scale": 1e308}, "num_trials": 4, "sweep": {"grid": [4]}},
+     "fading.direct_loss_scale"),
 ]
 
 
@@ -192,7 +202,9 @@ def test_infinite_link_budget_is_a_config_error(doc, tmp_path, capsys):
     {"fading": {"symbol_energy": 1e-300, "noise_variance": 1e20},
      "average_mode": "mean_of_db"},                   # every SNR is exactly 0
     {"fading": {"symbol_energy": 1e-300, "noise_variance": 1e20}},
-    {"fading": {"direct_loss_scale": 1e308}},         # every SNR overflows
+    # E/sigma^2 x direct gain x scale = 1.2e308 is finite, but each ORE's SNR
+    # sums three such users and overflows.
+    {"fading": {"direct_loss_scale": 2e307}},
 ], ids=["std_overflow", "zero_mean_of_db", "zero_db_of_mean", "direct_overflow"])
 def test_out_of_range_link_budget_writes_nothing(doc, tmp_path, capsys):
     # A valid config whose SNR statistics are not finite fails with one error

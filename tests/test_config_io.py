@@ -1,11 +1,19 @@
 import json
+import time
+import tracemalloc
+from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ris_scma import campaign as campaign_module
 from ris_scma.campaign import SCENARIOS, SWEEPS, run_campaign
 from ris_scma.cli import main
-from ris_scma.config import (ConfigError, campaign_from_config, config_from_document,
-                             config_hash, parse_config, serialize_config)
+from ris_scma.config import (DEFAULTS, ConfigError, campaign_from_config,
+                             config_from_document, config_hash, parse_config,
+                             serialize_config)
 from ris_scma.writers import (emit_plot_data, result_from_json_text,
                               result_to_json_text, write_results)
 
@@ -149,6 +157,76 @@ def test_number_keys_take_integers():
                        '"scenario": "deploy_sweep", "sweep": {"grid": [2, 5]}}')
     assert cfg.campaign.fading.rician_factor == 2
     assert cfg.campaign.sweep_grid == (2.0, 5.0)
+
+
+def test_large_layout_builds_no_factor_graph():
+    # R = 800, d_v = 2: U = C(800, 2) = 319600 users on d_f = 799 each.  The
+    # incidence matrix alone would be 256 MB; validation builds none.
+    text = json.dumps({"system": {"num_users": 319_600, "num_ores": 800,
+                                  "nonzero_per_user": 2, "nonzero_per_ore": 799}})
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        campaign = campaign_from_config(parse_config(text))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert campaign.scma.num_users == 319_600
+    assert elapsed < 1.0 and peak < 2**20
+
+
+def _integer_keys(default, path=()):
+    """The dotted paths of every integer key of the document."""
+    if isinstance(default, dict):
+        return [key for name, sub in default.items()
+                for key in _integer_keys(sub, path + (name,))]
+    return [path] if type(default) is int else []
+
+
+INTEGER_KEYS = _integer_keys(DEFAULTS)
+HUGE = st.integers(-1, 10**40)
+
+
+@st.composite
+def bounded_documents(draw):
+    """A scenario and axis, integer keys and an integer sweep grid up to
+    10^40, and sometimes a valid layout U = C(R, d_v) with R up to 10^40."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    doc = {"scenario": scenario, "sweep": {
+        "axis": draw(st.sampled_from(tuple(SWEEPS[scenario]))),
+        "grid": sorted(draw(st.lists(HUGE, min_size=1, max_size=4, unique=True)))}}
+    if scenario != "complexity_grid":
+        doc["algorithms"] = draw(st.sampled_from(
+            [["blind", "ao", "lc_ao"], ["blind", "exhaustive"], ["no_ris"]]))
+    for path in draw(st.lists(st.sampled_from(INTEGER_KEYS), unique=True)):
+        parent = doc
+        for name in path[:-1]:
+            parent = parent.setdefault(name, {})
+        parent[path[-1]] = draw(HUGE)
+    if draw(st.booleans()):
+        j = draw(st.integers(2, 4))
+        r = draw(st.integers(j + 1, 10**40))
+        dv = draw(st.sampled_from([j, r - j]))     # C(R, R - j) = C(R, j)
+        doc["system"] = {"num_users": comb(r, dv), "num_ores": r,
+                         "nonzero_per_user": dv, "nonzero_per_ore": comb(r - 1, dv - 1)}
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(doc=bounded_documents())
+def test_every_document_builds_or_is_refused_within_a_second(doc):
+    # No integer, however large, makes validation do work that grows with
+    # it: each document is built or refused at once, and no channel is drawn.
+    text = json.dumps(doc)
+    with mock.patch.object(campaign_module, "draw_trial_block",
+                           side_effect=AssertionError("a campaign ran")):
+        start = time.perf_counter()
+        try:
+            campaign_from_config(parse_config(text))
+        except ConfigError:
+            pass
+        assert time.perf_counter() - start < 1.0
 
 
 @pytest.fixture(scope="module")

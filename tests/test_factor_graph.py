@@ -57,10 +57,9 @@ def test_degree_bounds():
 
 def test_non_combinatorial_user_count_rejected():
     # edge counts are consistent but U != C(R, d_v)
-    cfg = ScmaConfig(num_users=8, num_ores=4, codebook_size=2,
-                     nonzero_per_user=2, nonzero_per_ore=4)
     with pytest.raises(ValueError, match="all-combinations"):
-        build_factor_graph(cfg)
+        ScmaConfig(num_users=8, num_ores=4, codebook_size=2,
+                   nonzero_per_user=2, nonzero_per_ore=4)
 
 
 @pytest.mark.parametrize("num_ores,dv", [(4, 2), (5, 2), (5, 3), (6, 2)])

@@ -377,21 +377,18 @@ def run_campaign(campaign: Campaign, config_hash: str = "") -> CampaignResult:
 def _run_blocks(campaign: Campaign, blocks: list) -> list:
     """``_trial_block`` of each block, in order, in this process.  Each grid
     group's blocks are drawn into one :class:`~ris_scma.channel.ChannelStore`
-    sized for its largest block, made when its first block comes; the last
-    group's store is dropped first.  An SNR past the float range is refused,
-    with the link budget, by :func:`_aggregate`, so numpy need not warn
-    about it."""
-    rows = {}
-    for grid_indices, lo, hi in blocks:
-        rows[grid_indices] = max(rows.get(grid_indices, 0),
-                                 (hi - lo) * campaign.scma.num_ores)
+    sized by its first block, the largest (:func:`_plan_blocks`), made when
+    that block comes; the last group's store is dropped first.  An SNR past
+    the float range is refused, with the link budget, by :func:`_aggregate`,
+    so numpy need not warn about it."""
     results, group, store = [], None, None
     with np.errstate(over="ignore"):
         for grid_indices, lo, hi in blocks:
             if grid_indices != group:
                 group, store = grid_indices, None
                 n = campaign.point_params(campaign.sweep_grid[group[0]])[1]
-                store = ChannelStore(rows[group], campaign.scma.nonzero_per_ore, n)
+                store = ChannelStore((hi - lo) * campaign.scma.num_ores,
+                                     campaign.scma.nonzero_per_ore, n)
             results.append(_trial_block(campaign, grid_indices, lo, hi, store))
     return results
 

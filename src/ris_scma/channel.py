@@ -337,11 +337,10 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
     """One realization per trial, stacked along the ORE axis.
 
     ``states`` holds one PCG64 state per trial, each set on ``rng`` before
-    its trial is drawn; with ``states=None`` one trial is drawn from ``rng``
-    as it stands.  Each trial's stream is consumed in a fixed order (direct,
-    then element->BS, then user->element; within each: LoS phases in random
-    mode, then real and imaginary diffuse parts) into its own row of a
-    scratch buffer.  Each chunk of trial rows goes through the Rician
+    its trial is drawn.  Each trial's stream is consumed in a fixed order
+    (direct, then element->BS, then user->element; within each: LoS phases
+    in random mode, then real and imaginary diffuse parts) into its own row
+    of a scratch buffer.  Each chunk of trial rows goes through the Rician
     transform: the direct rows straight into their output rows, the element
     groups into a staging area of the scratch and from there, transposed,
     into element-major outputs: prefixes of ``out``'s buffers, or of a new
@@ -350,7 +349,7 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
     """
     if num_elements < 1:
         raise ValueError(f"num_elements must be >= 1, got {num_elements}")
-    trials = 1 if states is None else len(states)
+    trials = len(states)
     rows = trials * num_ores
     mode = fading.los_phase
     # Raw stream values per coefficient: LoS phase (random mode only), then
@@ -380,8 +379,7 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
         hi = min(lo + chunk, trials)
         raw = raw_all[:hi - lo]
         for trial, row in enumerate(raw, lo):
-            if states is not None:
-                rng.bit_generator.state = states[trial]
+            rng.bit_generator.state = states[trial]
             _fill_raw(rng, row, sizes, mode)
         _rician_transform(raw[:, :width * sizes[0]],
                           direct.reshape(trials, sizes[0])[lo:hi],
@@ -424,9 +422,9 @@ def draw_link_channels(rng: np.random.Generator, num_ores: int, num_interferers:
                        num_elements: int) -> ChannelRealization:
     """Draw coefficients for explicit (R, d_f, N) dimensions from ``rng``, in
     the stream order of :func:`draw_trial_block`, so a given seed pins the
-    realization bit for bit."""
-    return _draw_block(rng, None, num_ores, num_interferers, geom, fading,
-                       num_elements)
+    realization bit for bit.  It continues ``rng``'s stream from its state."""
+    return _draw_block(rng, [rng.bit_generator.state], num_ores,
+                       num_interferers, geom, fading, num_elements)
 
 
 def draw_channels(rng: np.random.Generator, graph: FactorGraph, geom: Geometry,

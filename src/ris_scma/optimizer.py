@@ -282,7 +282,7 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
 
     def load(lo, hi):
         np.multiply(g[lo:hi, None, :], G[lo:hi], out=xi[1:hi - lo + 1])
-        v[1:hi - lo + 1] = rot[idx[lo:hi]]
+        np.take(rot, idx[lo:hi], out=v[1:hi - lo + 1], mode="clip")
 
     total = np.zeros((df, num_ores), dtype=np.complex128)
     energy = np.zeros(2 * num_ores)               # sum |xi|^2: re, im per ORE

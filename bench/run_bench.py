@@ -1,5 +1,5 @@
-"""Layer benchmark for ris_scma: start-up, fan-out, grid point, seeding,
-channel draw, ascent, SNR evaluation.
+"""Layer benchmark for ris_scma: start-up, paper-scale commands, fan-out,
+grid point, seeding, channel draw, ascent, SNR evaluation.
 
 Run from the root of a source checkout (``src`` is put on the path here):
 
@@ -31,6 +31,12 @@ with ``null`` for a row that has nothing to compare.
   With ``--against DIR`` every startup call also runs on the source tree at
   DIR, named ``against:<call>``, in the same rotation as this tree's, so
   that both see the same stretch of machine load.
+* paper_scale: whole ``python -m ris_scma.cli`` processes at the scale of
+  the paper's figures, one row per command: ``sweep`` of each preset
+  (fig2, fig4, fig5a, fig5b, fig6a, fig6b) at its own trial count, and
+  ``run`` of the default 10^4-trial document at ``--workers 1`` and 2.
+  With ``--against`` each command runs on both trees in one rotation, as
+  the startup calls do; equal when every tree wrote the same bytes.
 * fan_out: whole campaigns at 1 and 2 workers, equal when their result bytes
   are: the benchmark's ``draw_bound_deploy`` workload (112 blocks) and the
   ``fig5b`` preset at 2000 trials (32 blocks).
@@ -123,6 +129,7 @@ CLI_RUN_CODE = (
 CLI_RUN_CONFIG = {"scenario": "n_sweep", "sweep": {"grid": [4, 8]}, "num_trials": 64,
                   "algorithms": ["blind", "ao", "lc_ao", "no_ris"]}
 IMPORTTIME_CODE = "import numpy\nimport ris_scma.cli"
+PAPER_SCALE_REPEATS = 9
 FAN_OUT_REPEATS = 7
 GRID_POINT_ELEMENTS = (64, 128, 256)
 GRID_POINT_REPEATS = 15
@@ -203,13 +210,13 @@ def _seeds(block: int) -> list:
     return [trial_seed(block, 0, i) for i in range(TRIALS)]
 
 
-def _python(args: list, src: Path = SRC) -> subprocess.CompletedProcess:
-    """A fresh interpreter with ``src`` first on its path."""
+def _python(args: list, src: Path = SRC, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``src`` first on its path, in ``cwd``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, check=True,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, cwd=cwd)
 
 
 def _cli_run(src: Path, config: Path, out: Path) -> dict:
@@ -228,8 +235,9 @@ def _importtime(src: Path) -> dict:
     return {"ris_scma.cli": int(line.split("|")[1]) * 1e-6}
 
 
-def _result_bytes(out: Path) -> tuple:
-    return tuple((out / f"results.{fmt}").read_bytes() for fmt in ("csv", "json"))
+def _output_bytes(out: Path) -> tuple:
+    """Every file a command wrote to ``out``, by name."""
+    return tuple((path.name, path.read_bytes()) for path in sorted(out.iterdir()))
 
 
 def _label(prefix: str) -> str:
@@ -254,8 +262,32 @@ def startup_layer(trees: dict, work: Path) -> list:
         runs[prefix + "importtime"] = lambda src=src: _importtime(src)
     rows.append(_row(
         "startup", {"cli_run_config": CLI_RUN_CONFIG}, runs, STARTUP_REPEATS,
-        check=lambda _: len({_result_bytes(out) for out in outs.values()}) == 1,
+        check=lambda _: len({_output_bytes(out) for out in outs.values()}) == 1,
         out_of_process=tuple(runs), split=tuple(runs)))
+    return rows
+
+
+def paper_scale_layer(trees: dict, work: Path) -> list:
+    """One row per command, each run as a whole process on every source tree
+    of ``trees`` in one rotation; equal when every tree wrote the same bytes
+    (results and plot data).  Each process runs in ``work``, where the
+    default document is ``default.json``."""
+    (work / "default.json").write_text("{}")
+    commands = {figure: ["sweep", figure] for figure in sorted(FIGURE_PRESETS)}
+    for workers in (1, 2):
+        commands[f"default_workers_{workers}"] = ["run", "default.json",
+                                                  "--workers", str(workers)]
+    rows = []
+    for name, command in commands.items():
+        outs = {prefix: work / "paper_scale" / _label(prefix) / name for prefix in trees}
+        runs = {}
+        for prefix, src in trees.items():
+            argv = ["-m", "ris_scma.cli", *command, "--output-dir", str(outs[prefix])]
+            runs[prefix + name] = lambda argv=argv, src=src: _python(argv, src, work)
+        rows.append(_row(
+            "paper_scale", {"command": name, "argv": command}, runs,
+            PAPER_SCALE_REPEATS, out_of_process=tuple(runs),
+            check=lambda _, outs=outs: len({_output_bytes(o) for o in outs.values()}) == 1))
     return rows
 
 
@@ -417,8 +449,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, help="also write the report here")
     parser.add_argument("--against", type=Path,
-                        help="another source checkout whose startup calls run "
-                             "interleaved with this one's")
+                        help="another source checkout whose startup and "
+                             "paper-scale calls run interleaved with this one's")
     args = parser.parse_args(argv)
     trees = {"": SRC}
     if args.against is not None:
@@ -427,7 +459,8 @@ def main(argv=None) -> int:
     work.mkdir(parents=True, exist_ok=True)
     # Fan-out runs before the big draws, so its children fork from a small
     # process.
-    layers = {"startup": startup_layer(trees, work), "fan_out": fan_out_layer(),
+    layers = {"startup": startup_layer(trees, work),
+              "paper_scale": paper_scale_layer(trees, work), "fan_out": fan_out_layer(),
               "grid_point": grid_point_layer(), "seeding": seeding_layer(),
               "channel_draw": draw_layer(), "ascent": ascent_layer(),
               "snr": snr_layer()}

@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import (ChannelStore, FadingConfig, Geometry, cascaded_path_loss,
-                      direct_path_loss, draw_trial_block)
+from .channel import (ChannelStore, FadingConfig, Geometry, _largest_block_array,
+                      cascaded_path_loss, direct_path_loss, draw_trial_block)
 # Not called here any more; the benchmark's tracer swaps these three names on
 # this module by name, so they must stay importable from it.
 from .channel import draw_link_channels, stack_realizations  # noqa: F401
@@ -171,13 +171,28 @@ class Campaign:
                     f"lengths of system.num_ores, num_iterations, num_elements "
                     f"(twice) and system.nonzero_per_ore + 1 is {bits} > {limit}")
             # 2^(b*N) > budget exactly when b*N reaches the budget's bit
-            # length; 2^(b*N) itself is never built, so a huge N is refused
-            # at once.
-            if ("exhaustive" in self.algorithms
-                    and b * n >= max(self.exhaustive_budget, 0).bit_length()):
+            # length; 2^(b*N) is never built nor b*N written, so a huge N is
+            # refused at once.
+            budget_bits = max(self.exhaustive_budget, 0).bit_length()
+            if "exhaustive" in self.algorithms and b * n >= budget_bits:
                 raise ValueError(
                     f"exhaustive budget exceeded at grid point {value}: "
-                    f"2^(b*N) = 2^{b * n} > {self.exhaustive_budget}")
+                    f"2^(phase_bits*num_elements) >= 2^{budget_bits} > "
+                    f"exhaustive_budget = {self.exhaustive_budget}")
+            if self.scenario == "complexity_grid":
+                continue
+            # A group's first block is its largest (_plan_blocks).
+            r, df = self.scma.num_ores, self.scma.nonzero_per_ore
+            trials = min(_block_trials(n, r), self.num_trials)
+            largest = _largest_block_array(trials, r, df, n, fading.los_phase)
+            intp = np.iinfo(np.intp)
+            if largest > intp.max:
+                raise ValueError(
+                    f"grid point {value} is too large to allocate: a "
+                    f"{trials}-trial block at system.num_ores R = {r}, num_elements "
+                    f"N = {n} and system.nonzero_per_ore d_f = {df} needs an array "
+                    f"of at least 2^{largest.bit_length() - 1} bytes, past numpy's "
+                    f"limit of 2^{intp.bits - 1} - 1")
 
     def point_params(self, axis_value) -> tuple:
         """(geometry, num_elements, phase_bits, num_iterations) at a grid point."""
@@ -464,8 +479,7 @@ def _plan_blocks(campaign: Campaign) -> list:
     """(grid indices, lo, hi) work items, one per block of trials.  Grid points
     whose parameters agree on everything but T (geometry, N, b) form one group
     that shares draws and ascents.  A group's block size depends only on its
-    N and R = ``scma.num_ores``: 256 trials, halved while N x (trials x R)
-    exceeds 2^16 element-rows but never below 512 ORE rows.  At R = 4 that is
+    N and R = ``scma.num_ores`` (:func:`_block_trials`).  At R = 4 that is
     256 trials up to N = 64 and 128 above, which halves an N = 256 block's
     channel to 8.4 MB.  A trial's values do not depend on its block, so every
     float is identical for any plan and any worker count."""
@@ -473,12 +487,19 @@ def _plan_blocks(campaign: Campaign) -> list:
     for gi, axis_value in enumerate(campaign.sweep_grid):
         geom, n, b, _ = campaign.point_params(axis_value)
         groups.setdefault((geom, n, b), []).append(gi)
-    r = campaign.scma.num_ores
     blocks = []
     for (_, n, _), group in groups.items():
-        size = _MAX_BLOCK_TRIALS
-        while n * size * r > _BLOCK_ELEMENT_ROWS and size // 2 * r >= _MIN_BLOCK_ROWS:
-            size //= 2
+        size = _block_trials(n, campaign.scma.num_ores)
         blocks += [(tuple(group), lo, min(lo + size, campaign.num_trials))
                    for lo in range(0, campaign.num_trials, size)]
     return blocks
+
+
+def _block_trials(n: int, r: int) -> int:
+    """Trials per block at N = ``n`` elements and R = ``r`` OREs: 256, halved
+    while N x (trials x R) exceeds 2^16 element-rows but never below 512 ORE
+    rows."""
+    size = _MAX_BLOCK_TRIALS
+    while n * size * r > _BLOCK_ELEMENT_ROWS and size // 2 * r >= _MIN_BLOCK_ROWS:
+        size //= 2
+    return size

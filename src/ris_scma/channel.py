@@ -323,6 +323,19 @@ class ChannelStore:
                                     dtype=np.complex128)
 
 
+def _largest_block_array(trials: int, num_ores: int, num_interferers: int,
+                         num_elements: int, los_phase: str) -> int:
+    """Bytes of the largest array a block of ``trials`` trials holds while
+    :func:`_draw_block` draws it into a store sized to it: the store's
+    user_to_ris, or the scratch of one trial (its raw stream values and its
+    staged user->element group), which is larger in a block of one or two
+    trials.  A scratch chunk holds at least one trial."""
+    width = 3 if los_phase == "random" else 2
+    group = num_ores * num_elements * num_interferers
+    one_trial = width * num_ores * (num_interferers + num_elements) + (width + 2) * group
+    return max(16 * trials * group, 8 * one_trial)
+
+
 def _prefix(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     size = math.prod(shape)
     if size > buffer.size:
@@ -336,8 +349,8 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
                 num_elements: int, out: ChannelStore | None = None) -> ChannelRealization:
     """One realization per trial, stacked along the ORE axis.
 
-    ``states`` holds one PCG64 state per trial, each set on ``rng`` before
-    its trial is drawn.  Each trial's stream is consumed in a fixed order
+    ``states`` holds one state of ``rng``'s bit generator per trial, each
+    set on ``rng`` before its trial is drawn.  Each trial's stream is consumed in a fixed order
     (direct, then element->BS, then user->element; within each: LoS phases
     in random mode, then real and imaginary diffuse parts) into its own row
     of a scratch buffer.  Each chunk of trial rows goes through the Rician

@@ -38,9 +38,12 @@ class ScmaConfig:
         u, r, dv, df = (int(self.num_users), int(self.num_ores),
                         int(self.nonzero_per_user), int(self.nonzero_per_ore))
         if u * dv != r * df:
+            # Bit lengths, since a product may have more digits than Python
+            # writes an integer with.
             raise ValueError(
-                f"edge-count mismatch: num_users*nonzero_per_user = {u * dv} "
-                f"!= num_ores*nonzero_per_ore = {r * df}")
+                f"edge-count mismatch: num_users*nonzero_per_user (a "
+                f"{(u * dv).bit_length()}-bit integer) != num_ores*nonzero_per_ore "
+                f"(a {(r * df).bit_length()}-bit integer)")
         if df > u:
             raise ValueError(f"nonzero_per_ore = {df} exceeds num_users = {u}")
         if dv > r:

@@ -167,6 +167,28 @@ def test_ore_draws_independent(geom, fading):
     assert abs(corr) < 0.02
 
 
+@pytest.mark.parametrize("mode", ["random", "common"])
+def test_draw_link_channels_continues_the_generator(geom, mode):
+    # A draw leaves the generator where the documented calls leave a second
+    # generator of the same seed, so one reused across draws keeps its
+    # stream.  The 32-bit draw first leaves a buffered half-word in the
+    # state, which the draw must keep too.
+    r, df, n = 4, 3, 5
+    fading = FadingConfig(los_phase=mode)
+    rng, ref = np.random.default_rng(41), np.random.default_rng(41)
+    for gen in (rng, ref):
+        gen.integers(2**32, dtype=np.uint32)
+    for _ in range(2):
+        draw_link_channels(rng, r, df, geom, fading, n)
+        if mode == "common":
+            ref.standard_normal(2 * (r * df + r * n + r * n * df))
+        else:
+            for m in (r * df, r * n, r * n * df):
+                ref.uniform(-math.pi, math.pi, m)
+                ref.standard_normal(2 * m)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_draw_channels_uses_graph_dims(geom, fading):
     graph = build_factor_graph(ScmaConfig(6, 4, 2, 2, 3))
     ch = draw_channels(np.random.default_rng(5), graph, geom, fading, 7)

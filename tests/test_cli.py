@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -131,6 +132,17 @@ REFUSED_DOCS = [
     # before any draw.
     ({"fading": {"direct_loss_scale": 1e308}, "num_trials": 4, "sweep": {"grid": [4]}},
      "fading.direct_loss_scale"),
+    # Messages about products with more digits than Python writes an
+    # integer with: both give bit lengths instead.
+    ({"system": {"num_users": 10**4000, "num_ores": 4, "nonzero_per_user": 10**4000,
+                 "nonzero_per_ore": 3}}, "num_users*nonzero_per_user"),
+    ({"algorithms": ["blind", "exhaustive"], "phase_bits": 8,
+      "sweep": {"grid": [10**4300 - 1]}}, "exhaustive_budget"),
+    # A valid R = 10^40 layout: one trial's channel is past numpy's largest
+    # array, so the document is refused before anything is allocated.
+    ({"system": {"num_users": math.comb(10**40, 2), "num_ores": 10**40,
+                 "nonzero_per_user": 2, "nonzero_per_ore": 10**40 - 1},
+      "num_trials": 4, "sweep": {"grid": [4]}}, "system.num_ores"),
 ]
 
 

@@ -33,8 +33,7 @@ from .channel import (ChannelStore, FadingConfig, Geometry, _largest_block_array
 from .channel import draw_link_channels, stack_realizations  # noqa: F401
 from .factor_graph import build_factor_graph  # noqa: F401
 from .factor_graph import ScmaConfig
-from .opcount import (OpCount, predicted_ao, predicted_exhaustive,
-                      predicted_lc_ao)
+from .opcount import _COUNTED, OpCount, predicted_exhaustive
 from .optimizer import (DEFAULT_EXHAUSTIVE_BUDGET, PhaseAlphabet, ao_optimize,
                         blind_phases, db_from_linear, lc_ao_optimize,
                         no_ris_snr, received_snr)
@@ -112,10 +111,10 @@ class Campaign:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
         if self.scenario == "complexity_grid":
-            bad = [a for a in self.algorithms if a not in ("ao", "lc_ao")]
+            bad = [a for a in self.algorithms if a not in _COUNTED]
             if bad:
                 raise ValueError(
-                    f"complexity_grid only counts ao/lc_ao, got {bad}")
+                    f"complexity_grid only counts {'/'.join(_COUNTED)}, got {bad}")
         if self.num_trials < 1 and self.scenario != "complexity_grid":
             raise ValueError(f"num_trials must be >= 1, got {self.num_trials}")
         if self.average_mode not in AVERAGE_MODES:
@@ -254,18 +253,6 @@ def trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "big")
 
 
-def _predicted_ops(algorithm: str, num_ores: int, n: int, b: int, df: int,
-                   t: int) -> OpCount:
-    """Per-run arithmetic counts reported alongside the SNR aggregates."""
-    if algorithm == "ao":
-        return predicted_ao(num_ores, n, b, df, t)
-    if algorithm == "lc_ao":
-        return predicted_lc_ao(num_ores, n, b, df, t)
-    if algorithm == "exhaustive":
-        return predicted_exhaustive(num_ores, n, b, df)
-    return OpCount()
-
-
 def _trial_block(campaign: Campaign, grid_indices: tuple, trial_lo: int,
                  trial_hi: int, store: Optional[ChannelStore] = None) -> dict:
     """Per-trial ORE-mean linear SNRs, keyed by (grid index, algorithm), for
@@ -288,7 +275,7 @@ def _trial_block(campaign: Campaign, grid_indices: tuple, trial_lo: int,
     out = {}
     ascent = None
     for alg in campaign.algorithms:
-        if alg == "ao" or alg == "lc_ao":
+        if alg in _COUNTED:
             # Both names run one vectorized kernel, so whichever comes first
             # computes the selections for both rows.
             if ascent is None:
@@ -318,8 +305,13 @@ def _aggregate(campaign: Campaign, axis_value, algorithm: str,
                per_trial: Optional[np.ndarray]) -> ResultRow:
     """One row; with no per-trial values (complexity_grid) only the counts."""
     geom, n, b, t = campaign.point_params(axis_value)
-    ops = _predicted_ops(algorithm, campaign.scma.num_ores, n, b,
-                         campaign.scma.nonzero_per_ore, t)
+    r, df = campaign.scma.num_ores, campaign.scma.nonzero_per_ore
+    if algorithm in _COUNTED:
+        ops = _COUNTED[algorithm](r, n, b, df, t)
+    elif algorithm == "exhaustive":
+        ops = predicted_exhaustive(r, n, b, df)
+    else:
+        ops = OpCount()
     trials, mean_lin, mean_db, stderr_db = 0, None, None, None
     if per_trial is not None:
         trials = per_trial.size

@@ -323,6 +323,18 @@ class ChannelStore:
                                     dtype=np.complex128)
 
 
+def _trial_layout(num_ores: int, num_interferers: int, num_elements: int,
+                  los_phase: str) -> tuple:
+    """(width, sizes, row_width, stage_width) of one trial's draw: raw values
+    per coefficient (a LoS phase in random mode, then two diffuse parts), its
+    direct, element->BS and user->element group sizes, and the float64s of
+    its raw row and of its staged user->element group."""
+    width = 3 if los_phase == "random" else 2
+    sizes = (num_ores * num_interferers, num_ores * num_elements,
+             num_ores * num_elements * num_interferers)
+    return width, sizes, width * sum(sizes), 2 * sizes[2]
+
+
 def _largest_block_array(trials: int, num_ores: int, num_interferers: int,
                          num_elements: int, los_phase: str) -> int:
     """Bytes of the largest array a block of ``trials`` trials holds while
@@ -330,10 +342,9 @@ def _largest_block_array(trials: int, num_ores: int, num_interferers: int,
     user_to_ris, or the scratch of one trial (its raw stream values and its
     staged user->element group), which is larger in a block of one or two
     trials.  A scratch chunk holds at least one trial."""
-    width = 3 if los_phase == "random" else 2
-    group = num_ores * num_elements * num_interferers
-    one_trial = width * num_ores * (num_interferers + num_elements) + (width + 2) * group
-    return max(16 * trials * group, 8 * one_trial)
+    _, sizes, row_width, stage_width = _trial_layout(
+        num_ores, num_interferers, num_elements, los_phase)
+    return max(16 * trials * sizes[2], 8 * (row_width + stage_width))
 
 
 def _prefix(buffer: np.ndarray, shape: tuple) -> np.ndarray:
@@ -365,11 +376,8 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
     trials = len(states)
     rows = trials * num_ores
     mode = fading.los_phase
-    # Raw stream values per coefficient: LoS phase (random mode only), then
-    # the real and imaginary diffuse parts.
-    width = 3 if mode == "random" else 2
-    sizes = (num_ores * num_interferers, num_ores * num_elements,
-             num_ores * num_elements * num_interferers)
+    width, sizes, row_width, stage_width = _trial_layout(
+        num_ores, num_interferers, num_elements, mode)
     # Element-major storage, ORE axis last: (N, rows) and (N, d_f, rows).
     shapes = ((rows, num_interferers), (num_elements, rows),
               (num_elements, num_interferers, rows))
@@ -381,9 +389,7 @@ def _draw_block(rng: np.random.Generator, states, num_ores: int,
     # Each element group's storage as (N or N * d_f, rows): a chunk's staged
     # (trial * R, N[ * d_f]) rows land in it transposed.
     element_major = (ris_to_bs, user_to_ris.reshape(-1, rows))
-    row_width = width * sum(sizes)
-    # The staging area holds one element group at a time, as complex pairs.
-    stage_width = 2 * sizes[2]
+    # The staging area holds one element group at a time.
     chunk = min(trials, max(1, _SCRATCH_BYTES // (8 * (row_width + stage_width))))
     scratch = np.empty(chunk * (stage_width + row_width))
     staged = scratch[:chunk * stage_width].view(np.complex128)

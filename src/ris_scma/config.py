@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .campaign import SCENARIOS, SWEEPS, Campaign
 from .channel import FadingConfig, Geometry
 from .factor_graph import ScmaConfig
+from .opcount import _COUNTED
 from .optimizer import DEFAULT_EXHAUSTIVE_BUDGET
 from .writers import OUTPUT_FORMATS
 
@@ -164,7 +165,7 @@ def config_from_document(doc: dict, overrides: dict | None = None) -> RunConfig:
     if real:
         sweep["grid"] = [float(x) for x in sweep["grid"]]
     if scenario == "complexity_grid" and "algorithms" not in doc:
-        merged["algorithms"] = ["ao", "lc_ao"]
+        merged["algorithms"] = list(_COUNTED)
     output = merged["output"]
     for fmt in output["formats"]:
         if fmt not in OUTPUT_FORMATS:

@@ -44,10 +44,10 @@ class ScmaConfig:
                 f"edge-count mismatch: num_users*nonzero_per_user (a "
                 f"{(u * dv).bit_length()}-bit integer) != num_ores*nonzero_per_ore "
                 f"(a {(r * df).bit_length()}-bit integer)")
+        # With U d_v = R d_f this also gives d_v <= R, so the running
+        # binomial below has k >= 0.
         if df > u:
             raise ValueError(f"nonzero_per_ore = {df} exceeds num_users = {u}")
-        if dv > r:
-            raise ValueError(f"nonzero_per_user = {dv} exceeds num_ores = {r}")
         # Code-domain overloading requires more users than OREs; the single
         # degenerate 1x1 layout is allowed for tests and sanity checks.
         if u <= r and not (u == 1 and r == 1):

@@ -76,14 +76,6 @@ class PhaseAssignment:
         if self.indices.min(initial=0) < 0 or self.indices.max(initial=0) >= self.alphabet.size:
             raise ValueError("phase index out of alphabet range")
 
-    @property
-    def num_ores(self) -> int:
-        return self.indices.shape[0]
-
-    @property
-    def num_elements(self) -> int:
-        return self.indices.shape[1]
-
 
 def db_from_linear(linear) -> float:
     """The one place linear power turns into dB."""

@@ -27,7 +27,7 @@ from .campaign import CampaignResult, trial_seed
 from .channel import (ChannelRealization, FadingConfig, Geometry,
                       draw_link_channels, draw_trial_block, stack_realizations)
 from .config import DEFAULTS
-from .opcount import _TIE_TOLERANCE, OpCount, _select, predicted_ao, predicted_lc_ao
+from .opcount import _COUNTED, _TIE_TOLERANCE, OpCount, _select
 from .optimizer import (DEFAULT_EXHAUSTIVE_BUDGET, PhaseAlphabet, PhaseAssignment,
                         _cascaded_rows, _check_shape, _sq_norms,
                         ao_optimize, blind_phases, received_snr)
@@ -323,7 +323,7 @@ def _count_checks(cells):
         rng = np.random.default_rng(trial_seed(0, 0, r * 1000 + n))
         ch = draw_link_channels(rng, r, df, GEOMETRY, FadingConfig(), n)
         alphabet = PhaseAlphabet.from_bits(b)
-        for kind, predict in (("ao", predicted_ao), ("lc_ao", predicted_lc_ao)):
+        for kind, predict in _COUNTED.items():
             _, measured = measured_run(kind, ch, alphabet, t)
             expected = predict(r, n, b, df, t)
             ok = measured == expected
@@ -415,7 +415,7 @@ def _counted_mismatches(ch, alphabet, iterations) -> int:
     the kernel."""
     kernel = ao_optimize(ch, alphabet, iterations).indices
     return sum(not np.array_equal(kernel, measured_run(kind, ch, alphabet, iterations)[0])
-               for kind in ("ao", "lc_ao"))
+               for kind in _COUNTED)
 
 
 def _report(name: str, ok: bool) -> int:

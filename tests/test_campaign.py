@@ -374,6 +374,8 @@ def test_mean_of_db_mode_differs():
 
 
 def test_campaign_validation():
+    with pytest.raises(ValueError, match="scenario must be one of"):
+        replace(small_campaign(), scenario="x")
     with pytest.raises(ValueError, match="strictly increasing"):
         small_campaign(sweep={"grid": [4, 2]})
     with pytest.raises(ValueError, match="unknown algorithm"):

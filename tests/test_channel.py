@@ -313,6 +313,19 @@ def test_trial_block_is_stored_element_major(geom, fading):
     assert modified.user_to_ris.tobytes() == G.tobytes()
 
 
+def test_malformed_realizations_and_draws_are_refused(geom, fading):
+    direct = np.ones((2, 3), dtype=np.complex128)
+    ris_to_bs = np.ones((2, 4), dtype=np.complex128)
+    user_to_ris = np.ones((2, 4, 3), dtype=np.complex128)
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        ChannelRealization(direct=direct, ris_to_bs=ris_to_bs[:1], user_to_ris=user_to_ris)
+    ris_to_bs[1, 2] = np.nan
+    with pytest.raises(ValueError, match="contains non-finite entries"):
+        ChannelRealization(direct=direct, ris_to_bs=ris_to_bs, user_to_ris=user_to_ris)
+    with pytest.raises(ValueError, match="num_elements must be >= 1"):
+        draw_trial_block([1], 4, 3, geom, fading, 0)
+
+
 @pytest.mark.parametrize("los_phase", ["random", "common"])
 def test_draw_into_a_store_gives_the_same_bytes(geom, los_phase):
     # A block drawn into a store, and a shorter one into its prefix, equal

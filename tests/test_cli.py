@@ -143,6 +143,15 @@ REFUSED_DOCS = [
     ({"system": {"num_users": math.comb(10**40, 2), "num_ores": 10**40,
                  "nonzero_per_user": 2, "nonzero_per_ore": 10**40 - 1},
       "num_trials": 4, "sweep": {"grid": [4]}}, "system.num_ores"),
+    # Campaign fields out of their domains, a document that is not an
+    # object, and an output format no writer has.
+    ({"sweep": {"grid": []}}, "sweep_grid"),
+    ({"algorithms": []}, "algorithms"),
+    ({"num_trials": 0}, "num_trials"),
+    ({"average_mode": "median"}, "average_mode"),
+    ({"workers": 0}, "workers"),
+    ("[]", "JSON object"),
+    ({"output": {"formats": ["xml"]}}, "output.formats"),
 ]
 
 
@@ -242,6 +251,19 @@ def test_missing_config_file(capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert json.loads(err)["error"]["type"] == "OSError"
+
+
+def test_output_dir_under_a_file_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["run", str(cfg), "--output-dir", str(blocker / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])["error"]
+    assert error["type"] == "OSError"
+    assert error["message"].startswith("cannot create output directory")
 
 
 def test_verify_complexity_custom_grid(tmp_path, capsys):

@@ -43,6 +43,8 @@ def test_assignment_validation():
     alpha = PhaseAlphabet.from_bits(2)
     with pytest.raises(ValueError, match="out of alphabet"):
         PhaseAssignment(alpha, np.array([[0, 4]]))
+    with pytest.raises(ValueError, match=r"indices must be \(R, N\)"):
+        PhaseAssignment(alpha, np.array([0, 1]))
 
 
 def test_blind_phases_are_zero():

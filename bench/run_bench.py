@@ -10,12 +10,16 @@ of named zero-argument calls; each repeat runs every call once, the order
 rotated by one each repeat so no call always runs first, and each result is
 dropped before the next call starts so every call sees the same allocator
 state.  A call named in ``split`` returns the seconds of its own phases,
-and each phase gets quartiles as ``<call>.<phase>``.  Then every call runs
+and each phase gets quartiles as ``<call>.<phase>``.  A call or phase run
+on both trees (``X`` and ``against:X``, see ``--against``) also gets
+``against``: the ratio of the medians, this tree's over the other's, and in
+how many repeats this tree's was the faster.  Then every call runs
 once more, untimed: that result feeds the row's equality check, and for a
 call that runs in this process ``tracemalloc`` gives its peak bytes.  Every
 row has one shape and prints as one line::
 
-    {"params": {...}, "runs": {name: {"median_s", "q1_s", "q3_s"[, "peak_bytes"]}},
+    {"params": {...}, "runs": {name: {"median_s", "q1_s", "q3_s"[, "peak_bytes"]
+                                      [, "against": {"ratio", "wins", "pairs"}]}},
      "equal": true | false | null}
 
 with ``null`` for a row that has nothing to compare.
@@ -24,10 +28,11 @@ with ``null`` for a row that has nothing to compare.
   ``import ris_scma.cli``; the parameters list the standard-library modules
   the package imports beyond numpy.  A second row runs a whole
   ``python -m ris_scma.cli run`` of a tiny config (``cli_run``), split into
-  import (to the open of the config file), work (to the first ``atexit``
-  call) and exit (to the process's end), and reads the ``-X importtime``
-  cumulative microseconds of ``ris_scma.cli`` imported after numpy
-  (``importtime``); equal when every tree wrote the same result bytes.
+  import (to the open of the config file), work (to ``os._exit`` or the
+  first ``atexit`` call) and exit (to the process's end), and reads the
+  ``-X importtime`` cumulative microseconds of ``ris_scma.cli`` imported
+  after numpy (``importtime``); equal when every tree wrote the same result
+  bytes.
   With ``--against DIR`` every startup call also runs on the source tree at
   DIR, named ``against:<call>``, in the same rotation as this tree's, so
   that both see the same stretch of machine load.
@@ -59,9 +64,15 @@ common-phase LoS), at N in {8, 16, 64, 256}.
   ``draw_link_channels(np.random.default_rng(seed), ...)`` per seed; both
   start from the seeds, and are equal when their bytes are.
 * ascent: ``ao_optimize`` (``lc_ao_optimize`` is the same function) on one
-  block's 1024 ORE rows at b=3, T=3, plain and with an ``update_log``; equal
-  when both select the same phases.
-* snr: ``received_snr`` on one block with the kernel's selections.
+  block's 1024 ORE rows at b in {1, 3, 5, 8}, T=3, plain and with an
+  ``update_log``; equal when both select the same phases.
+* snr: ``received_snr`` on one block with the kernel's selections at b=3.
+
+With ``--against DIR`` the fan_out, grid_point and ascent calls run in two
+long-lived interpreters, one per source tree (``WORKER_CODE``), again in one
+rotation.  Each call's own seconds, timed in its interpreter, are the
+phase ``<call>.run``; the row is equal when every call of every tree gave
+the same result bytes (``_digest``).
 
 The JSON report (the layers' rows plus Python, numpy, BLAS, core count and
 ``PYTHONDONTWRITEBYTECODE``, which decides whether each fresh process
@@ -72,6 +83,8 @@ The exit code is 1 if any row's check fails.
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import os
 import statistics
@@ -79,7 +92,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,22 +126,50 @@ ADDED_MODULES_CODE = (
     "print(' '.join(added))\n")
 # `python -m ris_scma.cli run CONFIG --output-dir OUT` as runpy runs it, with
 # two perf_counter stamps on stderr: when the command opens its config file
-# (every import and the argument parsing done) and at the first atexit call
-# (the command returned; the interpreter's finalization follows).
+# (every import and the argument parsing done) and when it leaves, at
+# os._exit in this process (not in a forked child) or at the first atexit
+# call, whichever comes (the command returned; what follows is the exit).
 CLI_RUN_CODE = (
-    "import atexit, runpy, sys, time\n"
+    "import atexit, os, runpy, sys, time\n"
     "config, out = sys.argv[1:]\n"
+    "def stamp():\n"
+    "    print(*stamps, time.perf_counter(), file=sys.stderr, flush=True)\n"
+    "def leave(code, _exit=os._exit, pid=os.getpid()):\n"
+    "    if os.getpid() == pid:\n"
+    "        stamp()\n"
+    "    _exit(code)\n"
     "def opened(event, args):\n"
     "    if event == 'open' and args[0] == config and not stamps:\n"
     "        stamps.append(time.perf_counter())\n"
-    "        atexit.register(lambda: print(*stamps, time.perf_counter(), file=sys.stderr))\n"
+    "        atexit.register(stamp)\n"
     "stamps = []\n"
+    "os._exit = leave\n"
     "sys.addaudithook(opened)\n"
     "sys.argv = ['ris-scma', 'run', config, '--output-dir', out]\n"
     "runpy.run_module('ris_scma.cli', run_name='__main__', alter_sys=True)\n")
 CLI_RUN_CONFIG = {"scenario": "n_sweep", "sweep": {"grid": [4, 8]}, "num_trials": 64,
                   "algorithms": ["blind", "ao", "lc_ao", "no_ris"]}
 IMPORTTIME_CODE = "import numpy\nimport ris_scma.cli"
+# An interpreter that runs this script's calls on the source tree SRC_DIR:
+# ``import ris_scma`` binds the package there before the script puts its own
+# tree first on the path.  Each stdin line is [function name, arguments];
+# each reply is [the call's seconds, the digest of its result].
+WORKER_CODE = (
+    "import importlib.util, json, sys, time\n"
+    "script, src = sys.argv[1:]\n"
+    "sys.path.insert(0, src)\n"
+    "import ris_scma\n"
+    "spec = importlib.util.spec_from_file_location('run_bench', script)\n"
+    "bench = importlib.util.module_from_spec(spec)\n"
+    "spec.loader.exec_module(bench)\n"
+    "for line in sys.stdin:\n"
+    "    name, args = json.loads(line)\n"
+    "    start = time.perf_counter()\n"
+    "    result = getattr(bench, name)(*args)\n"
+    "    seconds = time.perf_counter() - start\n"
+    "    print(json.dumps([seconds, bench._digest(result)]), flush=True)\n"
+    "    del result\n")
+AGAINST = "against:"
 PAPER_SCALE_REPEATS = 9
 FAN_OUT_REPEATS = 7
 GRID_POINT_ELEMENTS = (64, 128, 256)
@@ -139,7 +180,8 @@ DRAW_REPEATS = 15
 SEED_REPEATS = 51
 ASCENT_REPEATS = 9
 SNR_REPEATS = 15
-ASCENT_BITS, ASCENT_SWEEPS = 3, 3
+ASCENT_BITS, ASCENT_SWEEPS = (1, 3, 5, 8), 3
+SNR_BITS = 3
 NUM_ORES, NUM_INTERFERERS = 4, 3
 GEOM = Geometry(40.0, 1.5, 2.0, 2.4e9)
 FADING = FadingConfig(los_phase="common", direct_loss_scale=0.0025)
@@ -174,6 +216,12 @@ def _measure(runs: dict, repeats: int, out_of_process=(), split=()) -> tuple:
         # With the inclusive method the middle quartile is the median.
         q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
         stats[name] = {"median_s": median, "q1_s": q1, "q3_s": q3}
+    for name, other in times.items():
+        if name.startswith(AGAINST) and name[len(AGAINST):] in times:
+            mine = times[name[len(AGAINST):]]
+            stats[name[len(AGAINST):]]["against"] = {
+                "ratio": statistics.median(mine) / statistics.median(other),
+                "wins": sum(a < b for a, b in zip(mine, other)), "pairs": len(mine)}
     for name in names:
         if name in out_of_process:
             results[name] = runs[name]()
@@ -200,6 +248,7 @@ def _row(layer: str, params: dict, runs: dict, repeats: int, check=None,
         f"{name} {s['median_s'] * 1e3:.3f} ms [{s['q1_s'] * 1e3:.3f}, "
         f"{s['q3_s'] * 1e3:.3f}]"
         + (f" peak {s['peak_bytes'] / 1e6:.2f} MB" if "peak_bytes" in s else "")
+        + (" x{ratio:.3f} ({wins}/{pairs})".format(**s["against"]) if "against" in s else "")
         for name, s in stats.items())
     verdict = {None: "", True: " | equal", False: " | NOT EQUAL"}[row["equal"]]
     print(f"{layer}: {scalars} | {timings}{verdict}", file=sys.stderr)
@@ -291,34 +340,125 @@ def paper_scale_layer(trees: dict, work: Path) -> list:
     return rows
 
 
+class _Reply(dict):
+    """A worker call's {"run": seconds}, a ``split`` phase, with the digest
+    of its result."""
+
+    def __init__(self, seconds: float, digest: str):
+        super().__init__(run=seconds)
+        self.digest = digest
+
+
+class _Worker:
+    """One ``WORKER_CODE`` interpreter on the source tree ``src``."""
+
+    def __init__(self, src: Path):
+        self.src = src
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", WORKER_CODE, str(Path(__file__).resolve()), str(src)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def call(self, function, *args) -> _Reply:
+        self.proc.stdin.write(json.dumps([function.__name__, args]) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"the worker on {self.src} exited with {self.proc.wait()}")
+        return _Reply(*json.loads(line))
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+        self.proc.stdout.close()
+
+
+def _feed(digest, value) -> None:
+    if isinstance(value, dict):
+        for key in sorted(value):
+            digest.update(repr(key).encode())
+            _feed(digest, value[key])
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _feed(digest, item)
+    elif isinstance(value, np.ndarray):
+        digest.update(f"{value.dtype}{value.shape}".encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    elif is_dataclass(value):
+        for field in fields(value):
+            _feed(digest, getattr(value, field.name))
+    else:
+        digest.update(repr(value).encode())
+
+
+def _digest(value) -> str:
+    """The sha256 of a call's result: arrays by their bytes, dataclasses by
+    their fields, containers by their items."""
+    digest = hashlib.sha256()
+    _feed(digest, value)
+    return digest.hexdigest()
+
+
+def _layer_row(layer: str, params: dict, calls: dict, repeats: int, workers,
+               check=None, out_of_process=()) -> dict:
+    """One row of ``calls`` ({name: (function, args)}): in this process, or
+    with ``workers`` ({name prefix: _Worker}) on every tree in one rotation,
+    equal when every result's digest is the same."""
+    if workers is None:
+        runs = {name: lambda f=f, args=args: f(*args) for name, (f, args) in calls.items()}
+        return _row(layer, params, runs, repeats, check=check, out_of_process=out_of_process)
+    runs = {prefix + name: lambda w=w, f=f, args=args: w.call(f, *args)
+            for prefix, w in workers.items() for name, (f, args) in calls.items()}
+    return _row(layer, params, runs, repeats, out_of_process=tuple(runs), split=tuple(runs),
+                check=lambda r: len({reply.digest for reply in r.values()}) == 1)
+
+
+def _warm(workers, function, *args) -> None:
+    """Build what a row's calls share, untimed, where they will run."""
+    for worker in (workers or {}).values():
+        worker.call(function, *args)
+    function(*args)
+
+
+@functools.cache
 def _fan_out_campaigns() -> dict:
     deploy = parse_config(WORKLOADS["draw_bound_deploy"].config_text(DEFAULT_SEED))
     fig5b = config_from_document({**FIGURE_PRESETS["fig5b"], "num_trials": 2000})
     return {"draw_bound_deploy": deploy, "fig5b_2000_trials": fig5b}
 
 
-def _campaign_bytes(cfg, workers: int) -> tuple:
+def _campaign_bytes(name: str, workers: int) -> tuple:
+    cfg = _fan_out_campaigns()[name]
     result = run_campaign(replace(cfg.campaign, workers=workers),
                           config_hash=config_hash(cfg))
     return result_to_csv_text(result), result_to_json_text(result)
 
 
-def fan_out_layer() -> list:
+def fan_out_layer(workers=None) -> list:
     # One worker runs the campaign in this process; two fork two children.
-    return [_row("fan_out", {"campaign": name, "blocks": len(_plan_blocks(cfg.campaign))},
-                 {"one_worker": lambda cfg=cfg: _campaign_bytes(cfg, 1),
-                  "two_workers": lambda cfg=cfg: _campaign_bytes(cfg, 2)},
-                 FAN_OUT_REPEATS, check=lambda r: r["one_worker"] == r["two_workers"],
-                 out_of_process=("two_workers",))
+    _warm(workers, _fan_out_campaigns)
+    return [_layer_row("fan_out", {"campaign": name, "blocks": len(_plan_blocks(cfg.campaign))},
+                       {"one_worker": (_campaign_bytes, (name, 1)),
+                        "two_workers": (_campaign_bytes, (name, 2))},
+                       FAN_OUT_REPEATS, workers,
+                       check=lambda r: r["one_worker"] == r["two_workers"],
+                       out_of_process=("two_workers",))
             for name, cfg in _fan_out_campaigns().items()]
 
 
-def _planned_blocks(campaign) -> dict:
+@functools.cache
+def _grid_campaign(n: int):
+    base = parse_config(WORKLOADS["large_n_cached"].config_text(DEFAULT_SEED)).campaign
+    return replace(base, sweep_grid=(n,))
+
+
+def _planned_blocks(n: int) -> dict:
+    campaign = _grid_campaign(n)
     parts = _run_blocks(campaign, _plan_blocks(campaign))
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
-def _one_block(campaign) -> dict:
+def _one_block(n: int) -> dict:
+    campaign = _grid_campaign(n)
     return _trial_block(campaign, (0,), 0, campaign.num_trials)
 
 
@@ -327,19 +467,18 @@ def _same_trials(results) -> bool:
                for key, per_trial in results["one_block"].items())
 
 
-def grid_point_layer() -> list:
-    base = parse_config(WORKLOADS["large_n_cached"].config_text(DEFAULT_SEED)).campaign
+def grid_point_layer(workers=None) -> list:
     rows = []
     for n in GRID_POINT_ELEMENTS:
-        campaign = replace(base, sweep_grid=(n,))
-        rows.append(_row(
+        _warm(workers, _grid_campaign, n)
+        campaign = _grid_campaign(n)
+        rows.append(_layer_row(
             "grid_point",
-            {"workload": "large_n_cached", "algorithms": list(base.algorithms),
+            {"workload": "large_n_cached", "algorithms": list(campaign.algorithms),
              "num_elements": n, "trials": campaign.num_trials,
              "planned_blocks": len(_plan_blocks(campaign))},
-            {"planned": lambda: _planned_blocks(campaign),
-             "one_block": lambda: _one_block(campaign)},
-            GRID_POINT_REPEATS, check=_same_trials))
+            {"planned": (_planned_blocks, (n,)), "one_block": (_one_block, (n,))},
+            GRID_POINT_REPEATS, workers, check=_same_trials))
     return rows
 
 
@@ -404,34 +543,43 @@ def draw_layer() -> list:
     return rows
 
 
-def ascent_layer() -> list:
-    alphabet = PhaseAlphabet.from_bits(ASCENT_BITS)
+@functools.cache
+def _ascent_block(n: int):
+    return _block(_seeds(n), n)
+
+
+def _ascent(n: int, bits: int, logged: bool):
+    return ao_optimize(_ascent_block(n), PhaseAlphabet.from_bits(bits), ASCENT_SWEEPS,
+                       update_log=[] if logged else None)
+
+
+def ascent_layer(workers=None) -> list:
     rows = []
-    for n in ELEMENTS:
-        ch = _block(_seeds(n), n)
-        rows.append(_row(
-            "ascent",
-            {**BLOCK, "num_elements": n, "ore_rows": ch.num_ores,
-             "bits": ASCENT_BITS, "iterations": ASCENT_SWEEPS},
-            {"ao_optimize": lambda: ao_optimize(ch, alphabet, ASCENT_SWEEPS),
-             "ao_optimize_logged": lambda: ao_optimize(ch, alphabet, ASCENT_SWEEPS,
-                                                       update_log=[])},
-            ASCENT_REPEATS,
-            check=lambda r: np.array_equal(r["ao_optimize"].indices,
-                                           r["ao_optimize_logged"].indices)))
+    for bits in ASCENT_BITS:
+        for n in ELEMENTS:
+            _warm(workers, _ascent_block, n)
+            rows.append(_layer_row(
+                "ascent",
+                {**BLOCK, "num_elements": n, "ore_rows": _ascent_block(n).num_ores,
+                 "bits": bits, "iterations": ASCENT_SWEEPS},
+                {"ao_optimize": (_ascent, (n, bits, False)),
+                 "ao_optimize_logged": (_ascent, (n, bits, True))},
+                ASCENT_REPEATS, workers,
+                check=lambda r: np.array_equal(r["ao_optimize"].indices,
+                                               r["ao_optimize_logged"].indices)))
     return rows
 
 
 def snr_layer() -> list:
-    alphabet = PhaseAlphabet.from_bits(ASCENT_BITS)
+    alphabet = PhaseAlphabet.from_bits(SNR_BITS)
     rows = []
     for n in ELEMENTS:
-        ch = _block(_seeds(n), n)
+        ch = _ascent_block(n)
         phases = ao_optimize(ch, alphabet, ASCENT_SWEEPS)
         rows.append(_row(
             "snr",
             {**BLOCK, "num_elements": n, "ore_rows": ch.num_ores,
-             "bits": ASCENT_BITS, "iterations": ASCENT_SWEEPS},
+             "bits": SNR_BITS, "iterations": ASCENT_SWEEPS},
             {"received_snr": lambda: received_snr(ch, phases, FADING)},
             SNR_REPEATS))
     return rows
@@ -454,18 +602,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = {"": SRC}
     if args.against is not None:
-        trees["against:"] = args.against.resolve() / "src"
+        trees[AGAINST] = args.against.resolve() / "src"
     work = ROOT / ".bench_work" / "run_bench"
     work.mkdir(parents=True, exist_ok=True)
-    # Fan-out runs before the big draws, so its children fork from a small
-    # process.
     layers = {"startup": startup_layer(trees, work),
-              "paper_scale": paper_scale_layer(trees, work), "fan_out": fan_out_layer(),
-              "grid_point": grid_point_layer(), "seeding": seeding_layer(),
-              "channel_draw": draw_layer(), "ascent": ascent_layer(),
-              "snr": snr_layer()}
+              "paper_scale": paper_scale_layer(trees, work)}
+    workers = ({prefix: _Worker(src) for prefix, src in trees.items()}
+               if args.against is not None else None)
+    try:
+        # Fan-out runs before the big draws, so its children fork from a
+        # small process.
+        layers["fan_out"] = fan_out_layer(workers)
+        layers["grid_point"] = grid_point_layer(workers)
+        layers["ascent"] = ascent_layer(workers)
+    finally:
+        for worker in (workers or {}).values():
+            worker.close()
+    layers.update(seeding=seeding_layer(), channel_draw=draw_layer(), snr=snr_layer())
     report = {"layers": layers, "environment": environment(),
-              "against": None if args.against is None else str(trees["against:"].parent)}
+              "against": None if args.against is None else str(trees[AGAINST].parent)}
     text = json.dumps(report, indent=2) + "\n"
     if args.output is not None:
         args.output.write_text(text)

@@ -57,8 +57,8 @@ AVERAGE_MODES = ("db_of_mean", "mean_of_db")
 _MAX_BLOCK_TRIALS = 256
 _BLOCK_ELEMENT_ROWS = 2**16
 _MIN_BLOCK_ROWS = 512
-# Trials keep phase indices in uint8 and score 2^b candidates per ORE row at
-# once, so b stops at 8 there.  complexity_grid only counts, and each ao or
+# Trials keep phase indices in uint8 and score the ORE rows near a decision
+# boundary over all 2^b candidates at once, so b stops at 8 there.  complexity_grid only counts, and each ao or
 # lc_ao count is below R T N^2 (d_f + 1) 2^(b+4), so the bit lengths of those
 # factors bound it before any 2^b is built.  Counts below
 # 2^floor(4300 log2 10) = 2^14284 have at most the 4300 digits Python writes

@@ -17,7 +17,6 @@ which only those two commands load.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
@@ -135,15 +134,21 @@ def _cmd_selftest(args) -> int:
 
 def entry() -> int:
     """The process entry of the ``ris-scma`` script and of ``python -m
-    ris_scma.cli``: :func:`main`, then :func:`gc.freeze`.  The collections
-    the interpreter runs at exit then skip every object alive at that point
-    (numpy, the package, the results) instead of walking a heap the OS is
-    about to reclaim, which takes longer than a small campaign's draws.
-    Every file is closed by then, and stdout is still flushed at shutdown.
-    In-process callers of :func:`main` keep their collector as it is."""
+    ris_scma.cli``: :func:`main`, then flush stdout and stderr and leave by
+    :func:`os._exit` with its code.  That skips the interpreter's teardown
+    of numpy, the package and the results, which the OS reclaims anyway;
+    every file is closed by then.  A stdout that fails to flush (a closed
+    pipe) gives the one JSON error line and code 1, as a print inside
+    :func:`main` does.  In-process callers of :func:`main` keep their
+    interpreter as it is."""
     code = main()
-    gc.freeze()
-    return code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        _error_line(type(exc).__name__, str(exc))
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ the ORE's mean objective of the best (:func:`~ris_scma.opcount._select`), so
 exact ties stay ties after rounding.
 
 ``ao_optimize`` and ``lc_ao_optimize`` run one vectorized kernel that
-keeps each ORE's composite row up to date and scores a candidate in O(d_f).
+keeps each ORE's composite row up to date, forms each element's score sum in
+O(d_f) and takes the member nearest its angle; it scores all 2^b candidates
+with :func:`~ris_scma.opcount._select` only for the rows near a decision
+boundary (:func:`_phase_selector`), so its selections are ``_select``'s.
 The paper's AO and LC-AO differ only in what a candidate costs, so that
 difference lives in the counted scalar reference,
 :func:`~ris_scma.reference.measured_run`, which the kernel's selections and
@@ -216,15 +219,88 @@ def build_lc_workspace(ch: ChannelRealization) -> LcAoWorkspace:
 # Optimizers
 
 
+# The nearest-member rule's rounding budget, u = 2^-53.  Member l sits at
+# theta_l = -pi + l D, D = 2 pi / 2^b, and Re{e^{-j theta_l} t} =
+# |t| cos(arg t - theta_l), so the member nearest arg t scores highest.  With
+# f its offset from arg t in units of D, its margin over every other member
+# is 2 |t| sin(D/2) sin(D (1/2 - |f|)) >= K |t| (1/2 - |f|), K = (4/pi)
+# sin(D/2) D (sin x >= 2x/pi on [0, pi/2]).  It is _select's pick whenever
+# that margin exceeds the tie gap g plus the rounding of the scores _select
+# compares and of its threshold:
+# - A stored rotation is within 6u of e^{-j theta_l} (1.1u to b = 3, 5.1u to
+#   b = 8), and a computed score's real part within 2u |t| of the exact
+#   product's: two scores and the threshold max - g are within
+#   16u |t| + u (|t| + g).  _SCORE_ROUNDING = 2^-44 = 512u covers that.
+# - f comes from x = arctan2(t) 2^b / 2 pi + 2^(b-1): arctan2 within 4 ulp
+#   (16u; 0.7 ulp measured), the product and the sum within 1.5u 2^b, so f
+#   is within 4.1u 2^b of its exact value.  _ANGLE_ROUNDING = 2^-48 = 32u,
+#   per unit of 2^b.
+# So a row keeps its nearest member when |t| (c - |f|) > g (1 + 2^-50) / K +
+# 2^-1000, c = 1/2 - 2^b _ANGLE_ROUNDING - _SCORE_ROUNDING / K.  The factor
+# covers the threshold's u g and this test's own rounding (4u), and the
+# absolute term keeps |t| in the normal range, where every rounding above is
+# relative.  Scores of rows
+# above _LARGEST_SUM could overflow.
+_SCORE_ROUNDING = 2.0**-44
+_ANGLE_ROUNDING = 2.0**-48
+_LARGEST_SUM = 2.0**1000
+
+
+def _phase_selector(alphabet: PhaseAlphabet, half_gap: np.ndarray):
+    """``select(sums, idx_out, rot_out)`` for one element step: each row's
+    :func:`_select` pick over the 2^b scores Re{rot_l sums}, written to
+    ``idx_out`` in the alphabet's index dtype, its rotation to ``rot_out``.
+
+    A row takes the member nearest the angle of its sum when the margin
+    bound above shows no other member within ``half_gap`` of it.  Every
+    other row (near a boundary, a zero sum or a sum beyond _LARGEST_SUM or
+    not finite) is scored over all 2^b candidates by :func:`_select`, the one
+    tie rule.
+    """
+    size, rot = alphabet.size, alphabet.rotations
+    step = 2.0 * math.pi / size
+    k = 4.0 / math.pi * math.sin(step / 2) * step
+    c = 0.5 - size * _ANGLE_ROUNDING - _SCORE_ROUNDING / k
+    bound = half_gap * ((1.0 + 2.0**-50) / k) + 2.0**-1000
+    scale, offset, mask = size / (2.0 * math.pi), float(size // 2), size - 1
+    x, near, mag = (np.empty(len(half_gap)) for _ in range(3))
+    keep = np.empty(len(half_gap), dtype=bool)
+    sel = np.empty(len(half_gap), dtype=np.intp)
+
+    def select(sums, idx_out, rot_out):
+        np.arctan2(sums.imag, sums.real, out=x)
+        np.multiply(x, scale, out=x)
+        np.add(x, offset, out=x)
+        np.rint(x, out=near)                      # in 0..2^b; 2^b is member 0
+        np.subtract(x, near, out=x)
+        np.absolute(x, out=x)
+        np.subtract(c, x, out=x)
+        np.absolute(sums, out=mag)
+        np.multiply(x, mag, out=x)
+        np.greater(x, bound, out=keep)
+        if not (np.logical_and.reduce(keep) and np.maximum.reduce(mag) <= _LARGEST_SUM):
+            np.logical_and(keep, np.less_equal(mag, _LARGEST_SUM), out=keep)
+            rows = np.logical_not(keep, out=keep).nonzero()[0]
+            near[rows] = _select((rot[:, None] * sums[rows]).real, half_gap[rows])
+        np.copyto(sel, near, casting="unsafe")
+        np.bitwise_and(sel, mask, out=sel)
+        rot.take(sel, out=rot_out, mode="clip")   # in range; "clip" writes in place
+        np.copyto(idx_out, sel, casting="unsafe")
+
+    return select
+
+
 def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int,
                 update_log: Optional[list] = None,
                 snapshots: Optional[dict] = None) -> PhaseAssignment:
     """Cyclic coordinate ascent, vectorized over the OREs.
 
-    For each ORE: for t = 1..iterations, for each element, score all 2^b
-    candidate phases by the composite-row norm and keep the first within
-    1e-12 S of the best, S = ||h||^2 + sum_k ||xi_k||^2 being the mean
-    objective over random phases (:func:`_select`).
+    For each ORE: for t = 1..iterations, for each element, keep the first
+    candidate phase whose composite-row norm is within 1e-12 S of the best,
+    S = ||h||^2 + sum_k ||xi_k||^2 being the mean objective over random
+    phases (:func:`_select`).  The kernel takes the member nearest the
+    angle of the element's score sum, and scores all 2^b candidates only for
+    the rows whose margin it cannot bound (:func:`_phase_selector`).
 
     ``update_log`` gets one (R,) float64 array per coordinate update, in
     update order (sweep, then element): each ORE's squared composite-row
@@ -263,7 +339,7 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
     num_ores, num_elem = ch.num_ores, ch.num_elements
     g, G = ch.ris_to_bs.T, ch.user_to_ris.transpose(1, 2, 0)
     df = G.shape[1]
-    rot, rot_col = alphabet.rotations, alphabet.rotations[:, None]
+    rot = alphabet.rotations
     idx = np.full((num_elem, num_ores), alphabet.zero_index, dtype=alphabet.index_dtype)
     size, spans = _element_spans(num_elem, 16 * df * num_ores)
     # Slot 0 holds the composite summed over the elements before the chunk
@@ -284,9 +360,9 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
         part = xi[1:hi - lo + 1].view(np.float64)
         energy += np.einsum("nir,nir->r", part, part)
     half_gap = 0.5 * _TIE_TOLERANCE * (_sq_norms(ch.direct) + energy[0::2] + energy[1::2])
+    select = _phase_selector(alphabet, half_gap)
     base, tmp = np.empty_like(total), np.empty_like(total)
     sums = np.empty(num_ores, dtype=np.complex128)
-    scores = np.empty((alphabet.size, num_ores), dtype=np.complex128)
     for t in range(iterations):
         if snapshots is not None and t in snapshots:
             snapshots[t] = PhaseAssignment(alphabet=alphabet, indices=idx.copy().T)
@@ -301,10 +377,7 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
                 np.conjugate(base, out=tmp)
                 np.multiply(xi[j], tmp, out=tmp)
                 np.add.reduce(tmp, axis=0, out=sums)
-                np.multiply(rot_col, sums, out=scores)
-                sel = _select(scores.real, half_gap)
-                idx[n] = sel
-                v[j] = rot[sel]
+                select(sums, idx[n], v[j])
                 np.multiply(v[j], xi[j], out=tmp)
                 np.add(base, tmp, out=w)
                 if update_log is not None:

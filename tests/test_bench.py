@@ -6,6 +6,7 @@ name it imports from the package would otherwise go unnoticed.
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,21 @@ def test_seeding_layer_checks_the_states(bench, monkeypatch):
     assert row["params"] == {"trials": bench.TRIALS, "repeats": 2}
     assert set(row["runs"]) == {"vectorized", "default_rng"}
     assert row["equal"] is True
+
+
+def test_measure_compares_a_call_with_its_twin_on_the_other_tree(bench):
+    runs = {"a": lambda: None, "against:a": lambda: time.sleep(0.002)}
+    stats, _ = bench._measure(runs, 3, out_of_process=tuple(runs))
+    assert stats["a"]["against"]["wins"] == 3 and stats["a"]["against"]["pairs"] == 3
+    assert stats["a"]["against"]["ratio"] < 1
+    assert "against" not in stats["against:a"]
+
+
+def test_worker_runs_a_call_on_a_source_tree(bench):
+    worker = bench._Worker(bench.SRC)
+    try:
+        reply = worker.call(bench._seeds, 3)
+    finally:
+        worker.close()
+    assert reply.digest == bench._digest(bench._seeds(3))
+    assert reply["run"] >= 0

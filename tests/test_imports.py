@@ -3,8 +3,9 @@
 A campaign run loads only the modules it runs: never ``ris_scma.reference``,
 which holds the counted reference, the oracle and the ``verify-complexity``
 and ``selftest`` bodies.  ``import ris_scma`` loads no submodule, and every
-public name still resolves from the package.  The command-line entry freezes
-the collector after the run; ``main`` called in a process leaves it alone.
+public name still resolves from the package.  The command-line entry flushes
+and leaves by ``os._exit`` after the run; ``main`` called in a process leaves
+the interpreter alone.
 """
 
 import ast
@@ -14,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from ris_scma import cli
 
@@ -100,14 +103,40 @@ def test_main_in_process_leaves_the_collector_unfrozen(tmp_path):
     assert gc.get_freeze_count() == before
 
 
-def test_entry_freezes_the_collector_after_main(monkeypatch):
-    before, calls = gc.get_freeze_count(), []
-    monkeypatch.setattr(cli, "main", lambda: calls.append(gc.get_freeze_count()) or 3)
+def test_entry_flushes_and_exits_with_mains_code(monkeypatch):
+    events = []
+
+    class Stream:
+        def __init__(self, name):
+            self.name = name
+
+        def flush(self):
+            events.append(f"flush {self.name}")
+
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+    monkeypatch.setattr(cli.sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(cli.sys, "stderr", Stream("stderr"))
+    monkeypatch.setattr(cli.os, "_exit", lambda code: events.append(f"exit {code}"))
+    cli.entry()
+    assert events == ["main", "flush stdout", "flush stderr", "exit 3"]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_cli_process_on_a_closed_pipe_is_one_error_line(tmp_path, unbuffered):
+    # Unbuffered, the print inside main fails; buffered, the entry's flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     try:
-        assert cli.entry() == 3
-        assert calls == [before] and gc.get_freeze_count() > before
+        proc = subprocess.run(
+            [sys.executable, "-m", "ris_scma.cli", "run", str(_tiny_config(tmp_path)),
+             "--output-dir", str(tmp_path / "out")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
     finally:
-        gc.unfreeze()
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"]["type"] == "BrokenPipeError"
 
 
 def test_console_script_is_the_entry():

@@ -12,6 +12,7 @@ from conftest import make_channels
 from ris_scma import optimizer
 from ris_scma.channel import (ChannelRealization, FadingConfig, Geometry,
                               draw_link_channels, draw_trial_block)
+from ris_scma.opcount import _select
 from ris_scma.optimizer import (PhaseAlphabet, PhaseAssignment, ao_optimize,
                                 blind_phases, build_lc_workspace,
                                 composite_channel, db_from_linear,
@@ -671,11 +672,11 @@ def _degenerate_case(seed, num_ores, df, n, fading, duplicate=None, zero=None):
 
 
 @st.composite
-def degenerate_channels(draw):
+def degenerate_channels(draw, max_elements=4):
     """A one-trial draw with any of: no direct link, pure common LoS (K = inf,
     so every coefficient has the same phase), N = 1, an element whose column
     is all zero, and an element whose column duplicates another's."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_elements))
     df = draw(st.integers(1, 3))
     fading = FadingConfig(
         rician_factor=draw(st.sampled_from([1.0, math.inf])),
@@ -742,11 +743,11 @@ def test_degenerate_channels_stay_between_blind_and_oracle(case, bits, sweeps):
 
 
 @st.composite
-def duplicated_column_channels(draw):
+def duplicated_column_channels(draw, max_elements=5):
     """A one-trial draw (N 2-5, R 1-3, d_f 1-3, with or without a direct
     link) in which one element's column duplicates another's, so candidates
     can tie in exact arithmetic and differ only by rounding."""
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, max_elements))
     fading = FadingConfig(los_phase=draw(st.sampled_from(["random", "common"])),
                           direct_loss_scale=draw(st.sampled_from([0.0, 0.0025])))
     seed, num_ores, df = (draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 3)),
@@ -768,3 +769,92 @@ def test_duplicated_columns_select_identically(ch, bits, sweeps):
     for kind in ("ao", "lc_ao"):
         counted, _ = measured_run(kind, ch, alpha, sweeps)
         assert np.array_equal(kernel, counted), kind
+
+
+# b = 4..8, where the kernel's nearest-member rule has the most members to
+# tell apart and no other property reaches.  N <= 3 keeps the counted AO
+# path, which scores 2^b full norms per element, fast.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(ch=_degenerate_case(4, 2, 3, 3, FadingConfig(direct_loss_scale=0.0025), zero=1)[0],
+         bits=5, sweeps=2)
+@example(ch=_degenerate_case(5, 2, 2, 3, FadingConfig(los_phase="common"), duplicate=(0, 2))[0],
+         bits=8, sweeps=2)
+@given(ch=st.one_of(degenerate_channels(max_elements=3).map(lambda case: case[0]),
+                    duplicated_column_channels(max_elements=3)),
+       bits=st.integers(4, 8), sweeps=st.integers(1, 3))
+def test_high_bit_kernel_matches_counted_paths(ch, bits, sweeps):
+    alpha = PhaseAlphabet.from_bits(bits)
+    kernel = ao_optimize(ch, alpha, sweeps).indices
+    for kind in ("ao", "lc_ao"):
+        counted, _ = measured_run(kind, ch, alpha, sweeps)
+        assert np.array_equal(kernel, counted), kind
+
+
+# ---------------------------------------------------------------------------
+# The nearest-member rule
+
+
+def _nudged(sums, ulps):
+    """``sums`` with both parts moved ``ulps`` ulps, in each of the four
+    sign combinations."""
+    out = []
+    for toward_re, toward_im in product((-np.inf, np.inf), repeat=2):
+        re, im = sums.real.copy(), sums.imag.copy()
+        for _ in range(ulps):
+            re, im = np.nextafter(re, toward_re), np.nextafter(im, toward_im)
+        out.append(re + 1j * im)
+    return np.concatenate(out)
+
+
+def _selection_rows(bits):
+    """Score sums at and near every decision the rule can get wrong: on
+    each member's angle and each midpoint, 1 to 4 ulps either side, at
+    |sums| of 1e-300, 1 and 1e300; random sums over 600 decades; zeros."""
+    step = 2 * math.pi / 2**bits
+    members = -math.pi + step * np.arange(2**bits)
+    on = np.exp(1j * np.concatenate([members, members + step / 2]))
+    rows = []
+    for scale in (1e-300, 1.0, 1e300):
+        rows += [scale * on] + [_nudged(scale * on, k) for k in range(1, 5)]
+    rng = np.random.default_rng(bits)
+    size = 10.0 ** rng.uniform(-300, 300, 512)
+    rows += [size * (rng.standard_normal(512) + 1j * rng.standard_normal(512)),
+             np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])]
+    return np.concatenate(rows)
+
+
+def _both_rules(bits, sums, half_gap):
+    alpha = PhaseAlphabet.from_bits(bits)
+    want = _select((alpha.rotations[:, None] * sums).real, half_gap)
+    idx = np.empty(len(sums), dtype=alpha.index_dtype)
+    rot = np.empty(len(sums), dtype=np.complex128)
+    optimizer._phase_selector(alpha, half_gap)(sums, idx, rot)
+    return idx, rot, want, alpha
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_nearest_member_rule_equals_the_exact_rule(bits):
+    sums = _selection_rows(bits)
+    rng = np.random.default_rng(100 + bits)
+    # The kernel's gap is 1e-12 S / 2 with |sums| up to S; a gap of 0, and
+    # a wide one that makes neighbouring members tie.
+    for half_gap in (0.5e-12 * np.abs(sums) * rng.uniform(0, 2, len(sums)),
+                     np.zeros(len(sums)), 0.1 * np.abs(sums)):
+        half_gap[::7] = 0.0
+        idx, rot, want, alpha = _both_rules(bits, sums, half_gap)
+        assert np.array_equal(idx, want)
+        assert np.array_equal(rot, alpha.rotations[want])
+
+
+@pytest.mark.parametrize("bits", [1, 3, 8])
+def test_nearest_member_rule_sends_sums_it_cannot_bound_to_the_exact_rule(bits):
+    # Not finite, or so large that a score could overflow.
+    inf, nan = math.inf, math.nan
+    sums = np.array([complex(inf, 0.0), complex(-inf, inf), complex(nan, 1.0),
+                     complex(1.0, nan), complex(1e305, -1e305), complex(0.0, 1e308),
+                     complex(2.0, 1.0)])
+    half_gap = np.full(len(sums), 1e-13)
+    with np.errstate(all="ignore"):
+        idx, rot, want, alpha = _both_rules(bits, sums, half_gap)
+    assert np.array_equal(idx, want)
+    assert np.array_equal(rot, alpha.rotations[want])

@@ -278,7 +278,9 @@ def _phase_selector(alphabet: PhaseAlphabet, half_gap: np.ndarray):
         np.absolute(sums, out=mag)
         np.multiply(x, mag, out=x)
         np.greater(x, bound, out=keep)
-        if not (np.logical_and.reduce(keep) and np.maximum.reduce(mag) <= _LARGEST_SUM):
+        # initial: a block may have no rows.
+        largest = np.maximum.reduce(mag, initial=0.0)
+        if not (np.logical_and.reduce(keep) and largest <= _LARGEST_SUM):
             np.logical_and(keep, np.less_equal(mag, _LARGEST_SUM), out=keep)
             rows = np.logical_not(keep, out=keep).nonzero()[0]
             near[rows] = _select((rot[:, None] * sums[rows]).real, half_gap[rows])

@@ -354,6 +354,14 @@ def test_all_zero_channels_select_first_candidate():
     assert (ao_optimize(ch, PhaseAlphabet.from_bits(2), 2).indices == 0).all()
 
 
+def test_a_block_without_ore_rows_selects_nothing():
+    ch = ChannelRealization(direct=np.zeros((0, 3), complex),
+                            ris_to_bs=np.zeros((0, 4), complex),
+                            user_to_ris=np.zeros((0, 4, 3), complex))
+    for bits in (1, 3, 8):
+        assert ao_optimize(ch, PhaseAlphabet.from_bits(bits), 2).indices.shape == (0, 4)
+
+
 def test_lc_ao_selects_closest_alphabet_member(geom, fading):
     # with N=1 the score target is the direct coupling alone
     rng = np.random.default_rng(6)

@@ -53,7 +53,8 @@ with ``null`` for a row that has nothing to compare.
   when the per-trial bytes are.
 
 The seeding, channel-draw, ascent and SNR layers use 256-trial blocks of
-campaign child seeds (``trial_seed``) and calibrated fading (R=4, d_f=3,
+campaign child seeds (``trial_seed``) and the default document's layout,
+geometry and calibrated fading (``config.DEFAULTS``: R=4, d_f=3,
 common-phase LoS), at N in {8, 16, 64, 256}.
 
 * seeding: the vectorized seed-to-stream pass that ``draw_trial_block`` runs
@@ -107,7 +108,8 @@ from ris_scma.campaign import (_plan_blocks, _run_blocks,             # noqa: E4
 from ris_scma.channel import (FadingConfig, Geometry, _pcg64_states,   # noqa: E402
                               draw_link_channels, draw_trial_block,
                               stack_realizations)
-from ris_scma.config import config_from_document, config_hash, parse_config  # noqa: E402
+from ris_scma.config import (DEFAULTS, config_from_document,        # noqa: E402
+                             config_hash, parse_config)
 from ris_scma.optimizer import PhaseAlphabet, ao_optimize, received_snr  # noqa: E402
 from ris_scma.writers import (FIGURE_PRESETS, result_to_csv_text,    # noqa: E402
                               result_to_json_text)
@@ -182,9 +184,11 @@ ASCENT_REPEATS = 9
 SNR_REPEATS = 15
 ASCENT_BITS, ASCENT_SWEEPS = (1, 3, 5, 8), 3
 SNR_BITS = 3
-NUM_ORES, NUM_INTERFERERS = 4, 3
-GEOM = Geometry(40.0, 1.5, 2.0, 2.4e9)
-FADING = FadingConfig(los_phase="common", direct_loss_scale=0.0025)
+# The default document's layout, deployment and calibrated fading.
+NUM_ORES = DEFAULTS["system"]["num_ores"]
+NUM_INTERFERERS = DEFAULTS["system"]["nonzero_per_ore"]
+GEOM = Geometry(**DEFAULTS["geometry"])
+FADING = FadingConfig(**DEFAULTS["fading"])
 BLOCK = {"trials": TRIALS, "num_ores": NUM_ORES, "num_interferers": NUM_INTERFERERS,
          "fading": {"los_phase": FADING.los_phase,
                     "direct_loss_scale": FADING.direct_loss_scale,
@@ -459,7 +463,8 @@ def _planned_blocks(n: int) -> dict:
 
 def _one_block(n: int) -> dict:
     campaign = _grid_campaign(n)
-    return _trial_block(campaign, (0,), 0, campaign.num_trials)
+    group = _plan_blocks(campaign)[0][0]
+    return _trial_block(campaign, group, 0, campaign.num_trials)
 
 
 def _same_trials(results) -> bool:

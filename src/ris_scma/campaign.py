@@ -253,19 +253,17 @@ def trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "big")
 
 
-def _trial_block(campaign: Campaign, grid_indices: tuple, trial_lo: int,
+def _trial_block(campaign: Campaign, group: tuple, trial_lo: int,
                  trial_hi: int, store: Optional[ChannelStore] = None) -> dict:
     """Per-trial ORE-mean linear SNRs, keyed by (grid index, algorithm), for
-    one batch [trial_lo, trial_hi) of a grid group from :func:`_plan_blocks`:
+    one batch [trial_lo, trial_hi) of a ``group`` from :func:`_plan_blocks`:
     one draw, into ``store`` if one is given, and one ascent to the group's
     largest T read at each point's T."""
-    geom, n, b, _ = campaign.point_params(campaign.sweep_grid[grid_indices[0]])
-    sweeps = {gi: campaign.point_params(campaign.sweep_grid[gi])[3]
-              for gi in grid_indices}
+    geom, n, b, sweeps = group
     alphabet = PhaseAlphabet.from_bits(b)
     scma, fading = campaign.scma, campaign.fading
     ch = draw_trial_block(
-        [trial_seed(campaign.master_seed, grid_indices[0], i)
+        [trial_seed(campaign.master_seed, min(sweeps), i)
          for i in range(trial_lo, trial_hi)],
         scma.num_ores, scma.nonzero_per_ore, geom, fading, n, out=store)
 
@@ -388,15 +386,14 @@ def _run_blocks(campaign: Campaign, blocks: list) -> list:
     that block comes; the last group's store is dropped first.  An SNR past
     the float range is refused, with the link budget, by :func:`_aggregate`,
     so numpy need not warn about it."""
-    results, group, store = [], None, None
+    results, current, store = [], None, None
     with np.errstate(over="ignore"):
-        for grid_indices, lo, hi in blocks:
-            if grid_indices != group:
-                group, store = grid_indices, None
-                n = campaign.point_params(campaign.sweep_grid[group[0]])[1]
+        for group, lo, hi in blocks:
+            if group is not current:
+                current, store = group, None
                 store = ChannelStore((hi - lo) * campaign.scma.num_ores,
-                                     campaign.scma.nonzero_per_ore, n)
-            results.append(_trial_block(campaign, grid_indices, lo, hi, store))
+                                     campaign.scma.nonzero_per_ore, group[1])
+            results.append(_trial_block(campaign, group, lo, hi, store))
     return results
 
 
@@ -468,21 +465,23 @@ def _child(campaign: Campaign, blocks: list, read_fds: list, write_fd: int) -> N
 
 
 def _plan_blocks(campaign: Campaign) -> list:
-    """(grid indices, lo, hi) work items, one per block of trials.  Grid points
-    whose parameters agree on everything but T (geometry, N, b) form one group
-    that shares draws and ascents.  A group's block size depends only on its
-    N and R = ``scma.num_ores`` (:func:`_block_trials`).  At R = 4 that is
-    256 trials up to N = 64 and 128 above, which halves an N = 256 block's
-    channel to 8.4 MB.  A trial's values do not depend on its block, so every
-    float is identical for any plan and any worker count."""
+    """(group, lo, hi) work items, one per block of trials.  Grid points that
+    agree on everything but T share one group, (geometry, N, b, {grid index:
+    T}), and its draws and ascents.  A group's block size
+    depends only on its N and R = ``scma.num_ores`` (:func:`_block_trials`).
+    At R = 4 that is 256 trials up to N = 64 and 128 above, which halves an
+    N = 256 block's channel to 8.4 MB.  A trial's values do not depend on its
+    block, so every float is identical for any plan and any worker count."""
     groups = {}
     for gi, axis_value in enumerate(campaign.sweep_grid):
-        geom, n, b, _ = campaign.point_params(axis_value)
-        groups.setdefault((geom, n, b), []).append(gi)
+        geom, n, b, t = campaign.point_params(axis_value)
+        groups.setdefault((geom, n, b), {})[gi] = t
     blocks = []
-    for (_, n, _), group in groups.items():
+    for (geom, n, b), sweeps in groups.items():
+        # b, not its alphabet, whose numpy pages cost a fan-out parent 0.3 MB.
+        group = (geom, n, b, sweeps)
         size = _block_trials(n, campaign.scma.num_ores)
-        blocks += [(tuple(group), lo, min(lo + size, campaign.num_trials))
+        blocks += [(group, lo, min(lo + size, campaign.num_trials))
                    for lo in range(0, campaign.num_trials, size)]
     return blocks
 

@@ -167,6 +167,8 @@ def config_from_document(doc: dict, overrides: dict | None = None) -> RunConfig:
     if scenario == "complexity_grid" and "algorithms" not in doc:
         merged["algorithms"] = list(_COUNTED)
     output = merged["output"]
+    if not output["formats"]:
+        raise ConfigError("output.formats: list at least one format, got []")
     for fmt in output["formats"]:
         if fmt not in OUTPUT_FORMATS:
             raise ConfigError(f"output.formats: unknown format {fmt!r}")

@@ -108,15 +108,15 @@ def test_platform_without_fork_runs_in_one_process(monkeypatch):
     assert run_campaign(small_campaign(num_trials=90, workers=2)).rows == one_worker
 
 
-def failing_block(campaign, grid_indices, lo, hi, store=None):
+def failing_block(campaign, group, lo, hi, store=None):
     """Grid point 0's block raises at once; every other block outlives the
     test unless its process is killed."""
-    if grid_indices == (0,):
+    if tuple(group[3]) == (0,):
         raise ValueError(f"no channel for trials {lo}..{hi}")
     time.sleep(120)
 
 
-def killed_block(campaign, grid_indices, lo, hi, store=None):
+def killed_block(campaign, group, lo, hi, store=None):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -202,7 +202,8 @@ def test_block_size_halves_with_n_down_to_512_ore_rows(system, trials_by_n):
     campaign = small_campaign(sweep={"grid": [16, 64, 65, 128, 256]},
                               num_trials=300, **overrides)
     ranges_by_n = {}
-    for (gi,), lo, hi in _plan_blocks(campaign):
+    for (_, _, _, sweeps), lo, hi in _plan_blocks(campaign):
+        (gi,) = sweeps
         ranges_by_n.setdefault(campaign.sweep_grid[gi], []).append((lo, hi))
     for n, size in trials_by_n.items():
         ranges = ranges_by_n[n]
@@ -211,10 +212,40 @@ def test_block_size_halves_with_n_down_to_512_ore_rows(system, trials_by_n):
         assert all(lo // 256 == (hi - 1) // 256 for lo, hi in ranges), n
 
 
+@pytest.mark.parametrize("overrides", [
+    {"sweep": {"grid": [16, 64, 65, 128]}, "num_trials": 300},
+    {"scenario": "convergence", "num_trials": 300},
+    {"scenario": "convergence", "sweep": {"grid": [1, 3]}, "num_elements": 128,
+     "num_trials": 300},
+    {"scenario": "deploy_sweep", "num_trials": 300},
+    {"scenario": "bits_sweep", "num_iterations": 2},
+], ids=["n_sweep", "convergence", "convergence_large_n", "deploy_sweep", "bits_sweep"])
+def test_plan_groups_carry_each_grid_points_parameters(overrides):
+    campaign = small_campaign(**overrides)
+    plan = _plan_blocks(campaign)
+    groups = {id(group): group for group, _, _ in plan}
+    covered = []
+    for geom, n, b, sweeps in groups.values():
+        assert sweeps and list(sweeps) == sorted(sweeps)
+        for gi, t in sweeps.items():
+            assert campaign.point_params(campaign.sweep_grid[gi]) == (geom, n, b, t)
+        covered += list(sweeps)
+    assert sorted(covered) == list(range(len(campaign.sweep_grid)))
+    assert len(groups) == len({campaign.point_params(x)[:3] for x in campaign.sweep_grid})
+    # Each group's blocks run in trial order and cover every trial once.
+    for key in groups:
+        ranges = [(lo, hi) for g, lo, hi in plan if id(g) == key]
+        assert ranges[0][0] == 0 and ranges[-1][1] == campaign.num_trials
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
 def fixed_256_trial_plan(campaign):
     """The plan before blocks were sized by N: 256 trials per block."""
-    return [((gi,), lo, min(lo + 256, campaign.num_trials))
-            for gi in range(len(campaign.sweep_grid))
+    groups = {id(group): group for group, _, _ in _plan_blocks(campaign)}
+    assert [tuple(group[3]) for group in groups.values()] == [
+        (gi,) for gi in range(len(campaign.sweep_grid))]
+    return [(group, lo, min(lo + 256, campaign.num_trials))
+            for group in groups.values()
             for lo in range(0, campaign.num_trials, 256)]
 
 

@@ -152,6 +152,11 @@ REFUSED_DOCS = [
     ({"workers": 0}, "workers"),
     ("[]", "JSON object"),
     ({"output": {"formats": ["xml"]}}, "output.formats"),
+    # A run that would write no file.
+    ({"output": {"formats": []}}, "output.formats"),
+    # A base value below 1 on an axis the scenario does not sweep.
+    ({"scenario": "bits_sweep", "num_elements": 0}, "num_elements"),
+    ({"scenario": "deploy_sweep", "num_iterations": 0}, "num_iterations"),
 ]
 
 

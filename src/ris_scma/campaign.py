@@ -28,15 +28,15 @@ import numpy as np
 
 from .channel import (ChannelStore, FadingConfig, Geometry, _largest_block_array,
                       cascaded_path_loss, direct_path_loss, draw_trial_block)
-# Not called here any more; the benchmark's tracer swaps these three names on
-# this module by name, so they must stay importable from it.
+from .factor_graph import ScmaConfig
+from .opcount import OpCount, predicted_ao, predicted_exhaustive, predicted_lc_ao
+from .optimizer import (DEFAULT_EXHAUSTIVE_BUDGET, PhaseAlphabet, blind_phases,
+                        db_from_linear, no_ris_snr, received_snr)
+# The benchmark's tracer swaps these names on this module by name: ALGORITHMS
+# calls the ascents by name, and nothing here calls the other three.
 from .channel import draw_link_channels, stack_realizations  # noqa: F401
 from .factor_graph import build_factor_graph  # noqa: F401
-from .factor_graph import ScmaConfig
-from .opcount import _COUNTED, OpCount, predicted_exhaustive
-from .optimizer import (DEFAULT_EXHAUSTIVE_BUDGET, PhaseAlphabet, ao_optimize,
-                        blind_phases, db_from_linear, lc_ao_optimize,
-                        no_ris_snr, received_snr)
+from .optimizer import ao_optimize, lc_ao_optimize  # noqa: F401
 
 # The axes each scenario may sweep, each with its default grid; the first
 # axis is the scenario's default.
@@ -49,7 +49,6 @@ SWEEPS = {
                         "phase_bits": (1, 2, 3, 4, 5, 6)},
 }
 SCENARIOS = tuple(SWEEPS)
-ALGORITHMS = ("blind", "ao", "lc_ao", "exhaustive", "no_ris")
 AVERAGE_MODES = ("db_of_mean", "mean_of_db")
 
 # Block sizes for _plan_blocks.  Every size divides the largest, so a group's
@@ -109,7 +108,9 @@ class Campaign:
             raise ValueError("algorithms must be non-empty")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
+                raise ValueError(f"unknown algorithm {alg!r}; choose from {tuple(ALGORITHMS)}")
+            if self.algorithms.count(alg) > 1:
+                raise ValueError(f"algorithm {alg!r} is listed more than once")
         if self.scenario == "complexity_grid":
             bad = [a for a in self.algorithms if a not in _COUNTED]
             if bad:
@@ -123,10 +124,6 @@ class Campaign:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         fading = self.fading
-        if "no_ris" in self.algorithms and fading.direct_loss_scale == 0:
-            raise ValueError(
-                "no_ris needs a direct link: with fading.direct_loss_scale = 0 "
-                "its SNR is identically 0")
         budget = fading.symbol_energy / fading.noise_variance
         link = (f"the link budget symbol_energy / noise_variance = "
                 f"{fading.symbol_energy:g} / {fading.noise_variance:g}")
@@ -169,15 +166,9 @@ class Campaign:
                     f"than {_MAX_COUNT_DIGITS} digits: phase_bits + 4 + the bit "
                     f"lengths of system.num_ores, num_iterations, num_elements "
                     f"(twice) and system.nonzero_per_ore + 1 is {bits} > {limit}")
-            # 2^(b*N) > budget exactly when b*N reaches the budget's bit
-            # length; 2^(b*N) is never built nor b*N written, so a huge N is
-            # refused at once.
-            budget_bits = max(self.exhaustive_budget, 0).bit_length()
-            if "exhaustive" in self.algorithms and b * n >= budget_bits:
-                raise ValueError(
-                    f"exhaustive budget exceeded at grid point {value}: "
-                    f"2^(phase_bits*num_elements) >= 2^{budget_bits} > "
-                    f"exhaustive_budget = {self.exhaustive_budget}")
+            for alg in self.algorithms:
+                if ALGORITHMS[alg][2]:
+                    ALGORITHMS[alg][2](self, value, n, b)
             if self.scenario == "complexity_grid":
                 continue
             # A group's first block is its largest (_plan_blocks).
@@ -253,6 +244,51 @@ def trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "big")
 
 
+def _exhaustive_snr(campaign, ch, alphabet):
+    from .reference import exhaustive_optimize
+    return received_snr(ch, exhaustive_optimize(
+        ch, alphabet, campaign.exhaustive_budget), campaign.fading)
+
+
+def _refuse_past_budget(campaign, value, n, b):
+    # 2^(b*N) > budget exactly when b*N reaches the budget's bit length;
+    # 2^(b*N) is never built nor b*N written, so a huge N is refused at once.
+    budget_bits = max(campaign.exhaustive_budget, 0).bit_length()
+    if b * n >= budget_bits:
+        raise ValueError(
+            f"exhaustive budget exceeded at grid point {value}: "
+            f"2^(phase_bits*num_elements) >= 2^{budget_bits} > "
+            f"exhaustive_budget = {campaign.exhaustive_budget}")
+
+
+def _refuse_no_direct_link(campaign, value, n, b):
+    if campaign.fading.direct_loss_scale == 0:
+        raise ValueError(
+            "no_ris needs a direct link: with fading.direct_loss_scale = 0 "
+            "its SNR is identically 0")
+
+
+# Each algorithm: (its SNRs, its counts at (R, N, b, d_f, T) or None, its
+# refusal of (campaign, grid value, N, b) or None).  A counted ascent's SNRs
+# are its optimizer's name: all choose the same phases, so a block runs the
+# first one listed and reads every counted row from it.  Any other gives the
+# (R,) SNRs of (campaign, channel, alphabet) at every T.  Names are looked up
+# on this module when called, so a function swapped on it is the one run.
+ALGORITHMS = {
+    "blind": (lambda campaign, ch, alphabet: received_snr(ch, blind_phases(
+        alphabet, ch.num_ores, ch.num_elements), campaign.fading), None, None),
+    "ao": ("ao_optimize", predicted_ao, None),
+    "lc_ao": ("lc_ao_optimize", predicted_lc_ao, None),
+    "exhaustive": (_exhaustive_snr, lambda r, n, b, df, t: predicted_exhaustive(r, n, b, df),
+                   _refuse_past_budget),
+    "no_ris": (lambda campaign, ch, alphabet: no_ris_snr(ch, campaign.fading),
+               None, _refuse_no_direct_link),
+}
+# The counted ascents' closed forms, by name.
+_COUNTED = {name: counts for name, (run, counts, _) in ALGORITHMS.items()
+            if isinstance(run, str)}
+
+
 def _trial_block(campaign: Campaign, group: tuple, trial_lo: int,
                  trial_hi: int, store: Optional[ChannelStore] = None) -> dict:
     """Per-trial ORE-mean linear SNRs, keyed by (grid index, algorithm), for
@@ -267,35 +303,20 @@ def _trial_block(campaign: Campaign, group: tuple, trial_lo: int,
          for i in range(trial_lo, trial_hi)],
         scma.num_ores, scma.nonzero_per_ore, geom, fading, n, out=store)
 
-    def trial_means(snr):
-        return snr.reshape(trial_hi - trial_lo, scma.num_ores).mean(axis=1)
-
     out = {}
     ascent = None
     for alg in campaign.algorithms:
-        if alg in _COUNTED:
-            # Both names run one vectorized kernel, so whichever comes first
-            # computes the selections for both rows.
+        run = ALGORITHMS[alg][0]
+        if isinstance(run, str):
             if ascent is None:
-                optimize = ao_optimize if alg == "ao" else lc_ao_optimize
                 snapshots = dict.fromkeys(sweeps.values())
-                optimize(ch, alphabet, max(snapshots), snapshots=snapshots)
-                ascent = {t: trial_means(received_snr(ch, p, fading))
-                          for t, p in snapshots.items()}
-            by_sweeps = ascent
+                globals()[run](ch, alphabet, max(snapshots), snapshots=snapshots)
+                ascent = {t: received_snr(ch, p, fading) for t, p in snapshots.items()}
+            snrs = ascent
         else:
-            if alg == "blind":
-                snr = received_snr(
-                    ch, blind_phases(alphabet, ch.num_ores, ch.num_elements), fading)
-            elif alg == "no_ris":
-                snr = no_ris_snr(ch, fading)
-            else:
-                from .reference import exhaustive_optimize
-                snr = received_snr(ch, exhaustive_optimize(
-                    ch, alphabet, campaign.exhaustive_budget), fading)
-            by_sweeps = dict.fromkeys(sweeps.values(), trial_means(snr))
+            snrs = dict.fromkeys(sweeps.values(), run(campaign, ch, alphabet))
         for gi, t in sweeps.items():
-            out[gi, alg] = by_sweeps[t]
+            out[gi, alg] = snrs[t].reshape(trial_hi - trial_lo, scma.num_ores).mean(axis=1)
     return out
 
 
@@ -304,12 +325,8 @@ def _aggregate(campaign: Campaign, axis_value, algorithm: str,
     """One row; with no per-trial values (complexity_grid) only the counts."""
     geom, n, b, t = campaign.point_params(axis_value)
     r, df = campaign.scma.num_ores, campaign.scma.nonzero_per_ore
-    if algorithm in _COUNTED:
-        ops = _COUNTED[algorithm](r, n, b, df, t)
-    elif algorithm == "exhaustive":
-        ops = predicted_exhaustive(r, n, b, df)
-    else:
-        ops = OpCount()
+    counts = ALGORITHMS[algorithm][1]
+    ops = counts(r, n, b, df, t) if counts else OpCount()
     trials, mean_lin, mean_db, stderr_db = 0, None, None, None
     if per_trial is not None:
         trials = per_trial.size

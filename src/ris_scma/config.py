@@ -18,10 +18,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .campaign import SCENARIOS, SWEEPS, Campaign
+from .campaign import _COUNTED, SCENARIOS, SWEEPS, Campaign
 from .channel import FadingConfig, Geometry
 from .factor_graph import ScmaConfig
-from .opcount import _COUNTED
 from .optimizer import DEFAULT_EXHAUSTIVE_BUDGET
 from .writers import OUTPUT_FORMATS
 

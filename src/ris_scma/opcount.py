@@ -52,11 +52,6 @@ def predicted_lc_ao(num_ores: int, num_elements: int, bits: int,
     return OpCount(adds * iterations, mults * iterations)
 
 
-# The counted ascents by algorithm name: both choose the kernel's phases and
-# differ only in what a candidate costs.
-_COUNTED = {"ao": predicted_ao, "lc_ao": predicted_lc_ao}
-
-
 def predicted_exhaustive(num_ores: int, num_elements: int, bits: int,
                          num_interferers: int) -> OpCount:
     """Full norm per combination, 2^{bN} combinations per ORE. Informational;

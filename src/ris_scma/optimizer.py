@@ -393,7 +393,5 @@ def ao_optimize(ch: ChannelRealization, alphabet: PhaseAlphabet, iterations: int
     return phases
 
 
-# LC-AO scores only the phase-dependent part of AO's objective, and so does
-# the kernel, so the two select alike; they differ in operation count only
-# (measured_run).  Both names stay for the campaign's ao/lc_ao rows.
+# The one kernel under the name of each counted ascent in campaign.ALGORITHMS.
 lc_ao_optimize = ao_optimize

@@ -23,11 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .campaign import CampaignResult, trial_seed
+from .campaign import _COUNTED, CampaignResult, trial_seed
 from .channel import (ChannelRealization, FadingConfig, Geometry,
                       draw_link_channels, draw_trial_block, stack_realizations)
 from .config import DEFAULTS
-from .opcount import _COUNTED, _TIE_TOLERANCE, OpCount, _select
+from .opcount import _TIE_TOLERANCE, OpCount, _select
 from .optimizer import (DEFAULT_EXHAUSTIVE_BUDGET, PhaseAlphabet, PhaseAssignment,
                         _cascaded_rows, _check_shape, _sq_norms,
                         ao_optimize, blind_phases, received_snr)
@@ -149,8 +149,8 @@ def measured_run(kind: str, ch, alphabet, iterations: int) -> tuple:
     ('ao' or 'lc_ao') over ``iterations`` sweeps, the same schedule and tie
     rule as the optimizers' kernel.  Returns the (R, N) selected indices and
     the :class:`OpCount` the closed forms predict."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be 'ao' or 'lc_ao', got {kind!r}")
+    if kind not in _COUNTED:
+        raise ValueError(f"kind must be {' or '.join(map(repr, _COUNTED))}, got {kind!r}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     return _counted(ch, alphabet, iterations, *_KINDS[kind])

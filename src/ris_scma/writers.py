@@ -15,8 +15,7 @@ from .campaign import CampaignResult, ResultRow
 FIGURE_PRESETS = {
     "fig2": {"scenario": "deploy_sweep", "num_elements": 32, "num_trials": 500},
     "fig4": {"scenario": "bits_sweep", "num_elements": 16, "num_trials": 2000},
-    "fig5a": {"scenario": "convergence", "num_elements": 16, "num_trials": 2000,
-              "algorithms": ["blind", "ao", "lc_ao"]},
+    "fig5a": {"scenario": "convergence", "num_elements": 16, "num_trials": 2000},
     "fig5b": {"scenario": "n_sweep", "num_trials": 2000,
               "sweep": {"grid": [8, 16, 32, 64]},
               "algorithms": ["blind", "ao", "lc_ao", "no_ris"]},
@@ -36,12 +35,9 @@ def _fmt(value) -> str:
 
 
 def result_to_csv_text(result: CampaignResult) -> str:
-    lines = [CSV_HEADER]
-    for row in result.rows:
-        lines.append(",".join([
-            _fmt(row.axis_value), row.algorithm, _fmt(row.mean_snr_db),
-            _fmt(row.stderr_db), str(row.real_adds), str(row.real_mults),
-            str(row.trials)]))
+    columns = CSV_HEADER.split(",")
+    lines = [CSV_HEADER] + [",".join(_fmt(getattr(row, key)) for key in columns)
+                            for row in result.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -97,19 +93,13 @@ def emit_plot_data(result: CampaignResult, figure_id: str, out_dir) -> list:
         raise ValueError("result has no algorithm series to plot")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    complexity = result.scenario == "complexity_grid"
+    columns = (("real_adds", "real_mults") if result.scenario == "complexity_grid"
+               else ("mean_snr_db", "stderr_db"))
     paths = []
     for alg in result.algorithms:
-        rows = [r for r in result.rows if r.algorithm == alg]
-        lines = []
-        if complexity:
-            lines.append(f"{result.sweep_axis},real_adds,real_mults")
-            for r in rows:
-                lines.append(f"{_fmt(r.axis_value)},{r.real_adds},{r.real_mults}")
-        else:
-            lines.append(f"{result.sweep_axis},mean_snr_db,stderr_db")
-            for r in rows:
-                lines.append(f"{_fmt(r.axis_value)},{_fmt(r.mean_snr_db)},{_fmt(r.stderr_db)}")
+        lines = [",".join((result.sweep_axis, *columns))]
+        lines += [",".join(_fmt(getattr(r, key)) for key in ("axis_value", *columns))
+                  for r in result.rows if r.algorithm == alg]
         path = out / f"{figure_id}_{alg}.csv"
         path.write_text("\n".join(lines) + "\n")
         paths.append(path)

@@ -374,10 +374,16 @@ def test_blocks_of_a_group_share_one_channel_store(monkeypatch, geom, fading):
         assert not np.shares_memory(getattr(plain[0], name), getattr(plain[1], name))
 
 
-def test_benchmark_tracer_names_resolve_and_observe(monkeypatch):
+@pytest.mark.parametrize("algorithms", [
+    ["ao", "blind"], ["lc_ao", "ao"],
+    ["blind", "lc_ao", "no_ris"],       # draw_bound_deploy's list: lc_ao alone
+], ids=["ao-blind", "lc_ao-ao", "blind-lc_ao-no_ris"])
+def test_benchmark_tracer_names_resolve_and_observe(monkeypatch, algorithms):
     # The benchmark's tracer swaps these names on their modules and reads
     # ao_optimize's iterations positionally; a campaign that stopped calling
-    # them so would read as 0 calls without any error.
+    # them so would read as 0 calls without any error.  Each block runs one
+    # ascent, under the name of the first counted algorithm the document
+    # lists.
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     tracing = importlib.import_module("tracing")
     for module_name, names in tracing.TRACED.items():
@@ -385,14 +391,44 @@ def test_benchmark_tracer_names_resolve_and_observe(monkeypatch):
         for name in names:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
     c = small_campaign(scenario="convergence", sweep={"grid": [1, 2, 5]},
-                       num_trials=10, num_elements=4, algorithms=["ao", "blind"])
+                       num_trials=300, num_elements=4, algorithms=algorithms)
+    blocks = len(_plan_blocks(c))
+    assert blocks == 2
     tracer = tracing.Tracer("test")
     with tracing.traced_library(tracer):
         tracer.call("run_campaign", run_campaign, c)
+    first = next(alg for alg in algorithms if alg in ("ao", "lc_ao"))
+    other = {"ao": "lc_ao", "lc_ao": "ao"}[first]
+    spans = [span[0] for span in tracer.spans]
+    assert spans.count(f"{first}_optimize") == blocks
+    assert spans.count(f"{other}_optimize") == 0
     metrics = tracer.layer_metrics()
-    assert metrics["optimizer.ao_calls"] == 1
+    assert metrics["optimizer.ao_calls"] == (blocks if first == "ao" else 0)
     assert metrics["optimizer.ao_candidate_evals"] == (
-        10 * c.scma.num_ores * 4 * 2**c.phase_bits * 5)
+        300 * c.scma.num_ores * 4 * 2**c.phase_bits * 5 if first == "ao" else 0)
+
+
+def test_rows_follow_the_documents_algorithm_order():
+    # Every golden lists its algorithms in table order, so only a shuffled
+    # list shows that the rows, and the ascent a block runs, follow the
+    # document rather than the table.
+    shuffled = ["no_ris", "lc_ao", "exhaustive", "blind", "ao"]
+    canonical = ["blind", "ao", "lc_ao", "exhaustive", "no_ris"]
+    doc = dict(sweep={"grid": [2, 4]}, num_trials=40, num_elements=4)
+    ours = run_campaign(small_campaign(algorithms=shuffled, **doc))
+    ref = run_campaign(small_campaign(algorithms=canonical, **doc))
+    assert ours.algorithms == tuple(shuffled)
+    assert [(row.axis_value, row.algorithm) for row in ours.rows] == [
+        (value, alg) for value in (2.0, 4.0) for alg in shuffled]
+    by_cell = {(row.axis_value, row.algorithm): row for row in ref.rows}
+    assert len(by_cell) == len(ours.rows)
+    for row in ours.rows:
+        assert row == by_cell[row.axis_value, row.algorithm]
+    for result in (ours, ref):
+        snr = {(r.axis_value, r.algorithm): (r.trials, r.mean_linear, r.mean_snr_db,
+                                             r.stderr_db) for r in result.rows}
+        for value in (2.0, 4.0):
+            assert snr[value, "ao"] == snr[value, "lc_ao"]
 
 
 def test_mean_of_db_mode_differs():
@@ -416,6 +452,10 @@ def test_campaign_validation():
                        phase_bits=3)
     with pytest.raises(ValueError, match="only counts"):
         small_campaign(scenario="complexity_grid", algorithms=["blind"])
+    with pytest.raises(ValueError, match="'lc_ao' is listed more than once"):
+        small_campaign(algorithms=["lc_ao", "blind", "lc_ao"])
+    with pytest.raises(ValueError, match="no_ris needs a direct link"):
+        small_campaign(algorithms=["blind", "no_ris"], fading={"direct_loss_scale": 0.0})
     with pytest.raises(ValueError, match="sweeps"):
         Campaign(scenario="n_sweep", scma=ScmaConfig(6, 4, 2, 2, 3),
                  geometry=Geometry(40.0, 1.5, 2.0, 2.4e9),

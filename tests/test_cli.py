@@ -157,6 +157,10 @@ REFUSED_DOCS = [
     # A base value below 1 on an axis the scenario does not sweep.
     ({"scenario": "bits_sweep", "num_elements": 0}, "num_elements"),
     ({"scenario": "deploy_sweep", "num_iterations": 0}, "num_iterations"),
+    # A repeated algorithm would write each of its rows twice.
+    ({"algorithms": ["ao", "ao"]}, "algorithm 'ao' is listed more than once"),
+    ({"scenario": "complexity_grid", "algorithms": ["ao", "ao"]},
+     "algorithm 'ao' is listed more than once"),
 ]
 
 

@@ -6,23 +6,24 @@ Run from the root of a source checkout (``src`` is put on the path here):
     python3 bench/run_bench.py --output report.json [--against OTHER_CHECKOUT]
 
 Every timing comes from one runner, ``_measure``.  A row of a layer is a dict
-of named zero-argument calls; each repeat runs every call once, the order
-rotated by one each repeat so no call always runs first, and each result is
-dropped before the next call starts so every call sees the same allocator
-state.  A call named in ``split`` returns the seconds of its own phases,
-and each phase gets quartiles as ``<call>.<phase>``.  A call or phase run
-on both trees (``X`` and ``against:X``, see ``--against``) also gets
-``against``: the ratio of the medians, this tree's over the other's, and in
-how many repeats this tree's was the faster.  Then every call runs
-once more, untimed: that result feeds the row's equality check, and for a
-call that runs in this process ``tracemalloc`` gives its peak bytes.  Every
-row has one shape and prints as one line::
+of named calls; each repeat runs every call once, the order rotated by one
+each repeat so no call always runs first, and each result is dropped before
+the next call starts so every call sees the same allocator state.  A call
+named in ``split`` returns the seconds of its own phases, and each phase
+gets quartiles as ``<call>.<phase>``.  A call or phase run on both trees
+(``X`` and ``against:X``, see ``--against``) also gets ``against``: the
+ratio of the medians, this tree's over the other's, and in how many repeats
+this tree's was the faster.  Then every call runs once more, untimed: that
+result feeds the row's equality check.  Every row has one shape and prints
+as one line::
 
     {"params": {...}, "runs": {name: {"median_s", "q1_s", "q3_s"[, "peak_bytes"]
                                       [, "against": {"ratio", "wins", "pairs"}]}},
      "equal": true | false | null}
 
 with ``null`` for a row that has nothing to compare.
+
+Two layers time whole fresh processes:
 
 * startup: fresh interpreters running ``pass``, ``import numpy`` and
   ``import ris_scma.cli``; the parameters list the standard-library modules
@@ -33,47 +34,50 @@ with ``null`` for a row that has nothing to compare.
   ``-X importtime`` cumulative microseconds of ``ris_scma.cli`` imported
   after numpy (``importtime``); equal when every tree wrote the same result
   bytes.
-  With ``--against DIR`` every startup call also runs on the source tree at
-  DIR, named ``against:<call>``, in the same rotation as this tree's, so
-  that both see the same stretch of machine load.
 * paper_scale: whole ``python -m ris_scma.cli`` processes at the scale of
   the paper's figures, one row per command: ``sweep`` of each preset
   (fig2, fig4, fig5a, fig5b, fig6a, fig6b) at its own trial count, and
-  ``run`` of the default 10^4-trial document at ``--workers 1`` and 2.
-  With ``--against`` each command runs on both trees in one rotation, as
-  the startup calls do; equal when every tree wrote the same bytes.
-* fan_out: whole campaigns at 1 and 2 workers, equal when their result bytes
-  are: the benchmark's ``draw_bound_deploy`` workload (112 blocks) and the
-  ``fig5b`` preset at 2000 trials (32 blocks).
+  ``run`` of the default 10^4-trial document at ``--workers 1`` and 2;
+  equal when every tree wrote the same bytes.
+
+The other six layers time calls of this script's functions, each run in a
+long-lived interpreter per source tree (``WORKER_CODE``).  Each call's own
+seconds, timed in its interpreter, are the phase ``<call>.run``; the peak
+of the untimed run's traced allocations there is the call's ``peak_bytes``;
+the row is equal when every call of every tree gave the same result bytes
+(``_digest``).
+
+* fan_out: whole campaigns at 1 and 2 workers: the benchmark's
+  ``draw_bound_deploy`` workload (112 blocks) and the ``fig5b`` preset at
+  2000 trials (32 blocks).  The two-worker call's ``peak_bytes`` is the
+  interpreter's own, without its forked children.
 * grid_point: one grid point of the benchmark's ``large_n_cached`` workload
   (``n_sweep``, 256 trials, blind and lc_ao: draw, ascent and two SNR
   evaluations) at N in {64, 128, 256}, run as the campaign runs the blocks
   ``_plan_blocks`` gives (``_run_blocks``: one channel store per group) and
-  through ``_trial_block`` as one 256-trial block of fresh arrays; equal
-  when the per-trial bytes are.
+  through ``_trial_block`` as one 256-trial block of fresh arrays.
 
 The seeding, channel-draw, ascent and SNR layers use 256-trial blocks of
-campaign child seeds (``trial_seed``) and the default document's layout,
-geometry and calibrated fading (``config.DEFAULTS``: R=4, d_f=3,
-common-phase LoS), at N in {8, 16, 64, 256}.
+campaign child seeds (``trial_seed``, hashed before the clock starts) and
+the default document's layout, geometry and calibrated fading
+(``config.DEFAULTS``: R=4, d_f=3, common-phase LoS), at N in
+{8, 16, 64, 256}.
 
-* seeding: the vectorized seed-to-stream pass that ``draw_trial_block`` runs
-  (every seed's PCG64 state, set in turn on one reused generator) against
-  constructing one ``np.random.default_rng`` per seed, on a fresh block each
-  repeat; equal when every block's states agree.
+* seeding: the PCG64 states of one block's seeds, from the vectorized
+  seed-to-stream pass that ``draw_trial_block`` runs (every seed's state,
+  set in turn on one reused generator) and from one
+  ``np.random.default_rng`` per seed.
 * channel_draw: ``draw_trial_block(seeds, ...)`` against stacking one
-  ``draw_link_channels(np.random.default_rng(seed), ...)`` per seed; both
-  start from the seeds, and are equal when their bytes are.
+  ``draw_link_channels(np.random.default_rng(seed), ...)`` per seed.
 * ascent: ``ao_optimize`` (``lc_ao_optimize`` is the same function) on one
   block's 1024 ORE rows at b in {1, 3, 5, 8}, T=3, plain and with an
-  ``update_log``; equal when both select the same phases.
+  ``update_log``.
 * snr: ``received_snr`` on one block with the kernel's selections at b=3.
 
-With ``--against DIR`` the fan_out, grid_point and ascent calls run in two
-long-lived interpreters, one per source tree (``WORKER_CODE``), again in one
-rotation.  Each call's own seconds, timed in its interpreter, are the
-phase ``<call>.run``; the row is equal when every call of every tree gave
-the same result bytes (``_digest``).
+With ``--against DIR`` every call also runs on the source tree at DIR,
+named ``against:<call>``, in the same rotation as this tree's, so that both
+see the same stretch of machine load: each fresh process on that tree, and
+each call-level call in a second worker interpreter on it.
 
 The JSON report (the layers' rows plus Python, numpy, BLAS, core count and
 ``PYTHONDONTWRITEBYTECODE``, which decides whether each fresh process
@@ -92,7 +96,6 @@ import statistics
 import subprocess
 import sys
 import time
-import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -154,10 +157,11 @@ CLI_RUN_CONFIG = {"scenario": "n_sweep", "sweep": {"grid": [4, 8]}, "num_trials"
 IMPORTTIME_CODE = "import numpy\nimport ris_scma.cli"
 # An interpreter that runs this script's calls on the source tree SRC_DIR:
 # ``import ris_scma`` binds the package there before the script puts its own
-# tree first on the path.  Each stdin line is [function name, arguments];
-# each reply is [the call's seconds, the digest of its result].
+# tree first on the path.  Each stdin line is [function name, arguments,
+# traced]; each reply is [the call's seconds, the digest of its result, the
+# peak of its traced allocations or null].
 WORKER_CODE = (
-    "import importlib.util, json, sys, time\n"
+    "import importlib.util, json, sys, time, tracemalloc\n"
     "script, src = sys.argv[1:]\n"
     "sys.path.insert(0, src)\n"
     "import ris_scma\n"
@@ -165,11 +169,15 @@ WORKER_CODE = (
     "bench = importlib.util.module_from_spec(spec)\n"
     "spec.loader.exec_module(bench)\n"
     "for line in sys.stdin:\n"
-    "    name, args = json.loads(line)\n"
+    "    name, args, traced = json.loads(line)\n"
+    "    if traced:\n"
+    "        tracemalloc.start()\n"
     "    start = time.perf_counter()\n"
     "    result = getattr(bench, name)(*args)\n"
     "    seconds = time.perf_counter() - start\n"
-    "    print(json.dumps([seconds, bench._digest(result)]), flush=True)\n"
+    "    peak = tracemalloc.get_traced_memory()[1] if traced else None\n"
+    "    tracemalloc.stop()\n"
+    "    print(json.dumps([seconds, bench._digest(result), peak]), flush=True)\n"
     "    del result\n")
 AGAINST = "against:"
 PAPER_SCALE_REPEATS = 9
@@ -189,27 +197,29 @@ NUM_ORES = DEFAULTS["system"]["num_ores"]
 NUM_INTERFERERS = DEFAULTS["system"]["nonzero_per_ore"]
 GEOM = Geometry(**DEFAULTS["geometry"])
 FADING = FadingConfig(**DEFAULTS["fading"])
+ORE_ROWS = TRIALS * NUM_ORES
 BLOCK = {"trials": TRIALS, "num_ores": NUM_ORES, "num_interferers": NUM_INTERFERERS,
          "fading": {"los_phase": FADING.los_phase,
                     "direct_loss_scale": FADING.direct_loss_scale,
                     "rician_factor": FADING.rician_factor}}
 
 
-def _measure(runs: dict, repeats: int, out_of_process=(), split=()) -> tuple:
-    """Run every named zero-argument call of ``runs`` once per repeat, the
-    order rotated by one each repeat and each result dropped before the next
-    call, then once more untimed: ({name: {"median_s", "q1_s", "q3_s"[,
-    "peak_bytes"]}}, {name: result of the untimed run}).  A call named in
+def _measure(runs: dict, repeats: int, split=()) -> tuple:
+    """Run every named call of ``runs`` once per repeat, the order rotated by
+    one each repeat and each result dropped before the next call, then once
+    more untimed: ({name: {"median_s", "q1_s", "q3_s"[, "peak_bytes"]}},
+    {name: result of the untimed run}).  Each call takes one argument,
+    ``traced``, true on the untimed run only; an untimed result that is a
+    worker's reply gives the call its ``peak_bytes``.  A call named in
     ``split`` returns {phase: seconds}, and each phase gets the same
-    statistics as ``name.phase``.  The untimed run is traced by
-    ``tracemalloc`` unless the call is named in ``out_of_process``."""
+    statistics as ``name.phase``."""
     names = list(runs)
     times = {name: [] for name in names}
     for repeat in range(repeats):
         shift = repeat % len(names)
         for name in names[shift:] + names[:shift]:
             start = time.perf_counter()
-            result = runs[name]()
+            result = runs[name](False)
             times[name].append(time.perf_counter() - start)
             if name in split:
                 for phase, seconds in result.items():
@@ -227,23 +237,17 @@ def _measure(runs: dict, repeats: int, out_of_process=(), split=()) -> tuple:
                 "ratio": statistics.median(mine) / statistics.median(other),
                 "wins": sum(a < b for a, b in zip(mine, other)), "pairs": len(mine)}
     for name in names:
-        if name in out_of_process:
-            results[name] = runs[name]()
-            continue
-        tracemalloc.start()
-        try:
-            results[name] = runs[name]()
-            stats[name]["peak_bytes"] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        results[name] = runs[name](True)
+        if isinstance(results[name], _Reply):
+            stats[name]["peak_bytes"] = results[name].peak_bytes
     return stats, results
 
 
 def _row(layer: str, params: dict, runs: dict, repeats: int, check=None,
-         out_of_process=(), split=()) -> dict:
+         split=()) -> dict:
     """Measure one row and print it as one line.  ``check(results)`` compares
     the results of the untimed runs; ``equal`` is None without one."""
-    stats, results = _measure(runs, repeats, out_of_process, split)
+    stats, results = _measure(runs, repeats, split)
     row = {"params": {**params, "repeats": repeats}, "runs": stats,
            "equal": None if check is None else bool(check(results))}
     scalars = ", ".join(f"{key}={value}" for key, value in row["params"].items()
@@ -259,8 +263,9 @@ def _row(layer: str, params: dict, runs: dict, repeats: int, check=None,
     return row
 
 
-def _seeds(block: int) -> list:
-    return [trial_seed(block, 0, i) for i in range(TRIALS)]
+@functools.cache
+def _seeds(block: int) -> tuple:
+    return tuple(trial_seed(block, 0, i) for i in range(TRIALS))
 
 
 def _python(args: list, src: Path = SRC, cwd=None) -> subprocess.CompletedProcess:
@@ -302,21 +307,21 @@ def startup_layer(trees: dict, work: Path) -> list:
     ({name prefix: src directory}) in one rotation."""
     added = {_label(prefix): _python(["-c", ADDED_MODULES_CODE], src).stdout.split()
              for prefix, src in trees.items()}
-    runs = {prefix + name: lambda code=code, src=src: _python(["-c", code], src)
+    runs = {prefix + name: lambda _, code=code, src=src: _python(["-c", code], src)
             for prefix, src in trees.items() for name, code in STARTUP_CODE.items()}
     rows = [_row("startup", {"stdlib_modules_added_beyond_numpy": added}, runs,
-                 STARTUP_REPEATS, out_of_process=tuple(runs))]
+                 STARTUP_REPEATS)]
     config = work / "cli_run.json"
     config.write_text(json.dumps(CLI_RUN_CONFIG))
     outs = {prefix: work / f"{_label(prefix)}_out" for prefix in trees}
     runs = {}
     for prefix, src in trees.items():
-        runs[prefix + "cli_run"] = lambda src=src, out=outs[prefix]: _cli_run(src, config, out)
-        runs[prefix + "importtime"] = lambda src=src: _importtime(src)
+        runs[prefix + "cli_run"] = lambda _, src=src, out=outs[prefix]: _cli_run(src, config, out)
+        runs[prefix + "importtime"] = lambda _, src=src: _importtime(src)
     rows.append(_row(
         "startup", {"cli_run_config": CLI_RUN_CONFIG}, runs, STARTUP_REPEATS,
         check=lambda _: len({_output_bytes(out) for out in outs.values()}) == 1,
-        out_of_process=tuple(runs), split=tuple(runs)))
+        split=tuple(runs)))
     return rows
 
 
@@ -336,21 +341,20 @@ def paper_scale_layer(trees: dict, work: Path) -> list:
         runs = {}
         for prefix, src in trees.items():
             argv = ["-m", "ris_scma.cli", *command, "--output-dir", str(outs[prefix])]
-            runs[prefix + name] = lambda argv=argv, src=src: _python(argv, src, work)
+            runs[prefix + name] = lambda _, argv=argv, src=src: _python(argv, src, work)
         rows.append(_row(
-            "paper_scale", {"command": name, "argv": command}, runs,
-            PAPER_SCALE_REPEATS, out_of_process=tuple(runs),
+            "paper_scale", {"command": name, "argv": command}, runs, PAPER_SCALE_REPEATS,
             check=lambda _, outs=outs: len({_output_bytes(o) for o in outs.values()}) == 1))
     return rows
 
 
 class _Reply(dict):
     """A worker call's {"run": seconds}, a ``split`` phase, with the digest
-    of its result."""
+    of its result and, for a traced call, its peak bytes."""
 
-    def __init__(self, seconds: float, digest: str):
+    def __init__(self, seconds: float, digest: str, peak_bytes):
         super().__init__(run=seconds)
-        self.digest = digest
+        self.digest, self.peak_bytes = digest, peak_bytes
 
 
 class _Worker:
@@ -362,8 +366,8 @@ class _Worker:
             [sys.executable, "-c", WORKER_CODE, str(Path(__file__).resolve()), str(src)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
-    def call(self, function, *args) -> _Reply:
-        self.proc.stdin.write(json.dumps([function.__name__, args]) + "\n")
+    def call(self, function, *args, traced=False) -> _Reply:
+        self.proc.stdin.write(json.dumps([function.__name__, args, traced]) + "\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
         if not line:
@@ -402,25 +406,20 @@ def _digest(value) -> str:
     return digest.hexdigest()
 
 
-def _layer_row(layer: str, params: dict, calls: dict, repeats: int, workers,
-               check=None, out_of_process=()) -> dict:
-    """One row of ``calls`` ({name: (function, args)}): in this process, or
-    with ``workers`` ({name prefix: _Worker}) on every tree in one rotation,
-    equal when every result's digest is the same."""
-    if workers is None:
-        runs = {name: lambda f=f, args=args: f(*args) for name, (f, args) in calls.items()}
-        return _row(layer, params, runs, repeats, check=check, out_of_process=out_of_process)
-    runs = {prefix + name: lambda w=w, f=f, args=args: w.call(f, *args)
+def _layer_row(layer: str, params: dict, calls: dict, repeats: int, workers: dict) -> dict:
+    """One row of ``calls`` ({name: (function, args)}), every call run by each
+    of ``workers`` ({name prefix: _Worker}) in one rotation; equal when every
+    result's digest is the same."""
+    runs = {prefix + name: lambda traced, w=w, f=f, args=args: w.call(f, *args, traced=traced)
             for prefix, w in workers.items() for name, (f, args) in calls.items()}
-    return _row(layer, params, runs, repeats, out_of_process=tuple(runs), split=tuple(runs),
+    return _row(layer, params, runs, repeats, split=tuple(runs),
                 check=lambda r: len({reply.digest for reply in r.values()}) == 1)
 
 
-def _warm(workers, function, *args) -> None:
-    """Build what a row's calls share, untimed, where they will run."""
-    for worker in (workers or {}).values():
+def _warm(workers: dict, function, *args) -> None:
+    """Build what a row's calls share, untimed, in every worker."""
+    for worker in workers.values():
         worker.call(function, *args)
-    function(*args)
 
 
 @functools.cache
@@ -437,15 +436,13 @@ def _campaign_bytes(name: str, workers: int) -> tuple:
     return result_to_csv_text(result), result_to_json_text(result)
 
 
-def fan_out_layer(workers=None) -> list:
-    # One worker runs the campaign in this process; two fork two children.
+def fan_out_layer(workers: dict) -> list:
+    # One worker runs the campaign in its interpreter; two fork two children.
     _warm(workers, _fan_out_campaigns)
     return [_layer_row("fan_out", {"campaign": name, "blocks": len(_plan_blocks(cfg.campaign))},
                        {"one_worker": (_campaign_bytes, (name, 1)),
                         "two_workers": (_campaign_bytes, (name, 2))},
-                       FAN_OUT_REPEATS, workers,
-                       check=lambda r: r["one_worker"] == r["two_workers"],
-                       out_of_process=("two_workers",))
+                       FAN_OUT_REPEATS, workers)
             for name, cfg in _fan_out_campaigns().items()]
 
 
@@ -467,12 +464,7 @@ def _one_block(n: int) -> dict:
     return _trial_block(campaign, group, 0, campaign.num_trials)
 
 
-def _same_trials(results) -> bool:
-    return all(results["planned"][key].tobytes() == per_trial.tobytes()
-               for key, per_trial in results["one_block"].items())
-
-
-def grid_point_layer(workers=None) -> list:
+def grid_point_layer(workers: dict) -> list:
     rows = []
     for n in GRID_POINT_ELEMENTS:
         _warm(workers, _grid_campaign, n)
@@ -483,74 +475,58 @@ def grid_point_layer(workers=None) -> list:
              "num_elements": n, "trials": campaign.num_trials,
              "planned_blocks": len(_plan_blocks(campaign))},
             {"planned": (_planned_blocks, (n,)), "one_block": (_one_block, (n,))},
-            GRID_POINT_REPEATS, workers, check=_same_trials))
+            GRID_POINT_REPEATS, workers))
     return rows
 
 
-def _seed_vectorized(seeds) -> int:
+def _seed_vectorized(block: int) -> list:
     """Set the reused generator to every seed's state, as a block draw does."""
     rng = np.random.Generator(np.random.PCG64(0))
-    states = _pcg64_states(seeds)
+    states = _pcg64_states(_seeds(block))
     for state in states:
         rng.bit_generator.state = state
-    return len(states)
+    return states
 
 
-def _seed_default_rng(seeds) -> list:
-    return [np.random.default_rng(s) for s in seeds]
+def _seed_default_rng(block: int) -> list:
+    return [np.random.default_rng(s).bit_generator.state for s in _seeds(block)]
 
 
-def seeding_layer() -> list:
-    # Each call seeds a fresh block per repeat, hashed before the clock
-    # starts, and one more for the untimed run; every block's states are
-    # compared.
-    blocks = [_seeds(r) for r in range(SEED_REPEATS + 1)]
-    vectorized, default_rng = iter(blocks), iter(blocks)
-    return [_row("seeding", {"trials": TRIALS},
-                 {"vectorized": lambda: _seed_vectorized(next(vectorized)),
-                  "default_rng": lambda: _seed_default_rng(next(default_rng))},
-                 SEED_REPEATS, check=lambda _: _same_states(blocks))]
+def seeding_layer(workers: dict) -> list:
+    _warm(workers, _seeds, 0)
+    return [_layer_row("seeding", {"trials": TRIALS},
+                       {"vectorized": (_seed_vectorized, (0,)),
+                        "default_rng": (_seed_default_rng, (0,))},
+                       SEED_REPEATS, workers)]
 
 
-def _same_states(blocks) -> bool:
-    return all(_pcg64_states(seeds) == [rng.bit_generator.state
-                                        for rng in _seed_default_rng(seeds)]
-               for seeds in blocks)
+def _block(n: int):
+    return draw_trial_block(_seeds(n), NUM_ORES, NUM_INTERFERERS, GEOM, FADING, n)
 
 
-def _block(seeds, n):
-    return draw_trial_block(seeds, NUM_ORES, NUM_INTERFERERS, GEOM, FADING, n)
-
-
-def _per_trial(seeds, n):
+def _per_trial(n: int):
     return stack_realizations([
         draw_link_channels(np.random.default_rng(s), NUM_ORES, NUM_INTERFERERS,
-                           GEOM, FADING, n) for s in seeds])
+                           GEOM, FADING, n) for s in _seeds(n)])
 
 
-def _arrays(ch) -> tuple:
-    return ch.direct, ch.ris_to_bs, ch.user_to_ris
-
-
-def draw_layer() -> list:
+def draw_layer(workers: dict) -> list:
     rows = []
     for n in ELEMENTS:
-        seeds = _seeds(n)
-        rows.append(_row(
+        _warm(workers, _seeds, n)
+        rows.append(_layer_row(
             "channel_draw",
+            # direct (rows, d_f), ris_to_bs (rows, N), user_to_ris (rows, N, d_f)
             {**BLOCK, "num_elements": n,
-             "output_bytes": sum(a.nbytes for a in _arrays(_block(seeds, n)))},
-            {"draw_trial_block": lambda: _block(seeds, n),
-             "per_trial_stacked": lambda: _per_trial(seeds, n)},
-            DRAW_REPEATS,
-            check=lambda r: all(a.tobytes() == b.tobytes() for a, b in zip(
-                _arrays(r["draw_trial_block"]), _arrays(r["per_trial_stacked"])))))
+             "output_bytes": 16 * ORE_ROWS * (NUM_INTERFERERS + n + n * NUM_INTERFERERS)},
+            {"draw_trial_block": (_block, (n,)), "per_trial_stacked": (_per_trial, (n,))},
+            DRAW_REPEATS, workers))
     return rows
 
 
 @functools.cache
 def _ascent_block(n: int):
-    return _block(_seeds(n), n)
+    return _block(n)
 
 
 def _ascent(n: int, bits: int, logged: bool):
@@ -558,35 +534,39 @@ def _ascent(n: int, bits: int, logged: bool):
                        update_log=[] if logged else None)
 
 
-def ascent_layer(workers=None) -> list:
+def ascent_layer(workers: dict) -> list:
     rows = []
     for bits in ASCENT_BITS:
         for n in ELEMENTS:
             _warm(workers, _ascent_block, n)
             rows.append(_layer_row(
                 "ascent",
-                {**BLOCK, "num_elements": n, "ore_rows": _ascent_block(n).num_ores,
+                {**BLOCK, "num_elements": n, "ore_rows": ORE_ROWS,
                  "bits": bits, "iterations": ASCENT_SWEEPS},
                 {"ao_optimize": (_ascent, (n, bits, False)),
                  "ao_optimize_logged": (_ascent, (n, bits, True))},
-                ASCENT_REPEATS, workers,
-                check=lambda r: np.array_equal(r["ao_optimize"].indices,
-                                               r["ao_optimize_logged"].indices)))
+                ASCENT_REPEATS, workers))
     return rows
 
 
-def snr_layer() -> list:
-    alphabet = PhaseAlphabet.from_bits(SNR_BITS)
+@functools.cache
+def _snr_phases(n: int):
+    return _ascent(n, SNR_BITS, False)
+
+
+def _snr(n: int):
+    return received_snr(_ascent_block(n), _snr_phases(n), FADING)
+
+
+def snr_layer(workers: dict) -> list:
     rows = []
     for n in ELEMENTS:
-        ch = _ascent_block(n)
-        phases = ao_optimize(ch, alphabet, ASCENT_SWEEPS)
-        rows.append(_row(
+        _warm(workers, _snr_phases, n)
+        rows.append(_layer_row(
             "snr",
-            {**BLOCK, "num_elements": n, "ore_rows": ch.num_ores,
+            {**BLOCK, "num_elements": n, "ore_rows": ORE_ROWS,
              "bits": SNR_BITS, "iterations": ASCENT_SWEEPS},
-            {"received_snr": lambda: received_snr(ch, phases, FADING)},
-            SNR_REPEATS))
+            {"received_snr": (_snr, (n,))}, SNR_REPEATS, workers))
     return rows
 
 
@@ -602,8 +582,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, help="also write the report here")
     parser.add_argument("--against", type=Path,
-                        help="another source checkout whose startup and "
-                             "paper-scale calls run interleaved with this one's")
+                        help="another source checkout whose calls run "
+                             "interleaved with this one's")
     args = parser.parse_args(argv)
     trees = {"": SRC}
     if args.against is not None:
@@ -612,18 +592,16 @@ def main(argv=None) -> int:
     work.mkdir(parents=True, exist_ok=True)
     layers = {"startup": startup_layer(trees, work),
               "paper_scale": paper_scale_layer(trees, work)}
-    workers = ({prefix: _Worker(src) for prefix, src in trees.items()}
-               if args.against is not None else None)
+    workers = {prefix: _Worker(src) for prefix, src in trees.items()}
     try:
         # Fan-out runs before the big draws, so its children fork from a
-        # small process.
-        layers["fan_out"] = fan_out_layer(workers)
-        layers["grid_point"] = grid_point_layer(workers)
-        layers["ascent"] = ascent_layer(workers)
+        # small interpreter.
+        layers.update(fan_out=fan_out_layer(workers), grid_point=grid_point_layer(workers),
+                      ascent=ascent_layer(workers), seeding=seeding_layer(workers),
+                      channel_draw=draw_layer(workers), snr=snr_layer(workers))
     finally:
-        for worker in (workers or {}).values():
+        for worker in workers.values():
             worker.close()
-    layers.update(seeding=seeding_layer(), channel_draw=draw_layer(), snr=snr_layer())
     report = {"layers": layers, "environment": environment(),
               "against": None if args.against is None else str(trees[AGAINST].parent)}
     text = json.dumps(report, indent=2) + "\n"

@@ -57,13 +57,30 @@ _MAX_BLOCK_TRIALS = 256
 _BLOCK_ELEMENT_ROWS = 2**16
 _MIN_BLOCK_ROWS = 512
 # Trials keep phase indices in uint8 and score the ORE rows near a decision
-# boundary over all 2^b candidates at once, so b stops at 8 there.  complexity_grid only counts, and each ao or
-# lc_ao count is below R T N^2 (d_f + 1) 2^(b+4), so the bit lengths of those
-# factors bound it before any 2^b is built.  Counts below
-# 2^floor(4300 log2 10) = 2^14284 have at most the 4300 digits Python writes
-# an integer with by default.
+# boundary over all 2^b candidates at once, so b stops at 8 there.
 _MAX_TRIAL_PHASE_BITS = 8
+# complexity_grid only counts, and each ao or lc_ao count is below
+# R T N^2 (d_f + 1) 2^(b+4), so the bit lengths of those factors bound it
+# before any 2^b is built.  Counts below 2^floor(4300 log2 10) = 2^14284 have
+# at most the 4300 digits Python writes an integer with by default.
 _MAX_COUNT_DIGITS = 4300
+# A trial scenario refuses each nonzero path's link budget E/sigma^2 x p
+# (p the direct gain times its scale, or the cascaded gain) outside
+# [lo / d_f, hi / (d_f (N + 1)^2 A^4)], so that every SNR and its square are
+# normal floats:
+# - a unit-power coefficient is lw e^{j theta} + dw z, lw, dw <= 1 and
+#   dw = 1 / sqrt(K + 1); numpy's standard_normal never passes 12.3 in
+#   magnitude (its ziggurat tail takes the log of a 53-bit uniform), so no
+#   coefficient passes A = 1 + 13 / sqrt(K + 1);
+# - an ORE's SNR, E/sigma^2 times the sum over its d_f users of
+#   |h + sum_n v_n g_n G_n|^2, is at most E/sigma^2 d_f (N + 1)^2 A^4 max p
+#   for any phases.  Below hi its square is below 2^958, and a standard
+#   error's sum of up to 2^64 squares stays finite;
+# - each path alone gives a mean SNR of at least E/sigma^2 d_f p: no_ris's
+#   direct link, and blind's, which every ascent starts from and only raises.
+#   Above lo a trial 2^32 times below that mean still squares to at least
+#   2^-1022, the smallest normal float.
+_SNR_RANGE = (2.0**-479, 2.0**479)
 
 
 @dataclass(frozen=True, repr=False)
@@ -183,6 +200,18 @@ class Campaign:
                     f"N = {n} and system.nonzero_per_ore d_f = {df} needs an array "
                     f"of at least 2^{largest.bit_length() - 1} bytes, past numpy's "
                     f"limit of 2^{intp.bits - 1} - 1")
+            lo, hi = _SNR_RANGE
+            coefficient = 1 + 13 / math.sqrt(fading.rician_factor + 1)
+            lo, hi = lo / df, hi / (df * (n + 1) ** 2 * coefficient**4)
+            for path, gain in (("direct path gain x fading.direct_loss_scale", direct),
+                               ("cascaded path gain", cascaded)):
+                if gain and not lo <= budget * gain <= hi:
+                    raise ValueError(
+                        f"SNRs out of the normal float range at grid point {value}: "
+                        f"{link} times the {path} {gain:g} is {budget * gain:g}, "
+                        f"outside [{lo:g}, {hi:g}] at num_elements N = {n}, "
+                        f"system.nonzero_per_ore d_f = {df} and fading.rician_factor "
+                        f"{fading.rician_factor:g}")
 
     def point_params(self, axis_value) -> tuple:
         """(geometry, num_elements, phase_bits, num_iterations) at a grid point."""

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ris_scma import cli
+from ris_scma import campaign, cli
 from ris_scma.cli import main
 
 TINY = {"scenario": "n_sweep", "sweep": {"grid": [2, 4]}, "num_trials": 25,
@@ -161,15 +161,25 @@ REFUSED_DOCS = [
     ({"algorithms": ["ao", "ao"]}, "algorithm 'ao' is listed more than once"),
     ({"scenario": "complexity_grid", "algorithms": ["ao", "ao"]},
      "algorithm 'ao' is listed more than once"),
+    # Link budgets whose SNRs would be subnormal (every row -3125.74 dB with
+    # a standard error of 0) or whose squares would overflow after a full run.
+    ({"fading": {"symbol_energy": 1e-300}, "geometry": {"carrier_frequency": 1e15}},
+     "SNRs out of the normal float range"),
+    ({"fading": {"symbol_energy": 1e300, "noise_variance": 1.0, "direct_loss_scale": 1.0}},
+     "SNRs out of the normal float range"),
 ]
 
 
 @pytest.mark.parametrize("doc, key", REFUSED_DOCS,
                          ids=[f"doc{i}" for i in range(len(REFUSED_DOCS))])
-def test_invalid_grid_point_is_a_config_error(doc, key, tmp_path, capsys):
+def test_invalid_grid_point_is_a_config_error(doc, key, tmp_path, capsys, monkeypatch):
     # Each grid value replaces a base parameter, so each is checked up front
-    # rather than failing mid-campaign.  So is the SCMA layout, for every
-    # scenario, including complexity_grid, which runs no trials.
+    # rather than failing mid-campaign: no channel is drawn.  So is the SCMA
+    # layout, for every scenario, including complexity_grid, which runs no
+    # trials.
+    def draw(*args, **kwargs):
+        raise AssertionError("a channel was drawn")
+    monkeypatch.setattr(campaign, "draw_trial_block", draw)
     cfg = tmp_path / "bad.json"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     start = time.perf_counter()
@@ -236,13 +246,18 @@ def test_infinite_link_budget_is_a_config_error(doc, tmp_path, capsys):
     # sums three such users and overflows.
     {"fading": {"direct_loss_scale": 2e307}},
 ], ids=["std_overflow", "zero_mean_of_db", "zero_db_of_mean", "direct_overflow"])
-def test_out_of_range_link_budget_writes_nothing(doc, tmp_path, capsys):
-    # A valid config whose SNR statistics are not finite fails with one error
-    # line naming the row and the whole budget, before any results file is
-    # written; no numpy warning reaches stderr before it.
+def test_out_of_range_link_budget_writes_nothing(doc, tmp_path, capsys, monkeypatch):
+    # Each of these documents is refused before any draw (_SNR_RANGE).  With
+    # that range lifted, the late check still fails a run whose SNR
+    # statistics are not finite with one error line naming the row and the
+    # whole budget, before any results file is written; no numpy warning
+    # reaches stderr before it.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"num_trials": 4, "num_elements": 4,
                                "sweep": {"grid": [4]}, **doc}))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "SNRs out of the normal float range" in capsys.readouterr().err
+    monkeypatch.setattr(campaign, "_SNR_RANGE", (0.0, math.inf))
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1

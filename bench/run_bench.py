@@ -8,14 +8,15 @@ Run from the root of a source checkout (``src`` is put on the path here):
 Every timing comes from one runner, ``_measure``.  A row of a layer is a dict
 of named calls; each repeat runs every call once, the order rotated by one
 each repeat so no call always runs first, and each result is dropped before
-the next call starts so every call sees the same allocator state.  A call
-named in ``split`` returns the seconds of its own phases, and each phase
-gets quartiles as ``<call>.<phase>``.  A call or phase run on both trees
-(``X`` and ``against:X``, see ``--against``) also gets ``against``: the
-ratio of the medians, this tree's over the other's, and in how many repeats
-this tree's was the faster.  Then every call runs once more, untimed: that
-result feeds the row's equality check.  Every row has one shape and prints
-as one line::
+the next call starts so every call sees the same allocator state.  Each
+call reports its own seconds, measured where it runs, and ``_measure``
+reads no clock; a call that reports the seconds of its phases gets one
+entry per phase, ``<call>.<phase>``, and none for itself.  An entry run on
+both trees (``X`` and ``against:X``, see ``--against``) also gets
+``against``: the ratio of the medians, this tree's over the other's, and in
+how many repeats this tree's was the faster.  Then every call runs once
+more, untimed: that result feeds the row's equality check.  Every row has
+one shape and prints as one line::
 
     {"params": {...}, "runs": {name: {"median_s", "q1_s", "q3_s"[, "peak_bytes"]
                                       [, "against": {"ratio", "wins", "pairs"}]}},
@@ -23,16 +24,18 @@ as one line::
 
 with ``null`` for a row that has nothing to compare.
 
-Two layers time whole fresh processes:
+Two layers time whole fresh processes, each call reporting the wall time
+around its process:
 
 * startup: fresh interpreters running ``pass``, ``import numpy`` and
   ``import ris_scma.cli``; the parameters list the standard-library modules
   the package imports beyond numpy.  A second row runs a whole
-  ``python -m ris_scma.cli run`` of a tiny config (``cli_run``), split into
-  import (to the open of the config file), work (to ``os._exit`` or the
-  first ``atexit`` call) and exit (to the process's end), and reads the
-  ``-X importtime`` cumulative microseconds of ``ris_scma.cli`` imported
-  after numpy (``importtime``); equal when every tree wrote the same result
+  ``python -m ris_scma.cli run`` of a tiny config, which reports its phases
+  ``cli_run.import`` (to the open of the config file), ``cli_run.work`` (to
+  ``os._exit`` or the first ``atexit`` call) and ``cli_run.exit`` (to the
+  process's end), and a ``-X importtime`` process, which reports the
+  cumulative microseconds of ``ris_scma.cli`` imported after numpy
+  (``importtime.ris_scma.cli``); equal when every tree wrote the same result
   bytes.
 * paper_scale: whole ``python -m ris_scma.cli`` processes at the scale of
   the paper's figures, one row per command: ``sweep`` of each preset
@@ -41,11 +44,11 @@ Two layers time whole fresh processes:
   equal when every tree wrote the same bytes.
 
 The other six layers time calls of this script's functions, each run in a
-long-lived interpreter per source tree (``WORKER_CODE``).  Each call's own
-seconds, timed in its interpreter, are the phase ``<call>.run``; the peak
-of the untimed run's traced allocations there is the call's ``peak_bytes``;
-the row is equal when every call of every tree gave the same result bytes
-(``_digest``).
+long-lived interpreter per source tree (``WORKER_CODE``).  Each call's
+seconds are timed in its interpreter around the function call alone.  Only
+the untimed run is traced and hashed there: the peak of its traced
+allocations is the call's ``peak_bytes``, and the row is equal when every
+call of every tree gave the same result bytes (``_digest``).
 
 * fan_out: whole campaigns at 1 and 2 workers: the benchmark's
   ``draw_bound_deploy`` workload (112 blocks) and the ``fig5b`` preset at
@@ -158,8 +161,8 @@ IMPORTTIME_CODE = "import numpy\nimport ris_scma.cli"
 # An interpreter that runs this script's calls on the source tree SRC_DIR:
 # ``import ris_scma`` binds the package there before the script puts its own
 # tree first on the path.  Each stdin line is [function name, arguments,
-# traced]; each reply is [the call's seconds, the digest of its result, the
-# peak of its traced allocations or null].
+# traced]; each reply is [the call's seconds, and on a traced call the
+# digest of its result and the peak of its traced allocations, else null].
 WORKER_CODE = (
     "import importlib.util, json, sys, time, tracemalloc\n"
     "script, src = sys.argv[1:]\n"
@@ -177,18 +180,19 @@ WORKER_CODE = (
     "    seconds = time.perf_counter() - start\n"
     "    peak = tracemalloc.get_traced_memory()[1] if traced else None\n"
     "    tracemalloc.stop()\n"
-    "    print(json.dumps([seconds, bench._digest(result), peak]), flush=True)\n"
+    "    digest = bench._digest(result) if traced else None\n"
+    "    print(json.dumps([seconds, digest, peak]), flush=True)\n"
     "    del result\n")
 AGAINST = "against:"
-PAPER_SCALE_REPEATS = 9
-FAN_OUT_REPEATS = 7
+PAPER_SCALE_REPEATS = 10
+FAN_OUT_REPEATS = 10
 GRID_POINT_ELEMENTS = (64, 128, 256)
 GRID_POINT_REPEATS = 15
 TRIALS = 256
 ELEMENTS = (8, 16, 64, 256)
 DRAW_REPEATS = 15
 SEED_REPEATS = 51
-ASCENT_REPEATS = 9
+ASCENT_REPEATS = 10
 SNR_REPEATS = 15
 ASCENT_BITS, ASCENT_SWEEPS = (1, 3, 5, 8), 3
 SNR_BITS = 3
@@ -204,27 +208,24 @@ BLOCK = {"trials": TRIALS, "num_ores": NUM_ORES, "num_interferers": NUM_INTERFER
                     "rician_factor": FADING.rician_factor}}
 
 
-def _measure(runs: dict, repeats: int, split=()) -> tuple:
+def _measure(runs: dict, repeats: int) -> tuple:
     """Run every named call of ``runs`` once per repeat, the order rotated by
     one each repeat and each result dropped before the next call, then once
-    more untimed: ({name: {"median_s", "q1_s", "q3_s"[, "peak_bytes"]}},
+    more untimed: ({entry: {"median_s", "q1_s", "q3_s"[, "peak_bytes"]}},
     {name: result of the untimed run}).  Each call takes one argument,
-    ``traced``, true on the untimed run only; an untimed result that is a
-    worker's reply gives the call its ``peak_bytes``.  A call named in
-    ``split`` returns {phase: seconds}, and each phase gets the same
-    statistics as ``name.phase``."""
+    ``traced``, true on the untimed run only, and returns (its seconds, its
+    result, its traced peak bytes or None).  A call's seconds are its entry;
+    seconds given as {phase: seconds} are one entry per phase,
+    ``name.phase``."""
     names = list(runs)
-    times = {name: [] for name in names}
+    times = {}
     for repeat in range(repeats):
         shift = repeat % len(names)
         for name in names[shift:] + names[:shift]:
-            start = time.perf_counter()
-            result = runs[name](False)
-            times[name].append(time.perf_counter() - start)
-            if name in split:
-                for phase, seconds in result.items():
-                    times.setdefault(f"{name}.{phase}", []).append(seconds)
-            del result
+            seconds = runs[name](False)[0]
+            phases = seconds if isinstance(seconds, dict) else {"": seconds}
+            for phase, s in phases.items():
+                times.setdefault(f"{name}.{phase}" if phase else name, []).append(s)
     stats, results = {}, {}
     for name, samples in times.items():
         # With the inclusive method the middle quartile is the median.
@@ -237,17 +238,16 @@ def _measure(runs: dict, repeats: int, split=()) -> tuple:
                 "ratio": statistics.median(mine) / statistics.median(other),
                 "wins": sum(a < b for a, b in zip(mine, other)), "pairs": len(mine)}
     for name in names:
-        results[name] = runs[name](True)
-        if isinstance(results[name], _Reply):
-            stats[name]["peak_bytes"] = results[name].peak_bytes
+        _, results[name], peak = runs[name](True)
+        if peak is not None:
+            stats[name]["peak_bytes"] = peak
     return stats, results
 
 
-def _row(layer: str, params: dict, runs: dict, repeats: int, check=None,
-         split=()) -> dict:
+def _row(layer: str, params: dict, runs: dict, repeats: int, check=None) -> dict:
     """Measure one row and print it as one line.  ``check(results)`` compares
     the results of the untimed runs; ``equal`` is None without one."""
-    stats, results = _measure(runs, repeats, split)
+    stats, results = _measure(runs, repeats)
     row = {"params": {**params, "repeats": repeats}, "runs": stats,
            "equal": None if check is None else bool(check(results))}
     scalars = ", ".join(f"{key}={value}" for key, value in row["params"].items()
@@ -277,20 +277,27 @@ def _python(args: list, src: Path = SRC, cwd=None) -> subprocess.CompletedProces
                           capture_output=True, text=True, cwd=cwd)
 
 
-def _cli_run(src: Path, config: Path, out: Path) -> dict:
-    """One ``CLI_RUN_CODE`` process: {"import", "work", "exit"} seconds."""
+def _process(args: list, src: Path = SRC, cwd=None) -> tuple:
+    """One fresh process, as ``_measure`` calls it: (wall seconds, None, None)."""
+    start = time.perf_counter()
+    _python(args, src, cwd)
+    return time.perf_counter() - start, None, None
+
+
+def _cli_run(src: Path, config: Path, out: Path) -> tuple:
+    """One ``CLI_RUN_CODE`` process: ({"import", "work", "exit"} seconds, None, None)."""
     start = time.perf_counter()
     proc = _python(["-c", CLI_RUN_CODE, str(config), str(out)], src)
     end = time.perf_counter()
     opened, exiting = map(float, proc.stderr.split())
-    return {"import": opened - start, "work": exiting - opened, "exit": end - exiting}
+    return {"import": opened - start, "work": exiting - opened, "exit": end - exiting}, None, None
 
 
-def _importtime(src: Path) -> dict:
-    """{"ris_scma.cli": seconds}: the cumulative ``-X importtime`` entry."""
+def _importtime(src: Path) -> tuple:
+    """({"ris_scma.cli": seconds}, None, None): the cumulative ``-X importtime`` entry."""
     lines = _python(["-X", "importtime", "-c", IMPORTTIME_CODE], src).stderr.splitlines()
     [line] = [x for x in lines if x.rstrip().endswith("| ris_scma.cli")]
-    return {"ris_scma.cli": int(line.split("|")[1]) * 1e-6}
+    return {"ris_scma.cli": int(line.split("|")[1]) * 1e-6}, None, None
 
 
 def _output_bytes(out: Path) -> tuple:
@@ -307,7 +314,7 @@ def startup_layer(trees: dict, work: Path) -> list:
     ({name prefix: src directory}) in one rotation."""
     added = {_label(prefix): _python(["-c", ADDED_MODULES_CODE], src).stdout.split()
              for prefix, src in trees.items()}
-    runs = {prefix + name: lambda _, code=code, src=src: _python(["-c", code], src)
+    runs = {prefix + name: lambda _, code=code, src=src: _process(["-c", code], src)
             for prefix, src in trees.items() for name, code in STARTUP_CODE.items()}
     rows = [_row("startup", {"stdlib_modules_added_beyond_numpy": added}, runs,
                  STARTUP_REPEATS)]
@@ -320,8 +327,7 @@ def startup_layer(trees: dict, work: Path) -> list:
         runs[prefix + "importtime"] = lambda _, src=src: _importtime(src)
     rows.append(_row(
         "startup", {"cli_run_config": CLI_RUN_CONFIG}, runs, STARTUP_REPEATS,
-        check=lambda _: len({_output_bytes(out) for out in outs.values()}) == 1,
-        split=tuple(runs)))
+        check=lambda _: len({_output_bytes(out) for out in outs.values()}) == 1))
     return rows
 
 
@@ -341,20 +347,11 @@ def paper_scale_layer(trees: dict, work: Path) -> list:
         runs = {}
         for prefix, src in trees.items():
             argv = ["-m", "ris_scma.cli", *command, "--output-dir", str(outs[prefix])]
-            runs[prefix + name] = lambda _, argv=argv, src=src: _python(argv, src, work)
+            runs[prefix + name] = lambda _, argv=argv, src=src: _process(argv, src, work)
         rows.append(_row(
             "paper_scale", {"command": name, "argv": command}, runs, PAPER_SCALE_REPEATS,
             check=lambda _, outs=outs: len({_output_bytes(o) for o in outs.values()}) == 1))
     return rows
-
-
-class _Reply(dict):
-    """A worker call's {"run": seconds}, a ``split`` phase, with the digest
-    of its result and, for a traced call, its peak bytes."""
-
-    def __init__(self, seconds: float, digest: str, peak_bytes):
-        super().__init__(run=seconds)
-        self.digest, self.peak_bytes = digest, peak_bytes
 
 
 class _Worker:
@@ -366,13 +363,13 @@ class _Worker:
             [sys.executable, "-c", WORKER_CODE, str(Path(__file__).resolve()), str(src)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
-    def call(self, function, *args, traced=False) -> _Reply:
+    def call(self, function, *args, traced=False) -> list:
         self.proc.stdin.write(json.dumps([function.__name__, args, traced]) + "\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
         if not line:
             raise RuntimeError(f"the worker on {self.src} exited with {self.proc.wait()}")
-        return _Reply(*json.loads(line))
+        return json.loads(line)
 
     def close(self) -> None:
         self.proc.stdin.close()
@@ -412,8 +409,7 @@ def _layer_row(layer: str, params: dict, calls: dict, repeats: int, workers: dic
     result's digest is the same."""
     runs = {prefix + name: lambda traced, w=w, f=f, args=args: w.call(f, *args, traced=traced)
             for prefix, w in workers.items() for name, (f, args) in calls.items()}
-    return _row(layer, params, runs, repeats, split=tuple(runs),
-                check=lambda r: len({reply.digest for reply in r.values()}) == 1)
+    return _row(layer, params, runs, repeats, check=lambda r: len(set(r.values())) == 1)
 
 
 def _warm(workers: dict, function, *args) -> None:

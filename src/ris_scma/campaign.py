@@ -64,10 +64,11 @@ _MAX_TRIAL_PHASE_BITS = 8
 # before any 2^b is built.  Counts below 2^floor(4300 log2 10) = 2^14284 have
 # at most the 4300 digits Python writes an integer with by default.
 _MAX_COUNT_DIGITS = 4300
-# A trial scenario refuses each nonzero path's link budget E/sigma^2 x p
-# (p the direct gain times its scale, or the cascaded gain) outside
+# A trial scenario refuses each path's link budget E/sigma^2 x p (p the
+# direct gain times its scale, or the cascaded gain) outside
 # [lo / d_f, hi / (d_f (N + 1)^2 A^4)], so that every SNR and its square are
-# normal floats:
+# normal floats; a zero or infinite gain is refused with the rest, and only
+# a zero fading.direct_loss_scale removes the direct path:
 # - a unit-power coefficient is lw e^{j theta} + dw z, lw, dw <= 1 and
 #   dw = 1 / sqrt(K + 1); numpy's standard_normal never passes 12.3 in
 #   magnitude (its ziggurat tail takes the log of a 53-bit uniform), so no
@@ -157,19 +158,6 @@ class Campaign:
                 if param < 1:
                     raise ValueError(
                         f"{name} must be >= 1, got {param} at grid point {value}")
-            # Every SNR is the link budget times a path gain; a zero direct
-            # gain is a removed direct link only when the scale removes it.
-            free_space, cascaded = _path_gains(geom)
-            direct = free_space * fading.direct_loss_scale
-            if not (0 < cascaded and budget * cascaded < math.inf
-                    and budget * direct < math.inf
-                    and (direct > 0 or fading.direct_loss_scale == 0)):
-                raise ValueError(
-                    f"path gains out of range at grid point {value}: "
-                    f"geometry.carrier_frequency = {geom.carrier_frequency:g} gives "
-                    f"direct {free_space:g} x fading.direct_loss_scale "
-                    f"{fading.direct_loss_scale:g} and cascaded {cascaded:g}; each "
-                    f"must be > 0 and finite times {link}")
             if self.scenario != "complexity_grid" and b > _MAX_TRIAL_PHASE_BITS:
                 raise ValueError(
                     f"phase_bits must be <= {_MAX_TRIAL_PHASE_BITS} for scenario "
@@ -203,15 +191,21 @@ class Campaign:
             lo, hi = _SNR_RANGE
             coefficient = 1 + 13 / math.sqrt(fading.rician_factor + 1)
             lo, hi = lo / df, hi / (df * (n + 1) ** 2 * coefficient**4)
-            for path, gain in (("direct path gain x fading.direct_loss_scale", direct),
-                               ("cascaded path gain", cascaded)):
-                if gain and not lo <= budget * gain <= hi:
+            free_space, cascaded = _path_gains(geom)
+            gains = {"direct": free_space * fading.direct_loss_scale, "cascaded": cascaded}
+            if fading.direct_loss_scale == 0:
+                del gains["direct"]
+            for path, gain in gains.items():
+                if not lo <= budget * gain <= hi:
                     raise ValueError(
                         f"SNRs out of the normal float range at grid point {value}: "
-                        f"{link} times the {path} {gain:g} is {budget * gain:g}, "
-                        f"outside [{lo:g}, {hi:g}] at num_elements N = {n}, "
-                        f"system.nonzero_per_ore d_f = {df} and fading.rician_factor "
-                        f"{fading.rician_factor:g}")
+                        f"geometry.carrier_frequency = {geom.carrier_frequency:g} gives "
+                        f"direct path gain {free_space:g} x fading.direct_loss_scale "
+                        f"{fading.direct_loss_scale:g} and cascaded path gain "
+                        f"{cascaded:g}; {link} times the {path} one is "
+                        f"{budget * gain:g}, outside [{lo:g}, {hi:g}] at num_elements "
+                        f"N = {n}, system.nonzero_per_ore d_f = {df} and "
+                        f"fading.rician_factor {fading.rician_factor:g}")
 
     def point_params(self, axis_value) -> tuple:
         """(geometry, num_elements, phase_bits, num_iterations) at a grid point."""

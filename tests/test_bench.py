@@ -7,7 +7,6 @@ name it imports from the package would otherwise go unnoticed.
 
 import importlib.util
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -38,30 +37,44 @@ def workers(bench):
 
 def test_measure_rotates_the_calls_and_gives_quartiles(bench):
     calls = []
-    runs = {"a": lambda traced: calls.append(("a", traced)) or "A",
-            "b": lambda traced: calls.append(("b", traced)) or bench._Reply(0.0, "B", 7)}
+
+    def run(name, seconds, result, peak):
+        def call(traced):
+            calls.append((name, traced))
+            return next(seconds), result, peak if traced else None
+        return call
+    runs = {"a": run("a", iter([3.0, 1.0, 2.0, 9.0]), "A", None),
+            "b": run("b", iter([2.0, 4.0, 3.0, 9.0]), "B", 7)}
     stats, results = bench._measure(runs, 3)
-    # Three timed repeats, each rotated by one, then one untimed, traced run each.
+    # Three timed repeats, each rotated by one, then one untimed, traced run
+    # each, whose seconds are not counted.
     assert [name for name, _ in calls] == ["a", "b", "b", "a", "a", "b", "a", "b"]
     assert [traced for _, traced in calls] == [False] * 6 + [True] * 2
-    assert results["a"] == "A" and results["b"].digest == "B"
-    for s in stats.values():
-        assert 0 <= s["q1_s"] <= s["median_s"] <= s["q3_s"]
-    # Only a worker's reply carries a peak.
-    assert "peak_bytes" not in stats["a"]
-    assert stats["b"]["peak_bytes"] == 7
+    assert results == {"a": "A", "b": "B"}
+    assert stats["a"] == {"median_s": 2.0, "q1_s": 1.5, "q3_s": 2.5}
+    # Only a call whose traced run reports a peak carries one.
+    assert stats["b"] == {"median_s": 3.0, "q1_s": 2.5, "q3_s": 3.5, "peak_bytes": 7}
+
+
+def test_measure_records_the_seconds_each_call_reports(bench):
+    # The calls take no time: each entry holds the seconds its call reports,
+    # one entry per phase for a call that reports phases.
+    runs = {"a": lambda _: (5.0, None, None),
+            "b": lambda _: ({"x": 1.0, "y": 2.0}, None, None)}
+    stats, _ = bench._measure(runs, 3)
+    assert stats == {name: {"median_s": s, "q1_s": s, "q3_s": s}
+                     for name, s in (("a", 5.0), ("b.x", 1.0), ("b.y", 2.0))}
 
 
 def _assert_paired(row, calls):
-    # Every call ran on both trees with the same result; this tree's calls
-    # and their timed phases carry the ratio to the other tree's, and every
-    # call its traced peak.
+    # Every call ran on both trees with the same result, once per entry;
+    # this tree's calls carry the ratio to the other tree's, and every call
+    # its traced peak.
     assert row["equal"] is True
-    both = calls | {"against:" + call for call in calls}
-    assert set(row["runs"]) == both | {name + ".run" for name in both}
+    assert set(row["runs"]) == calls | {"against:" + call for call in calls}
     for call in calls:
-        for name in (call, call + ".run"):
-            assert row["runs"][name]["against"]["pairs"] == row["params"]["repeats"]
+        assert row["runs"][call]["against"]["pairs"] == row["params"]["repeats"]
+        assert "against" not in row["runs"]["against:" + call]
         for name in (call, "against:" + call):
             assert row["runs"][name]["peak_bytes"] > 0
 
@@ -92,18 +105,25 @@ def test_layer_row_is_unequal_when_a_digest_differs(bench, workers):
 
 
 def test_measure_compares_a_call_with_its_twin_on_the_other_tree(bench):
-    runs = {"a": lambda _: None, "against:a": lambda _: time.sleep(0.002)}
+    runs = {"a": lambda _: (0.001, None, None), "against:a": lambda _: (0.004, None, None)}
     stats, _ = bench._measure(runs, 3)
-    assert stats["a"]["against"]["wins"] == 3 and stats["a"]["against"]["pairs"] == 3
-    assert stats["a"]["against"]["ratio"] < 1
+    assert stats["a"]["against"] == {"ratio": 0.25, "wins": 3, "pairs": 3}
     assert "against" not in stats["against:a"]
 
 
 def test_worker_runs_a_call_on_a_source_tree(bench, workers):
     worker = workers[""]
-    reply = worker.call(bench._seeds, 3)
-    traced = worker.call(bench._seeds, 4, traced=True)
-    assert reply.digest == bench._digest(bench._seeds(3))
-    assert traced.digest == bench._digest(bench._seeds(4))
-    assert reply["run"] >= 0 and reply.peak_bytes is None
-    assert traced.peak_bytes > 0
+    for block in (3, 4):
+        seconds, digest, peak = worker.call(bench._seeds, block, traced=True)
+        assert digest == bench._digest(bench._seeds(block))
+        assert seconds >= 0 and peak > 0
+    assert bench._digest(bench._seeds(3)) != bench._digest(bench._seeds(4))
+
+
+def test_worker_hashes_and_traces_only_a_traced_call(bench, workers):
+    worker = workers[""]
+    seconds, digest, peak = worker.call(bench._seeds, 5)
+    assert seconds >= 0 and digest is None and peak is None
+    # A block not drawn before, so that the call allocates.
+    _, digest, peak = worker.call(bench._seeds, 6, traced=True)
+    assert digest == bench._digest(bench._seeds(6)) and peak > 0

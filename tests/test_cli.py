@@ -193,13 +193,15 @@ def test_invalid_grid_point_is_a_config_error(doc, key, tmp_path, capsys, monkey
 
 
 def test_complexity_grid_counts_any_phase_bits(tmp_path, capsys):
-    # complexity_grid only counts, so b = 40 stays a valid document there.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": "complexity_grid", "phase_bits": 40,
-                               "sweep": {"grid": [4, 8]}}))
-    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
-    rows = json.loads((tmp_path / "out" / "results.json").read_text())["rows"]
-    assert len(rows) == 4 and all(row["real_mults"] > 2**40 for row in rows)
+    # complexity_grid only counts, so b = 40 stays a valid document there,
+    # and so do path gains out of the float range: it draws no channel.
+    for i, extra in enumerate([{}, {"geometry": {"carrier_frequency": 1e-80}}]):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({"scenario": "complexity_grid", "phase_bits": 40,
+                                   "sweep": {"grid": [4, 8]}, **extra}))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / f"out{i}")]) == 0
+        rows = json.loads((tmp_path / f"out{i}" / "results.json").read_text())["rows"]
+        assert len(rows) == 4 and all(row["real_mults"] > 2**40 for row in rows)
 
 
 def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):

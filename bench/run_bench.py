@@ -1,5 +1,5 @@
-"""Layer benchmark for ris_scma: start-up, paper-scale commands, fan-out,
-grid point, seeding, channel draw, ascent, SNR evaluation.
+"""Layer benchmark for ris_scma: start-up, whole CLI commands, grid point,
+seeding, channel draw, ascent, SNR evaluation.
 
 Run from the root of a source checkout (``src`` is put on the path here):
 
@@ -24,8 +24,9 @@ one shape and prints as one line::
 
 with ``null`` for a row that has nothing to compare.
 
-Two layers time whole fresh processes, each call reporting the wall time
-around its process:
+One layer times whole fresh processes, each call reporting the wall time
+around its process; it measures what only a fresh process pays: start-up,
+imports and exit.
 
 * startup: fresh interpreters running ``pass``, ``import numpy`` and
   ``import ris_scma.cli``; the parameters list the standard-library modules
@@ -36,24 +37,24 @@ around its process:
   process's end), and a ``-X importtime`` process, which reports the
   cumulative microseconds of ``ris_scma.cli`` imported after numpy
   (``importtime.ris_scma.cli``); equal when every tree wrote the same result
-  bytes.
-* paper_scale: whole ``python -m ris_scma.cli`` processes at the scale of
-  the paper's figures, one row per command: ``sweep`` of each preset
-  (fig2, fig4, fig5a, fig5b, fig6a, fig6b) at its own trial count, and
-  ``run`` of the default 10^4-trial document at ``--workers 1`` and 2;
-  equal when every tree wrote the same bytes.
+  bytes, and null on one tree.
 
 The other six layers time calls of this script's functions, each run in a
 long-lived interpreter per source tree (``WORKER_CODE``).  Each call's
 seconds are timed in its interpreter around the function call alone.  Only
 the untimed run is traced and hashed there: the peak of its traced
 allocations is the call's ``peak_bytes``, and the row is equal when every
-call of every tree gave the same result bytes (``_digest``).
+call of every tree gave the same result bytes (``_digest``); a row of one
+call in all (no ``--against``, one call per tree) has nothing to compare.
 
-* fan_out: whole campaigns at 1 and 2 workers: the benchmark's
-  ``draw_bound_deploy`` workload (112 blocks) and the ``fig5b`` preset at
-  2000 trials (32 blocks).  The two-worker call's ``peak_bytes`` is the
-  interpreter's own, without its forked children.
+* command: whole CLI commands, ``ris_scma.cli.main(argv)``, one row per
+  command and one call per tree: ``sweep`` of each preset (fig2, fig4,
+  fig5a, fig5b, fig6a, fig6b) at its own trial count, ``run`` of the
+  default 10^4-trial document at ``--workers 1`` and 2, and ``run`` of each
+  ``perfbench`` workload's document.  A call's result is every file the
+  command wrote (results and plot data); a nonzero exit code fails the
+  run.  A two-worker call's ``peak_bytes`` is the interpreter's own,
+  without its forked children.
 * grid_point: one grid point of the benchmark's ``large_n_cached`` workload
   (``n_sweep``, 256 trials, blind and lc_ao: draw, ascent and two SNR
   evaluations) at N in {64, 128, 256}, run as the campaign runs the blocks
@@ -80,7 +81,7 @@ the default document's layout, geometry and calibrated fading
 With ``--against DIR`` every call also runs on the source tree at DIR,
 named ``against:<call>``, in the same rotation as this tree's, so that both
 see the same stretch of machine load: each fresh process on that tree, and
-each call-level call in a second worker interpreter on it.
+each other call in a second worker interpreter on it.
 
 The JSON report (the layers' rows plus Python, numpy, BLAS, core count and
 ``PYTHONDONTWRITEBYTECODE``, which decides whether each fresh process
@@ -91,13 +92,16 @@ The exit code is 1 if any row's check fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -109,16 +113,14 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np                                                    # noqa: E402
 
-from ris_scma.campaign import (_plan_blocks, _run_blocks,             # noqa: E402
-                               _trial_block, run_campaign, trial_seed)
+from ris_scma import cli                                               # noqa: E402
+from ris_scma.campaign import _plan_blocks, _run_blocks, _trial_block, trial_seed  # noqa: E402
 from ris_scma.channel import (FadingConfig, Geometry, _pcg64_states,   # noqa: E402
                               draw_link_channels, draw_trial_block,
                               stack_realizations)
-from ris_scma.config import (DEFAULTS, config_from_document,        # noqa: E402
-                             config_hash, parse_config)
+from ris_scma.config import DEFAULTS, parse_config                    # noqa: E402
 from ris_scma.optimizer import PhaseAlphabet, ao_optimize, received_snr  # noqa: E402
-from ris_scma.writers import (FIGURE_PRESETS, result_to_csv_text,    # noqa: E402
-                              result_to_json_text)
+from ris_scma.writers import FIGURE_PRESETS                            # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS                         # noqa: E402
 
 STARTUP_REPEATS = 25
@@ -184,8 +186,7 @@ WORKER_CODE = (
     "    print(json.dumps([seconds, digest, peak]), flush=True)\n"
     "    del result\n")
 AGAINST = "against:"
-PAPER_SCALE_REPEATS = 10
-FAN_OUT_REPEATS = 10
+COMMAND_REPEATS = 10
 GRID_POINT_ELEMENTS = (64, 128, 256)
 GRID_POINT_REPEATS = 15
 TRIALS = 256
@@ -268,19 +269,19 @@ def _seeds(block: int) -> tuple:
     return tuple(trial_seed(block, 0, i) for i in range(TRIALS))
 
 
-def _python(args: list, src: Path = SRC, cwd=None) -> subprocess.CompletedProcess:
-    """A fresh interpreter with ``src`` first on its path, in ``cwd``."""
+def _python(args: list, src: Path = SRC) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``src`` first on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, check=True,
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True)
 
 
-def _process(args: list, src: Path = SRC, cwd=None) -> tuple:
+def _process(args: list, src: Path = SRC) -> tuple:
     """One fresh process, as ``_measure`` calls it: (wall seconds, None, None)."""
     start = time.perf_counter()
-    _python(args, src, cwd)
+    _python(args, src)
     return time.perf_counter() - start, None, None
 
 
@@ -325,32 +326,10 @@ def startup_layer(trees: dict, work: Path) -> list:
     for prefix, src in trees.items():
         runs[prefix + "cli_run"] = lambda _, src=src, out=outs[prefix]: _cli_run(src, config, out)
         runs[prefix + "importtime"] = lambda _, src=src: _importtime(src)
-    rows.append(_row(
-        "startup", {"cli_run_config": CLI_RUN_CONFIG}, runs, STARTUP_REPEATS,
-        check=lambda _: len({_output_bytes(out) for out in outs.values()}) == 1))
-    return rows
-
-
-def paper_scale_layer(trees: dict, work: Path) -> list:
-    """One row per command, each run as a whole process on every source tree
-    of ``trees`` in one rotation; equal when every tree wrote the same bytes
-    (results and plot data).  Each process runs in ``work``, where the
-    default document is ``default.json``."""
-    (work / "default.json").write_text("{}")
-    commands = {figure: ["sweep", figure] for figure in sorted(FIGURE_PRESETS)}
-    for workers in (1, 2):
-        commands[f"default_workers_{workers}"] = ["run", "default.json",
-                                                  "--workers", str(workers)]
-    rows = []
-    for name, command in commands.items():
-        outs = {prefix: work / "paper_scale" / _label(prefix) / name for prefix in trees}
-        runs = {}
-        for prefix, src in trees.items():
-            argv = ["-m", "ris_scma.cli", *command, "--output-dir", str(outs[prefix])]
-            runs[prefix + name] = lambda _, argv=argv, src=src: _process(argv, src, work)
-        rows.append(_row(
-            "paper_scale", {"command": name, "argv": command}, runs, PAPER_SCALE_REPEATS,
-            check=lambda _, outs=outs: len({_output_bytes(o) for o in outs.values()}) == 1))
+    check = ((lambda _: len({_output_bytes(out) for out in outs.values()}) == 1)
+             if len(trees) > 1 else None)
+    rows.append(_row("startup", {"cli_run_config": CLI_RUN_CONFIG}, runs, STARTUP_REPEATS,
+                     check))
     return rows
 
 
@@ -406,10 +385,11 @@ def _digest(value) -> str:
 def _layer_row(layer: str, params: dict, calls: dict, repeats: int, workers: dict) -> dict:
     """One row of ``calls`` ({name: (function, args)}), every call run by each
     of ``workers`` ({name prefix: _Worker}) in one rotation; equal when every
-    result's digest is the same."""
+    result's digest is the same, and None for a row of one call in all."""
     runs = {prefix + name: lambda traced, w=w, f=f, args=args: w.call(f, *args, traced=traced)
             for prefix, w in workers.items() for name, (f, args) in calls.items()}
-    return _row(layer, params, runs, repeats, check=lambda r: len(set(r.values())) == 1)
+    check = (lambda r: len(set(r.values())) == 1) if len(runs) > 1 else None
+    return _row(layer, params, runs, repeats, check)
 
 
 def _warm(workers: dict, function, *args) -> None:
@@ -418,28 +398,41 @@ def _warm(workers: dict, function, *args) -> None:
         worker.call(function, *args)
 
 
-@functools.cache
-def _fan_out_campaigns() -> dict:
-    deploy = parse_config(WORKLOADS["draw_bound_deploy"].config_text(DEFAULT_SEED))
-    fig5b = config_from_document({**FIGURE_PRESETS["fig5b"], "num_trials": 2000})
-    return {"draw_bound_deploy": deploy, "fig5b_2000_trials": fig5b}
+def _commands() -> dict:
+    """The command layer's argv lists, by row name; a ``run`` argv holds the
+    document's text in place of its path."""
+    commands = {figure: ["sweep", figure] for figure in sorted(FIGURE_PRESETS)}
+    for workers in (1, 2):
+        commands[f"default_workers_{workers}"] = ["run", "{}", "--workers", str(workers)]
+    for name, workload in WORKLOADS.items():
+        commands[name] = ["run", workload.config_text(DEFAULT_SEED)]
+    return commands
 
 
-def _campaign_bytes(name: str, workers: int) -> tuple:
-    cfg = _fan_out_campaigns()[name]
-    result = run_campaign(replace(cfg.campaign, workers=workers),
-                          config_hash=config_hash(cfg))
-    return result_to_csv_text(result), result_to_json_text(result)
+def _command(argv: list) -> tuple:
+    """``cli.main(argv)`` with a ``run`` document written to a file and the
+    output to a fresh temporary directory: every file written, by name.  The
+    paths ``main`` prints are dropped (in a worker, stdout is the reply
+    pipe); a nonzero exit code raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if argv[0] == "run":
+            (tmp / "config.json").write_text(argv[1])
+            argv = ["run", str(tmp / "config.json"), *argv[2:]]
+        out = tmp / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*argv, "--output-dir", str(out)])
+        if code != 0:
+            raise RuntimeError(f"ris-scma {argv[0]} exited with code {code}")
+        return _output_bytes(out)
 
 
-def fan_out_layer(workers: dict) -> list:
-    # One worker runs the campaign in its interpreter; two fork two children.
-    _warm(workers, _fan_out_campaigns)
-    return [_layer_row("fan_out", {"campaign": name, "blocks": len(_plan_blocks(cfg.campaign))},
-                       {"one_worker": (_campaign_bytes, (name, 1)),
-                        "two_workers": (_campaign_bytes, (name, 2))},
-                       FAN_OUT_REPEATS, workers)
-            for name, cfg in _fan_out_campaigns().items()]
+def command_layer(workers: dict) -> list:
+    """One row per command of ``_commands``, one call per tree; equal when
+    every tree wrote the same bytes (results and plot data)."""
+    return [_layer_row("command", {"command": name, "argv": argv},
+                       {name: (_command, (argv,))}, COMMAND_REPEATS, workers)
+            for name, argv in _commands().items()]
 
 
 @functools.cache
@@ -586,13 +579,12 @@ def main(argv=None) -> int:
         trees[AGAINST] = args.against.resolve() / "src"
     work = ROOT / ".bench_work" / "run_bench"
     work.mkdir(parents=True, exist_ok=True)
-    layers = {"startup": startup_layer(trees, work),
-              "paper_scale": paper_scale_layer(trees, work)}
+    layers = {"startup": startup_layer(trees, work)}
     workers = {prefix: _Worker(src) for prefix, src in trees.items()}
     try:
-        # Fan-out runs before the big draws, so its children fork from a
+        # Commands run before the big draws, so their children fork from a
         # small interpreter.
-        layers.update(fan_out=fan_out_layer(workers), grid_point=grid_point_layer(workers),
+        layers.update(command=command_layer(workers), grid_point=grid_point_layer(workers),
                       ascent=ascent_layer(workers), seeding=seeding_layer(workers),
                       channel_draw=draw_layer(workers), snr=snr_layer(workers))
     finally:

@@ -6,8 +6,8 @@ Verbs: ``run <config>`` (full campaign from a JSON config), ``sweep
 suite at small N).  Exit code 0 on success; on failure one machine-readable
 JSON error line goes to stderr and the exit code is nonzero.
 
-The environment variable ``RIS_SCMA_OUTPUT_DIR`` overrides the output
-directory; ``--seed`` overrides the master seed.
+The environment variable ``RIS_SCMA_OUTPUT_DIR``, unless empty, overrides
+the output directory; ``--seed`` overrides the master seed.
 
 ``run`` and ``sweep`` import only what a campaign runs; the bodies of
 ``verify-complexity`` and ``selftest`` live in :mod:`~ris_scma.reference`,
@@ -88,7 +88,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 def _resolve_output_dir(cfg_dir: str, args) -> str:
     if args.output_dir is not None:
         return args.output_dir
-    return os.environ.get(OUTPUT_DIR_ENV, cfg_dir)
+    return os.environ.get(OUTPUT_DIR_ENV) or cfg_dir
 
 
 def _run(cfg, args, figure_id=None) -> int:

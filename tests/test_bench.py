@@ -1,11 +1,12 @@
-"""The layer benchmark's runner, its worker interpreters and its cheapest
-call-level layers.
+"""The layer benchmark's runner, its worker interpreters, its cheapest
+call-level layers and its command layer.
 
 The script is loaded by path: nothing else imports it, so a renamed private
 name it imports from the package would otherwise go unnoticed.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -127,3 +128,41 @@ def test_worker_hashes_and_traces_only_a_traced_call(bench, workers):
     # A block not drawn before, so that the call allocates.
     _, digest, peak = worker.call(bench._seeds, 6, traced=True)
     assert digest == bench._digest(bench._seeds(6)) and peak > 0
+
+
+def test_layer_row_of_one_call_in_all_has_nothing_to_compare(bench, workers):
+    calls = {"seeds": (bench._seeds, (1,))}
+    one = bench._layer_row("seeds", {}, calls, 2, {"": workers[""]})
+    assert one["equal"] is None
+    assert bench._layer_row("seeds", {}, calls, 2, workers)["equal"] is True
+
+
+def test_commands_name_every_preset_default_and_workload(bench):
+    assert set(bench._commands()) == (set(bench.FIGURE_PRESETS) | set(bench.WORKLOADS)
+                                      | {"default_workers_1", "default_workers_2"})
+
+
+def test_command_layer_runs_each_command_on_both_trees(bench, workers, monkeypatch):
+    tiny = {"scenario": "n_sweep", "sweep": {"grid": [2, 4]}, "num_trials": 8,
+            "num_elements": 4, "algorithms": ["blind", "ao"]}
+    commands = {"fig6b": ["sweep", "fig6b"],
+                "tiny": ["run", json.dumps(tiny), "--workers", "2"]}
+    monkeypatch.setattr(bench, "_commands", lambda: commands)
+    monkeypatch.setattr(bench, "COMMAND_REPEATS", 2)
+    rows = bench.command_layer(workers)
+    assert [row["params"]["command"] for row in rows] == ["fig6b", "tiny"]
+    for row, name in zip(rows, commands):
+        _assert_paired(row, {name})
+
+
+def test_command_fails_on_a_nonzero_exit_code(bench):
+    with pytest.raises(RuntimeError, match="exited with code 2"):
+        bench._command(["run", '{"num_trials": 0}'])
+
+
+def test_startup_rows_on_one_tree_have_nothing_to_compare(bench, monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "STARTUP_REPEATS", 2)
+    rows = bench.startup_layer({"": bench.SRC}, tmp_path)
+    assert [row["equal"] for row in rows] == [None, None]
+    assert set(rows[1]["runs"]) == {"cli_run.import", "cli_run.work", "cli_run.exit",
+                                    "importtime.ris_scma.cli"}

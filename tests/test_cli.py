@@ -47,6 +47,17 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "env_out" / "results.csv").exists()
 
 
+def test_empty_output_dir_env_is_unset(tmp_path, monkeypatch):
+    # As tempfile treats an empty TMPDIR: the document's directory holds.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "output": {"directory": str(tmp_path / "doc_out")}}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("RIS_SCMA_OUTPUT_DIR", "")
+    assert main(["run", str(cfg)]) == 0
+    assert (tmp_path / "doc_out" / "results.csv").exists()
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_sweep_preset_emits_plot_series(tmp_path):
     out = tmp_path / "fig"
     assert main(["sweep", "fig6a", "--output-dir", str(out)]) == 0
